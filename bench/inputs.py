@@ -28,13 +28,22 @@ def uniform_points(seed: int, tag: int, n: int, dim: int = 2) -> np.ndarray:
     return rng_for(seed, tag).random((n, dim))
 
 
-def blob_points(seed: int, tag: int, blobs: int, per_blob: int) -> np.ndarray:
-    """Unit-square blobs on a grid of spacing 2, so any threshold below 1
-    splits the cloud into per-blob parts. A kernel's cost is then a sum
-    over independent blobs, which keeps it from swinging with the seed."""
-    cols = int(np.ceil(np.sqrt(blobs)))
-    corners = np.array([(2.0 * (b % cols), 2.0 * (b // cols)) for b in range(blobs)])
-    return np.repeat(corners, per_blob, axis=0) + rng_for(seed, tag).random((blobs * per_blob, 2))
+def grid_points(
+    seed: int, tag: int, shape: tuple[int, ...], block: int = 0, jitter: float = 0.03
+) -> np.ndarray:
+    """An integer lattice of the given shape, each point moved by up to
+    ``jitter`` along each axis. Lattice distances come in shells (1, sqrt 2,
+    sqrt 3, 2, ...); this jitter moves a distance by at most
+    ``2 * jitter * sqrt(dim)``, so a threshold in a wide gap between shells
+    gives the same graph for every seed, and a kernel's work does not swing
+    with the seed as it does on a uniform cloud. With ``block``, every
+    ``block`` lattice steps along an axis are followed by a gap of 3, so
+    below that threshold each block is a component of its own."""
+    axes = np.meshgrid(*(np.arange(k, dtype=float) for k in shape), indexing="ij")
+    lattice = np.stack([a.ravel() for a in axes], axis=1)
+    if block:
+        lattice += 3.0 * (lattice // block)
+    return lattice + rng_for(seed, tag).uniform(-jitter, jitter, lattice.shape)
 
 
 def euclidean(points: np.ndarray) -> np.ndarray:

@@ -9,20 +9,34 @@ file sits in, without installing it. Each workload is a fixed list of CLI
 commands on inputs generated from ``--seed`` (see workloads.py). The load
 is a closed loop: one child ``python -m sievecluster.cli`` runs at a time
 (started by launcher.py), with numeric libraries held to one thread, and
-the list repeats in passes until ``--seconds`` have gone by. Timings are medians over the
-passes.
+the list repeats in passes until ``--seconds`` have gone by. An untimed
+``--help`` comes first, to fill the page cache and compile bytecode.
+Timings are per-command medians over the passes, so a slow moment of the
+host moves one sample of one command, not a whole pass.
+
+The host is a small VM on a shared machine whose speed drifts by 10-30%
+within seconds, for the program and for a plain Python loop alike, so
+that unscaled timings of the same code spread by 20-30% between runs.
+Every child's time is therefore scaled to a reference host speed: just
+before and just after each child the benchmark times fixed loops of its
+own (``HostClock``), and reports ``wall * REF_S / loops``, the time the
+command would take on a host where the loops take ``REF_S``. A slower
+program moves this as it moves wall time; a slower host does not. The
+unscaled medians and the host's slowness are printed alongside.
 
 With ``--trace 0`` the metrics are the end-to-end ones. ``setup_s`` is the
-median time of ``--help`` (``--version`` needs installed metadata).
-``wall_s`` sums a pass's command wall times, ``slowest_cmd_s`` is its
-slowest command, ``peak_rss_mb`` its highest child peak RSS from
-``os.wait4``, and ``ok_frac`` the share of commands that exited 0 with
-correct output.
+median time of ``--help`` (``--version`` needs installed metadata), timed
+once before each pass so its samples spread over the whole run.
+``wall_s`` sums the commands' median scaled wall times, ``slowest_cmd_s``
+is the largest of those medians, ``peak_rss_mb`` the largest median child
+peak RSS from ``os.wait4``, and ``ok_frac`` the share of commands that
+exited 0 with correct output. ``setup_s`` is scaled too.
 
 With ``--trace 1`` passes alternate between plain and traced commands (see
 tracer.py) and the metrics are the per-layer ones, plus ``proc.cpu_s``
 (child CPU time of a plain pass) and ``trace.overhead_s`` (traced minus
-plain pass wall time). Counts must repeat exactly between traced passes.
+plain wall time, each a sum of per-command medians). Counts must repeat
+exactly between traced passes.
 
 Every output is checked: against a numpy oracle where there is one (see
 checks.py), and byte for byte against the first output of the same
@@ -36,8 +50,10 @@ import argparse
 import hashlib
 import importlib.metadata
 import json
+import math
 import os
 import platform
+import random
 import shutil
 import statistics
 import subprocess
@@ -55,8 +71,11 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 WORK = ROOT / ".bench_work"
-SETUP_RUNS = 7
+MIN_PASSES = 3
 DEADLINE_S = 170.0  # children still running this long into a run are killed
+# HostClock's usual reading on the machine the bounds were set on (2-vCPU
+# VM, Intel Xeon, Python 3.11); a scaled time is in its seconds
+REF_S = 0.016
 
 
 @dataclass
@@ -66,6 +85,12 @@ class Child:
     rss_mb: float
     code: int
     output: Path
+    ref: float  # HostClock reading around this child
+
+    @property
+    def scaled(self) -> float:
+        """Wall time at the reference host speed (see the module docstring)."""
+        return self.wall * REF_S / self.ref
 
 
 def child_env() -> dict[str, str]:
@@ -80,14 +105,50 @@ def child_env() -> dict[str, str]:
     return env
 
 
+class HostClock:
+    """Reads how fast the host runs this process now: the geometric mean
+    of the times of a fixed loop of interpreter arithmetic and of a fixed
+    walk along a random cycle of list slots, about 15 ms each. Neither
+    depends on the program, and between them they slow down both with
+    a busy core and with busy caches and memory, as the program's
+    commands do. The list lives here, not in launcher.py, so that it does
+    not count in the children's peak RSS."""
+
+    SLOTS = 1 << 19
+    ARITH_STEPS = 200_000
+    WALK_STEPS = 40_000
+
+    def __init__(self):
+        order = list(range(self.SLOTS))
+        random.Random(0).shuffle(order)
+        self.ring = [0] * self.SLOTS
+        for a, b in zip(order, order[1:] + order[:1]):
+            self.ring[a] = b
+        self.slot = 0  # the walk goes on where it stopped, onto cold slots
+
+    def read(self) -> float:
+        start = time.perf_counter()
+        total = 0
+        for i in range(self.ARITH_STEPS):
+            total += i * i
+        mid = time.perf_counter()
+        ring, slot = self.ring, self.slot
+        for _ in range(self.WALK_STEPS):
+            slot = ring[slot]
+        self.slot = slot
+        return math.sqrt((mid - start) * (time.perf_counter() - mid))
+
+
 class Runner:
     """Hands commands to launcher.py, which runs one child at a time and
-    reads its wall time, CPU time and peak RSS."""
+    reads its wall time, CPU time and peak RSS; reads the host clock just
+    before and just after each."""
 
     def __init__(self, work: Path, deadline: float):
         self.work = work
         self.deadline = deadline
         self.env = child_env()
+        self.clock = HostClock()
         self.launcher = subprocess.Popen(
             [sys.executable, str(HERE / "launcher.py")],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
@@ -115,10 +176,12 @@ class Runner:
             "err": str(self.work / f"{cmd.name}.err"),
             "timeout": max(self.deadline - time.perf_counter(), 0.0),
         }
+        before = self.clock.read()
         self.launcher.stdin.write(json.dumps(request) + "\n")
         self.launcher.stdin.flush()
         reply = json.loads(self.launcher.stdout.readline())
-        return Child(reply["wall"], reply["cpu"], reply["rss_mb"], reply["code"], out)
+        ref = (before + self.clock.read()) / 2
+        return Child(reply["wall"], reply["cpu"], reply["rss_mb"], reply["code"], out, ref)
 
 
 @dataclass
@@ -164,16 +227,13 @@ def check_help(raw: bytes) -> list[str]:
     return [] if raw.startswith(b"Usage:") else ["--help printed no usage"]
 
 
-def measure_setup(runner: Runner, judge: Judge, timed: int) -> list[float]:
-    """Times ``--help``; the first run is a warm-up (bytecode, page cache)."""
-    help_cmd = Command("help", ["--help"], check=None)
-    times = []
-    for i in range(timed + 1):
-        child = runner.cli(help_cmd)
-        judge.judge("help", child, check_help)
-        if i:
-            times.append(child.wall)
-    return times
+HELP = Command("help", ["--help"], check=None)
+
+
+def time_setup(runner: Runner, judge: Judge) -> Child:
+    child = runner.cli(HELP)
+    judge.judge(HELP.name, child, check_help)
+    return child
 
 
 @dataclass
@@ -181,10 +241,6 @@ class Pass:
     traced: bool
     children: list[Child]
     layers: dict[str, float] | None = None
-
-    @property
-    def wall(self) -> float:
-        return sum(c.wall for c in self.children)
 
 
 def run_pass(runner: Runner, judge: Judge, commands: list[Command], traced: bool) -> Pass:
@@ -204,12 +260,19 @@ def run_pass(runner: Runner, judge: Judge, commands: list[Command], traced: bool
     return Pass(traced, children, layers)
 
 
-def end_to_end(setup: list[float], passes: list[Pass], judge: Judge) -> dict[str, float]:
+def command_medians(passes: list[Pass], attr: str) -> list[float]:
+    """Each command's median of ``attr`` over the passes."""
+    by_command = zip(*(p.children for p in passes))
+    return [statistics.median(getattr(c, attr) for c in runs) for runs in by_command]
+
+
+def end_to_end(setup: list[Child], passes: list[Pass], judge: Judge) -> dict[str, float]:
+    walls = command_medians(passes, "scaled")
     return {
-        "setup_s": statistics.median(setup),
-        "wall_s": statistics.median([p.wall for p in passes]),
-        "slowest_cmd_s": statistics.median([max(c.wall for c in p.children) for p in passes]),
-        "peak_rss_mb": statistics.median([max(c.rss_mb for c in p.children) for p in passes]),
+        "setup_s": statistics.median(c.scaled for c in setup),
+        "wall_s": sum(walls),
+        "slowest_cmd_s": max(walls),
+        "peak_rss_mb": max(command_medians(passes, "rss_mb")),
         "ok_frac": (judge.attempted - judge.failed) / judge.attempted,
     }
 
@@ -226,9 +289,9 @@ def per_layer(passes: list[Pass], judge: Judge) -> dict[str, float]:
             out[key] = value
             if any(p.layers[key] != value for p in traced[1:]):
                 judge.problems.append(f"count {key} differs between traced passes")
-    out["proc.cpu_s"] = statistics.median([sum(c.cpu for c in p.children) for p in plain])
+    out["proc.cpu_s"] = sum(command_medians(plain, "cpu"))
     out["trace.overhead_s"] = (
-        statistics.median([p.wall for p in traced]) - statistics.median([p.wall for p in plain])
+        sum(command_medians(traced, "wall")) - sum(command_medians(plain, "wall"))
     )
     return out
 
@@ -242,14 +305,21 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, spec: dict) 
         judge = Judge()
         kinds = (False, True) if trace else (False,)
         passes: list[Pass] = []
+        setup: list[Child] = []
         with Runner(work, begin + DEADLINE_S) as runner:
-            setup = measure_setup(runner, judge, 0 if trace else SETUP_RUNS)
+            time_setup(runner, judge)  # warm-up, checked but not timed
             start = time.perf_counter()
             while True:
-                passes.append(run_pass(runner, judge, commands, kinds[len(passes) % len(kinds)]))
+                for traced in kinds:
+                    if not trace:
+                        setup.append(time_setup(runner, judge))
+                    passes.append(run_pass(runner, judge, commands, traced))
                 now = time.perf_counter()
-                whole = len(passes) % len(kinds) == 0
-                if whole and (now - start >= seconds or now - begin >= DEADLINE_S / 2):
+                # stop before a round that would run past the window
+                rounds = len(passes) // len(kinds)
+                if rounds >= MIN_PASSES and (now - start) * (rounds + 1) / rounds > seconds:
+                    break
+                if now - begin >= DEADLINE_S / 2:
                     break
     finally:
         shutil.rmtree(work, ignore_errors=True)
@@ -259,6 +329,11 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, spec: dict) 
     samples = {"passes": len(passes), "setup_runs": len(setup)}
     for metric, entry in metrics.items():
         print(f"{name:8s} {metric:45s} {entry['value']:14.6f} {entry['unit']}")
+    if not trace:
+        host = statistics.median(c.ref for p in passes for c in p.children) / REF_S
+        print(f"{name:8s} unscaled: setup_s {statistics.median(c.wall for c in setup):.6f}, "
+              f"wall_s {sum(command_medians(passes, 'wall')):.6f}; "
+              f"host slowness (HostClock / REF_S) {host:.3f}")
     print(f"{name:8s} samples: {samples}; commands per pass: {len(commands)}")
     for problem in judge.problems:
         print(f"{name:8s} FAILED {problem}")

@@ -2,8 +2,8 @@
 
 Each builder writes its inputs under a work directory and returns the
 commands of one pass, each with the check its output must pass. Every
-command is expected to exit 0. Sizes keep one pass of each workload at a
-few seconds on a 2-core machine, so a run holds several passes.
+command is expected to exit 0. Sizes keep one pass of each workload at
+3-5 seconds on a 2-core machine, so a run holds about ten passes.
 """
 
 from __future__ import annotations
@@ -35,18 +35,18 @@ def _cloud(work: Path, seed: int, tag: int, n: int):
     return _write_cloud(work, tag, inputs.uniform_points(seed, tag, n))
 
 
-def _blobs(work: Path, seed: int, tag: int, blobs: int, per_blob: int):
-    """Separated unit-square blobs (see inputs.blob_points), as a labeled CSV."""
-    return _write_cloud(work, tag, inputs.blob_points(seed, tag, blobs, per_blob))
+def _grid(work: Path, seed: int, tag: int, shape: tuple[int, int], block: int = 0):
+    """A jittered lattice (see inputs.grid_points), as a labeled CSV."""
+    return _write_cloud(work, tag, inputs.grid_points(seed, tag, shape, block))
 
 
-def _matrix(work: Path, seed: int, tag: int, n: int):
-    """Distances of a uniform cloud in the unit cube, as a labeled matrix
-    CSV; above 600 points the program samples the triangle check."""
-    points = inputs.uniform_points(seed, tag, n, dim=3)
-    names = inputs.labels("m", n)
+def _matrix(work: Path, seed: int, tag: int, shape: tuple[int, int, int]):
+    """Distances of a jittered 3-D lattice, as a labeled matrix CSV; up to
+    600 points the program checks every triangle."""
+    points = inputs.grid_points(seed, tag, shape)
+    names = inputs.labels("m", len(points))
     dist = inputs.euclidean(points)
-    path = work / f"matrix{tag}_{n}.csv"
+    path = work / f"matrix{tag}_{len(points)}.csv"
     inputs.write_matrix_csv(path, names, dist)
     return str(path), names, dist
 
@@ -55,13 +55,13 @@ def sweep(seed: int, work: Path) -> list[Command]:
     """``sieve`` over every candidate scale: sieves, functors and the
     clique and cut kernels run once per distinct distance."""
     out = []
-    path, names, dist = _cloud(work, seed, 1, 30)
-    out.append(Command("sieve-ml-30", ["sieve", "--method", "ml", path],
+    path, names, dist = _cloud(work, seed, 1, 26)
+    out.append(Command("sieve-ml-26", ["sieve", "--method", "ml", path],
                        lambda doc: checks.check_ml_sieve(names, dist, doc)))
-    path2, names2, dist2 = _cloud(work, seed, 2, 90)
-    out.append(Command("sieve-sl-90", ["sieve", "--method", "sl", path2],
+    path2, names2, dist2 = _cloud(work, seed, 2, 70)
+    out.append(Command("sieve-sl-70", ["sieve", "--method", "sl", path2],
                        lambda doc: checks.check_sl_sieve(names2, dist2, doc)))
-    for tag, n, family, k in ((3, 32, "vl", "2"), (4, 24, "el", "3"), (5, 16, "vl", "3")):
+    for tag, n, family, k in ((3, 28, "vl", "2"), (4, 20, "el", "3"), (5, 14, "vl", "3")):
         p, nm, _ = _cloud(work, seed, tag, n)
         out.append(Command(f"sieve-{family}{k}-{n}", ["sieve", "--method", family, "--k", k, p],
                            lambda doc, nm=nm: checks.check_sieve_shape(nm, doc)))
@@ -69,31 +69,37 @@ def sweep(seed: int, work: Path) -> list[Command]:
 
 
 def flat(seed: int, work: Path) -> list[Command]:
-    """One ``cluster`` evaluation per command on 384-1500 points: ingest,
-    metric validation and the big-n kernels; no sieve."""
+    """One ``cluster`` evaluation per command on 343-900 points: ingest,
+    metric validation and the big-n kernels; no sieve.
+
+    The inputs are jittered lattices with thresholds between distance
+    shells, so every seed gives the same graphs: on uniform clouds the
+    clique, cut and closure searches swung by 10-40% between seeds. The
+    2-D thresholds (about 1.7) join each point to its 8 nearest lattice
+    neighbours; the matrix threshold (about 1.2) to its 6."""
     out = []
-    path, names, dist = _cloud(work, seed, 11, 1500)
-    delta = inputs.gap_delta(dist, 0.04)
+    path, names, dist = _grid(work, seed, 11, (30, 30))
+    delta = inputs.gap_delta(dist, 1.7)
     for family, check in (("sl", checks.check_sl_cover), ("ml", checks.check_ml_cover)):
-        out.append(Command(f"cluster-{family}-1500",
+        out.append(Command(f"cluster-{family}-{len(names)}",
                            ["cluster", "--method", family, "--delta", repr(delta), path],
                            lambda doc, check=check: check(names, dist, delta, doc)))
-    mpath, mnames, mdist = _matrix(work, seed, 12, 700)
-    mdelta = inputs.gap_delta(mdist, 0.1)
-    out.append(Command("cluster-ml-matrix-700",
+    mpath, mnames, mdist = _matrix(work, seed, 12, (7, 7, 7))
+    mdelta = inputs.gap_delta(mdist, 1.2)
+    out.append(Command(f"cluster-ml-matrix-{len(mnames)}",
                        ["cluster", "--method", "ml", "--delta", repr(mdelta), mpath],
                        lambda doc: checks.check_ml_cover(mnames, mdist, mdelta, doc)))
-    # the cut searches swing by 7x between seeds on one uniform cloud, so
-    # vl and el run on separated blobs; the closure scan is steady as is
-    for family, (p, nm, d), target, partition in (
-        ("vl", _blobs(work, seed, 13, 16, 24), 0.35, False),
-        ("el", _blobs(work, seed, 14, 8, 80), 0.2, True),
-        ("bkstar", _cloud(work, seed, 15, 600), 0.05, False),
+    # the cut searches run on separated 4x4 and 8x8 blocks: on one big
+    # lattice their cost grows far faster than the point count
+    for family, (p, nm, d), partition in (
+        ("vl", _grid(work, seed, 13, (20, 20), block=4), False),
+        ("el", _grid(work, seed, 14, (24, 24), block=8), True),
+        ("bkstar", _grid(work, seed, 15, (30, 20)), False),
     ):
         out.append(Command(
             f"cluster-{family}3-{len(nm)}",
             ["cluster", "--method", family, "--k", "3",
-             "--delta", repr(inputs.gap_delta(d, target)), p],
+             "--delta", repr(inputs.gap_delta(d, 1.7)), p],
             lambda doc, nm=nm, partition=partition: checks.check_cover(nm, doc, partition),
         ))
     return out
@@ -102,7 +108,7 @@ def flat(seed: int, work: Path) -> list[Command]:
 def harness(seed: int, work: Path) -> list[Command]:
     """The verification harness: many flat evaluations on 3-8 point
     spaces, where per-call overhead outweighs asymptotics."""
-    trials = ["--trials", "1000", "--seed", str(seed)]
+    trials = ["--trials", "600", "--seed", str(seed)]
     out = [
         Command("functoriality-ml",
                 ["verify", "functoriality", "--method", "ml", "--delta", "0.3", *trials],
@@ -119,14 +125,16 @@ def harness(seed: int, work: Path) -> list[Command]:
                 ["verify", "sandwich", "--method", "vl", "--k", "2", "--delta", "0.3", *trials],
                 lambda doc: checks.check_report(doc, "sandwich")),
     ]
-    # exhaustive over 3-6 points for the scale families, an early witness
-    # for the injective-only ones
+    # exhaustive over 3-5 points for the scale families, an early witness
+    # for the injective-only ones; 6 points would take 2-3 s a command and
+    # leave too few passes in a run for a steady median
     for family, level, found in (
         ("ml", [], False), ("sl", [], False), ("vl", ["--k", "2"], True), ("el", ["--k", "2"], True),
     ):
         out.append(Command(
             f"counterexample-{family}{''.join(level[1:])}",
-            ["verify", "counterexample", "--method", family, *level, "--delta", "1.0"],
+            ["verify", "counterexample", "--method", family, *level, "--delta", "1.0",
+             "--max-points", "5"],
             lambda doc, found=found: checks.check_report(doc, "counterexample", found),
         ))
     return out
