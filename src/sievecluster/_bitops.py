@@ -71,12 +71,6 @@ def components(adj: list[int], within: int | None = None) -> list[int]:
     return comps
 
 
-def connected(adj: list[int], within: int) -> bool:
-    if within == 0:
-        return True
-    return len(components(adj, within)) == 1
-
-
 def is_complete(adj: list[int], mask: int) -> bool:
     m = mask
     while m:
@@ -156,45 +150,6 @@ def maximal_cliques(adj: list[int], within: int | None = None) -> list[int]:
             _bk_pivot(adj, b, P & adj[v], X & adj[v], out)
             P ^= b
             X |= b
-    return out
-
-
-def bridges(adj: list[int], within: int) -> list[tuple[int, int]]:
-    """Bridge edges of the induced subgraph (iterative low-link DFS)."""
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    out: list[tuple[int, int]] = []
-    timer = 0
-    for root in bits(within):
-        if root in disc:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        frames: list[list[int]] = [[root, -1, adj[root] & within]]
-        while frames:
-            frame = frames[-1]
-            v, parent, rem = frame
-            if rem:
-                lowbit = rem & -rem
-                w = lowbit.bit_length() - 1
-                frame[2] = rem ^ lowbit
-                if w == parent:
-                    continue
-                if w in disc:
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-                else:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    frames.append([w, v, adj[w] & within])
-            else:
-                frames.pop()
-                if frames:
-                    u = frames[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                    if low[v] > disc[u]:
-                        out.append((u, v))
     return out
 
 

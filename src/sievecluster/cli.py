@@ -31,7 +31,7 @@ from .errors import (
 )
 from .fileio import canonical_json_bytes, ingest_space, write_json
 from .functors import FAMILIES, MethodSpec, clustering_parameter, evaluate_method
-from .graphs import bk_closure, bk_star_closure, threshold_graph, write_dot
+from .graphs import Graph, bk_closure, bk_star_closure, threshold_graph, write_dot
 from .metric import FiniteMetricSpace
 from .sieves import build_sieve, check_sieve_axioms
 from .verify import (
@@ -140,35 +140,41 @@ def _ingest(path: str, fmt_matrix: bool, fmt_points: bool, norm: str) -> FiniteM
         _fail_input(str(exc))
 
 
-def _build_method(
-    family: str,
-    delta: float | None,
-    k_raw: str | None,
-    budget_raw: str | None,
-    clique_exception: bool,
-    test_paths: tuple[str, ...],
-    norm: str = "euclidean",
-    need_delta: bool = True,
-) -> MethodSpec:
+def _build_method(kw: dict) -> MethodSpec:
+    """The method named by a command's method options; commands without a
+    --delta option (sieve) build a scale-free method."""
+    family = kw["family"]
+    delta = kw.get("delta")
     test_spaces = []
-    for p in test_paths:
+    for p in kw["test_paths"]:
         try:
-            test_spaces.append(ingest_space(p, norm=norm))
+            test_spaces.append(ingest_space(p, norm=kw.get("norm", "euclidean")))
         except SieveclusterError as exc:
             _fail_input(str(exc))
-    if family != "generated" and need_delta and delta is None:
+    if family != "generated" and "delta" in kw and delta is None:
         _fail_input(f"--method {family} requires --delta")
     try:
         return MethodSpec(
             family=family,
             delta=delta,
-            k=_parse_level(k_raw),
-            budget=_parse_budget(budget_raw),
+            k=_parse_level(kw["k_raw"]),
+            budget=_parse_budget(kw["budget_raw"]),
             test_spaces=tuple(test_spaces),
-            clique_exception=clique_exception,
+            clique_exception=kw["clique_exception"],
         )
     except (TypeError, ValueError) as exc:
         _fail_input(str(exc))
+
+
+def _dot_graph(x: FiniteMetricSpace, delta: float, closure: str | None, k) -> Graph:
+    """The threshold graph at delta, closed under the bk or bkstar rule
+    at level k when ``closure`` names one."""
+    g = threshold_graph(x, delta)
+    if closure == "bk":
+        return bk_closure(g, k)
+    if closure == "bkstar":
+        return bk_star_closure(g, k)
+    return g
 
 
 def _emit_json(obj, output: str | None) -> None:
@@ -212,10 +218,7 @@ def main() -> None:
 def cluster(**kw) -> None:
     """Evaluate a flat method at one scale; write the cover as JSON."""
     x = _ingest(kw["input_path"], kw["fmt_matrix"], kw["fmt_points"], kw["norm"])
-    spec = _build_method(
-        kw["family"], kw["delta"], kw["k_raw"], kw["budget_raw"],
-        kw["clique_exception"], kw["test_paths"], kw["norm"],
-    )
+    spec = _build_method(kw)
     try:
         cover = evaluate_method(x, spec)
     except SieveclusterError as exc:
@@ -223,11 +226,7 @@ def cluster(**kw) -> None:
     if kw["dot_path"]:
         if spec.delta is None:
             _fail_input("--emit-dot needs a method with --delta")
-        g = threshold_graph(x, spec.delta)
-        if spec.family == "bk":
-            g = bk_closure(g, spec.k)
-        elif spec.family == "bkstar":
-            g = bk_star_closure(g, spec.k)
+        g = _dot_graph(x, spec.delta, spec.family, spec.k)
         with open(kw["dot_path"], "w", encoding="utf-8") as fh:
             fh.write(write_dot(g))
     _emit_json(cover.to_dict(), kw["output"])
@@ -247,10 +246,7 @@ def sieve(**kw) -> None:
     if kw["family"] == "generated":
         _fail_input("the generated family has no scale parameter to sweep")
     x = _ingest(kw["input_path"], kw["fmt_matrix"], kw["fmt_points"], kw["norm"])
-    spec = _build_method(
-        kw["family"], None, kw["k_raw"], kw["budget_raw"],
-        kw["clique_exception"], kw["test_paths"], kw["norm"], need_delta=False,
-    )
+    spec = _build_method(kw)
     try:
         s = build_sieve(x, spec)
     except MonotonicityViolation as exc:
@@ -303,10 +299,7 @@ def param_probe(**kw) -> None:
     prints a "trivial" diagnosis instead (still exit 0: triviality is a
     legitimate probe outcome, not an error).
     """
-    spec = _build_method(
-        kw["family"], kw["delta"], kw["k_raw"], kw["budget_raw"],
-        kw["clique_exception"], kw["test_paths"],
-    )
+    spec = _build_method(kw)
     try:
         probe = clustering_parameter(spec)
     except TrivialFunctor as exc:
@@ -367,10 +360,7 @@ def _finish_report(report: TrialReport, output: str | None, expect_zero: bool) -
 @click.option("-o", "--output", type=click.Path(), help="Write report JSON here.")
 def verify_functoriality(**kw) -> None:
     """Check consistency of the method under sampled maps."""
-    spec = _build_method(
-        kw["family"], kw["delta"], kw["k_raw"], kw["budget_raw"],
-        kw["clique_exception"], kw["test_paths"],
-    )
+    spec = _build_method(kw)
     if kw["trials"] < 0:
         _fail_input("--trials must be nonnegative")
     try:
@@ -399,10 +389,7 @@ verify_functoriality = _method_options(verify_functoriality)
 def verify_sandwich(**kw) -> None:
     """Check the two-sided bracketing at the probed scale (always expected
     to hold; violations exit 1)."""
-    spec = _build_method(
-        kw["family"], kw["delta"], kw["k_raw"], kw["budget_raw"],
-        kw["clique_exception"], kw["test_paths"],
-    )
+    spec = _build_method(kw)
     if kw["trials"] < 0:
         _fail_input("--trials must be nonnegative")
     try:
@@ -431,10 +418,7 @@ verify_sandwich = _method_options(verify_sandwich)
 @click.option("-o", "--output", type=click.Path(), help="Write report JSON here.")
 def verify_counterexample(**kw) -> None:
     """Search small spaces for consistency violations of the method."""
-    spec = _build_method(
-        kw["family"], kw["delta"], kw["k_raw"], kw["budget_raw"],
-        kw["clique_exception"], kw["test_paths"],
-    )
+    spec = _build_method(kw)
     if kw["max_points"] < 3:
         _fail_input("--max-points must be at least 3")
     if kw["budget"] < 1:
@@ -500,12 +484,13 @@ def export_dot(**kw) -> None:
     x = _ingest(kw["input_path"], kw["fmt_matrix"], kw["fmt_points"], kw["norm"])
     if not kw["delta"] >= 0:
         _fail_input("--delta must be nonnegative")
-    g = threshold_graph(x, kw["delta"])
+    closure, level = None, None
+    if kw["bk_level"] is not None:
+        closure, level = "bk", kw["bk_level"]
+    elif kw["bkstar_level"] is not None:
+        closure, level = "bkstar", kw["bkstar_level"]
     try:
-        if kw["bk_level"] is not None:
-            g = bk_closure(g, _parse_level(kw["bk_level"]))
-        elif kw["bkstar_level"] is not None:
-            g = bk_star_closure(g, _parse_level(kw["bkstar_level"]))
+        g = _dot_graph(x, kw["delta"], closure, _parse_level(level))
     except (TypeError, ValueError) as exc:
         _fail_input(str(exc))
     text = write_dot(g)

@@ -136,19 +136,7 @@ class FlagCover(Cover):
 
     def __init__(self, base: Iterable[str], blocks: Iterable[Iterable[str]]):
         super().__init__(base, blocks)
-        masks = self.masks()
-        if not self.is_partition():
-            pair = _nested_pair(masks)
-            if pair is not None:
-                a, b = pair
-                raise NestedCover(
-                    f"block {self.blocks[a]} is contained in {self.blocks[b]}"
-                )
-        cliques = _bitops.maximal_cliques(
-            _co_blocking_masks(len(self.base), masks),
-            _bitops.full_mask(len(self.base)),
-        )
-        if sorted(cliques) != sorted(masks):
+        if not is_flag(self):
             raise ValueError(
                 "cover violates the flag condition: its blocks are not the "
                 "maximal cliques of the co-blocking graph"

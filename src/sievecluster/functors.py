@@ -38,27 +38,22 @@ from .covers import (
 from .errors import SearchBudgetExceeded, TrivialFunctor
 from .graphs import (
     Graph,
+    _check_level,
     bk_closure,
     bk_star_closure,
     max_edge_connected_subgraphs,
     max_vertex_connected_subgraphs,
     relation_from_graph,
+    space_from_graph,
     threshold_graph,
 )
-from .metric import REL_TOL, FiniteMetricSpace, path_space
+from .metric import REL_TOL, FiniteMetricSpace, _nonexpansive_assignments, path_space
 
 FAMILIES = ("sl", "ml", "l", "vl", "el", "bk", "bkstar", "generated")
 
 _NEEDS_K = {"l", "vl", "el", "bk", "bkstar"}
 _GENERATED_POINT_CAP = 6
 _GENERATED_LEAF_CAP = 10_000_000
-
-
-def _check_k(k) -> None:
-    if k == math.inf:
-        return
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive integer or inf, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +81,7 @@ class MethodSpec:
         if self.family in _NEEDS_K:
             if self.k is None:
                 raise ValueError(f"family {self.family!r} requires k")
-            _check_k(self.k)
+            _check_level(self.k)
         elif self.k is not None:
             raise ValueError(f"family {self.family!r} takes no k")
         if self.family == "l":
@@ -189,7 +184,7 @@ def _step_relation(x: FiniteMetricSpace, delta: float, k, budget) -> Relation:
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    _check_k(k)
+    _check_level(k)
     if not budget >= 0:
         raise ValueError("budget K must be nonnegative")
     n = x.n
@@ -248,7 +243,8 @@ def k_linkage(
 def single_linkage(x: FiniteMetricSpace, delta: float) -> FlagCover:
     """Connected components of the threshold graph (k_linkage at k = inf)."""
     out = k_linkage(x, delta, math.inf, math.inf)
-    assert out.is_partition(), "single linkage must produce a partition"
+    if not out.is_partition():
+        raise AssertionError("single linkage must produce a partition")
     return out
 
 
@@ -337,31 +333,13 @@ def probe_relation(
         if complete():
             break
         tol = rel_tol * max(scale, float(t.dist.max()))
-        td = t.dist
-        xd = x.dist
-        m = t.n
-        assigned = [0] * m
-
-        def place(i: int) -> None:
-            if i == m:
-                image = sorted(set(assigned))
-                for a_pos in range(len(image)):
-                    for b_pos in range(a_pos + 1, len(image)):
-                        a, b = image[a_pos], image[b_pos]
-                        rel[a] |= 1 << b
-                        rel[b] |= 1 << a
-                return
-            for cand in range(n):
-                ok = True
-                for j in range(i):
-                    if xd[cand, assigned[j]] > td[i, j] + tol:
-                        ok = False
-                        break
-                if ok:
-                    assigned[i] = cand
-                    place(i + 1)
-
-        place(0)
+        for assigned in _nonexpansive_assignments(t, x, tol):
+            image = sorted(set(assigned))
+            for a_pos in range(len(image)):
+                for b_pos in range(a_pos + 1, len(image)):
+                    a, b = image[a_pos], image[b_pos]
+                    rel[a] |= 1 << b
+                    rel[b] |= 1 << a
     return Relation.from_masks(x.labels, rel)
 
 
@@ -410,14 +388,7 @@ def cover_metric(cover: Cover, delta: float) -> FiniteMetricSpace:
     """
     if not delta > 0:
         raise ValueError("cover metrization needs delta > 0")
-    rel = co_blocking(cover)
-    n = len(cover.base)
-    d = np.full((n, n), 2.0 * delta)
-    for i, m in enumerate(rel.adj):
-        for j in _bitops.bits(m):
-            d[i, j] = delta
-    np.fill_diagonal(d, 0.0)
-    return FiniteMetricSpace(cover.base, d)
+    return space_from_graph(Graph.from_masks(cover.base, co_blocking(cover).adj), delta)
 
 
 def _merged_on_two_points(spec: MethodSpec, eps: float) -> bool:

@@ -16,7 +16,7 @@ Connectivity conventions, fixed here and relied on throughout:
   of large k is the family of maximal cliques.
 * edge connectivity: the standard convention has no such clique exception;
   a 2-point block needs 2 edge-disjoint paths, which a single edge cannot
-  provide, so at k >= 2 the decomposition is a partition (asserted on
+  provide, so at k >= 2 the decomposition is a partition (checked on
   every call). The clique exception can be opted into per call.
 """
 
@@ -37,7 +37,7 @@ def _check_level(k) -> None:
     if k == math.inf:
         return
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"connectivity level must be a positive integer or inf, got {k!r}")
+        raise ValueError(f"k must be a positive integer or inf, got {k!r}")
 
 
 class Graph:
@@ -137,17 +137,6 @@ def connected_components(g: Graph) -> Cover:
     return Cover.from_masks(g.vertices, comps)
 
 
-def _vl_qualifies(adj: list[int], mask: int, k) -> bool:
-    m = mask.bit_count()
-    if m == 0:
-        return False
-    if m <= k:
-        return _bitops.is_complete(adj, mask)
-    if not _bitops.connected(adj, mask):
-        return False
-    return _bitops.vertex_cut_below(adj, mask, k) is None
-
-
 def max_vertex_connected_subgraphs(g: Graph, k) -> Cover:
     """Maximal vertex sets qualifying at vertex-connectivity level k.
 
@@ -155,7 +144,6 @@ def max_vertex_connected_subgraphs(g: Graph, k) -> Cover:
     partition, level 2 comes from biconnected components, and higher levels
     recurse: a cutset smaller than k splits the candidate, and every
     qualifying subset survives into (component + cutset) of the split.
-    Maximality of the k >= 3 output is re-verified by attempted extension.
     """
     _check_level(k)
     adj = g._adj
@@ -191,14 +179,7 @@ def max_vertex_connected_subgraphs(g: Graph, k) -> Cover:
             continue
         for comp in _bitops.components(adj, s & ~cut):
             stack.append(comp | cut)
-    cover = reduce_to_maximal(Cover.from_masks(g.vertices, sorted(found)))
-    for b in cover.masks():
-        outside = everything & ~b
-        for v in _bitops.bits(outside):
-            assert not _vl_qualifies(adj, b | (1 << v), k), (
-                "connectivity recursion produced a non-maximal block"
-            )
-    return cover
+    return reduce_to_maximal(Cover.from_masks(g.vertices, sorted(found)))
 
 
 def _el_partition(adj: list[int], within: int, k) -> list[int]:
@@ -214,12 +195,16 @@ def _el_partition(adj: list[int], within: int, k) -> list[int]:
             for v in _bitops.bits(s):
                 out.append(1 << v)
             continue
-        cut_edges = _bitops.bridges(adj, s)
-        if cut_edges:
+        # a block with two vertices is a single edge, and an edge is a
+        # block by itself exactly when it is a bridge
+        bridges = [
+            b for b in _bitops.biconnected_vertex_sets(adj, s) if b.bit_count() == 2
+        ]
+        if bridges:
             pruned = list(adj)
-            for u, v in cut_edges:
-                pruned[u] = pruned[u] & ~(1 << v)
-                pruned[v] = pruned[v] & ~(1 << u)
+            for b in bridges:
+                for v in _bitops.bits(b):
+                    pruned[v] &= ~b
             stack.extend(_bitops.components(pruned, s))
             continue
         if k == 2:
@@ -258,7 +243,8 @@ def max_edge_connected_subgraphs(g: Graph, k, clique_exception: bool = False) ->
         merged.update(_bitops.maximal_cliques(adj, everything))
         return reduce_to_maximal(Cover.from_masks(g.vertices, sorted(merged)))
     cover = Cover.from_masks(g.vertices, parts)
-    assert cover.is_partition(), "edge-connectivity blocks must partition the vertices"
+    if not cover.is_partition():
+        raise AssertionError("edge-connectivity blocks must partition the vertices")
     return cover
 
 

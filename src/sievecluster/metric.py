@@ -166,21 +166,14 @@ def _check_triangle(labels: tuple[str, ...], d: np.ndarray, tol: float) -> None:
         )
 
 
-def validate_metric(
-    labels: Iterable[str],
-    matrix,
-    *,
-    rel_tol: float = REL_TOL,
-    check_triangle: bool = True,
-) -> FiniteMetricSpace:
-    """Check the metric axioms and build a canonical space.
+def _checked_matrix(
+    labels: Iterable[str], matrix, rel_tol: float
+) -> tuple[tuple[str, ...], np.ndarray, float]:
+    """Input checks shared by validate_metric and metric_closure.
 
-    Tolerance is ``rel_tol`` scaled by the largest entry. Asymmetry beyond
-    tolerance raises AsymmetricMatrix; within tolerance the matrix is
-    symmetrized exactly (averaged with its transpose). Entries below zero
-    beyond tolerance raise NegativeDistance; tiny negatives are clamped to
-    zero. Diagonal entries away from zero raise NonzeroDiagonal. A triangle
-    failure raises TriangleViolation naming an offending triple.
+    Returns the canonical labels, the matrix made exactly symmetric with
+    tiny negatives clamped and an exactly zero diagonal, and the absolute
+    tolerance (``rel_tol`` scaled by the largest entry).
     """
     labels = _canonical_labels(labels)
     d = np.asarray(matrix, dtype=np.float64)
@@ -194,7 +187,7 @@ def validate_metric(
         raise ValueError("a metric space needs at least one point")
     if not np.isfinite(d).all():
         raise ValueError("distance matrix contains non-finite entries")
-    scale = float(np.abs(d).max()) if d.size else 0.0
+    scale = float(np.abs(d).max())
     tol = rel_tol * scale
     asym = float(np.abs(d - d.T).max())
     if asym > tol:
@@ -212,6 +205,26 @@ def validate_metric(
         raise NonzeroDiagonal(f"d({labels[i]}, {labels[i]}) = {d[i, i]:.6g} != 0")
     d = d.copy()
     np.fill_diagonal(d, 0.0)
+    return labels, d, tol
+
+
+def validate_metric(
+    labels: Iterable[str],
+    matrix,
+    *,
+    rel_tol: float = REL_TOL,
+    check_triangle: bool = True,
+) -> FiniteMetricSpace:
+    """Check the metric axioms and build a canonical space.
+
+    Tolerance is ``rel_tol`` scaled by the largest entry. Asymmetry beyond
+    tolerance raises AsymmetricMatrix; within tolerance the matrix is
+    symmetrized exactly (averaged with its transpose). Entries below zero
+    beyond tolerance raise NegativeDistance; tiny negatives are clamped to
+    zero. Diagonal entries away from zero raise NonzeroDiagonal. A triangle
+    failure raises TriangleViolation naming an offending triple.
+    """
+    labels, d, tol = _checked_matrix(labels, matrix, rel_tol)
     if check_triangle:
         _check_triangle(labels, d, tol)
     return FiniteMetricSpace(labels, d)
@@ -272,24 +285,7 @@ def metric_closure(
     validate_metric); the triangle inequality is established by the closure
     itself.
     """
-    labels = _canonical_labels(labels)
-    d = np.asarray(matrix, dtype=np.float64)
-    if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] != len(labels):
-        raise ValueError("matrix shape does not match labels")
-    if not np.isfinite(d).all():
-        raise ValueError("distance matrix contains non-finite entries")
-    scale = float(np.abs(d).max()) if d.size else 0.0
-    tol = rel_tol * scale
-    if float(np.abs(d - d.T).max()) > tol:
-        raise AsymmetricMatrix("matrix differs from transpose beyond tolerance")
-    d = (d + d.T) / 2.0
-    if float(d.min()) < -tol:
-        raise NegativeDistance("matrix has negative entries")
-    d = np.maximum(d, 0.0)
-    if float(np.abs(np.diagonal(d)).max()) > tol:
-        raise NonzeroDiagonal("matrix has a nonzero diagonal entry")
-    d = d.copy()
-    np.fill_diagonal(d, 0.0)
+    labels, d, _ = _checked_matrix(labels, matrix, rel_tol)
     n = d.shape[0]
     for k in range(n):
         via = np.add.outer(d[:, k], d[k, :])
@@ -379,3 +375,48 @@ class MetricMap:
 
     def __repr__(self) -> str:
         return f"MetricMap({self.source.n} -> {self.target.n} points)"
+
+
+def _nonexpansive_assignments(
+    source: FiniteMetricSpace,
+    target: FiniteMetricSpace,
+    tol: float,
+    injective: bool = False,
+):
+    """Every assignment of source points to target points that stretches
+    no distance by more than ``tol``, as tuples of target indices (one per
+    source index) in lexicographic order.
+
+    Depth-first with pairwise pruning: a partial assignment dies as soon
+    as two placed points sit farther apart in the target than in the
+    source. With ``injective`` no target point is used twice.
+    """
+    bound = [[v + tol for v in row] for row in source.dist.tolist()]
+    tgt = target.dist.tolist()
+    m, n = len(bound), len(tgt)
+    chosen = [0] * m
+    start = [0] * (m + 1)  # next candidate to try at each depth
+    i = 0
+    while i >= 0:
+        if i == m:
+            yield tuple(chosen)
+            i -= 1
+            continue
+        row = bound[i]
+        cand = start[i]
+        while cand < n:
+            if not (injective and cand in chosen[:i]):
+                dist = tgt[cand]
+                for j in range(i):
+                    if dist[chosen[j]] > row[j]:
+                        break
+                else:
+                    break
+            cand += 1
+        if cand == n:
+            i -= 1
+            continue
+        chosen[i] = cand
+        start[i] = cand + 1
+        i += 1
+        start[i] = 0

@@ -105,8 +105,16 @@ def build_sieve(x: FiniteMetricSpace, spec: MethodSpec) -> Sieve:
     Candidate scales are 0 plus the distinct pairwise distances, ascending.
     Consecutive equal covers are compressed away so every stored breakpoint
     is genuine. Raises MonotonicityViolation when a flat evaluation at a
-    larger scale fails to be refined by its predecessor (the closure
-    families have been monotone in every run; the check stays on).
+    larger scale fails to be refined by its predecessor.
+
+    No threshold family can do that. The threshold graph only gains edges
+    as the scale grows, and every family reads it monotonically: both
+    closure rules of bk and bkstar are monotone in the edge set, so their
+    least fixed point only grows; the step relation of l only grows; and a
+    vertex set that qualifies for vl or el still qualifies after edges are
+    added. Each maximal clique of a graph lies inside a maximal clique of
+    any supergraph, which carries this through the maximal linked sets and
+    the flag completion. The check stays on as a guard against bugs.
     """
     if spec.family == "generated":
         raise ValueError(

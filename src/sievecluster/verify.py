@@ -38,10 +38,12 @@ from .functors import (
     maximal_linkage,
     single_linkage,
 )
+from .graphs import Graph, space_from_graph
 from .metric import (
     REL_TOL,
     FiniteMetricSpace,
     MetricMap,
+    _nonexpansive_assignments,
     metric_closure,
     space_from_points,
     validate_metric,
@@ -185,26 +187,7 @@ def random_map(
     if raw == 0:
         return None
     if raw <= 200_000:
-        found: list[tuple[int, ...]] = []
-        chosen = [0] * n
-
-        def enum(i: int, used: int) -> None:
-            if i == n:
-                found.append(tuple(chosen))
-                return
-            for cand in range(m):
-                if require_injective and used >> cand & 1:
-                    continue
-                ok = True
-                for j in range(i):
-                    if yd[cand, chosen[j]] > xd[i, j] + tol:
-                        ok = False
-                        break
-                if ok:
-                    chosen[i] = cand
-                    enum(i + 1, used | (1 << cand))
-
-        enum(0, 0)
+        found = list(_nonexpansive_assignments(x, y, tol, require_injective))
         if not found:
             return None
         pick = found[rng.randint(len(found))]
@@ -301,26 +284,7 @@ def random_morphism(
             j = avail.pop(rng.randint(len(avail)))
             groups.append(sorted((i, j)))
         if groups:
-            rep = list(range(n))
-            for i, j in groups:
-                rep[j] = i
-            classes: dict[int, list[int]] = {}
-            for v in range(n):
-                classes.setdefault(rep[v], []).append(v)
-            keys = sorted(classes)
-            m = len(keys)
-            qd = np.zeros((m, m))
-            for a in range(m):
-                for b in range(a + 1, m):
-                    qd[a, b] = qd[b, a] = min(
-                        d[u, v] for u in classes[keys[a]] for v in classes[keys[b]]
-                    )
-            y_labels = [labels[k] for k in keys]
-            assignment = {}
-            for a, k in enumerate(keys):
-                for v in classes[k]:
-                    assignment[labels[v]] = labels[k]
-            d = qd
+            y_labels, d, assignment = _quotient(labels, d, groups)
     mode = rng.randint(3)
     if mode == 0:
         scale = rng.uniform(0.4, 1.0)
@@ -444,43 +408,30 @@ def check_sandwich(
     )
 
 
-def _graph_space(n: int, edge_mask: int, pairs: list[tuple[int, int]], delta: float):
-    labels = [f"x{i}" for i in range(n)]
-    d = np.full((n, n), 2.0 * delta)
-    np.fill_diagonal(d, 0.0)
-    for e, (i, j) in enumerate(pairs):
-        if edge_mask >> e & 1:
-            d[i, j] = d[j, i] = delta
-    return FiniteMetricSpace(labels, d)
+def _quotient(
+    labels: list[str], d: np.ndarray, groups: list[list[int]]
+) -> tuple[list[str], np.ndarray, dict[str, str]]:
+    """Collapse each group of point indices onto its first member, with
+    blockwise-minimum distances between the classes.
 
-
-def _quotient_graph_space(
-    n: int,
-    edge_mask: int,
-    pairs: list[tuple[int, int]],
-    groups: list[list[int]],
-    delta: float,
-):
-    """Collapse vertex groups of a {delta, 2delta} space; blockwise-minimum
-    distances stay in {delta, 2delta}, so the result is a space and the
-    projection is non-expansive."""
+    Returns the kept labels in index order, the quotient matrix and the
+    projection as a label assignment. The projection is non-expansive.
+    Blockwise minima can break the triangle inequality, but not when all
+    distances between distinct points lie in {delta, 2 delta}.
+    """
+    n = len(labels)
     rep = list(range(n))
     for grp in groups:
         for v in grp[1:]:
             rep[v] = grp[0]
-    keys = sorted({rep[v] for v in range(n)})
-    pos = {k: i for i, k in enumerate(keys)}
+    keys = sorted(set(rep))
+    members = [[v for v in range(n) if rep[v] == k] for k in keys]
     m = len(keys)
-    adj = np.zeros((m, m), dtype=bool)
-    for e, (i, j) in enumerate(pairs):
-        if edge_mask >> e & 1 and rep[i] != rep[j]:
-            adj[pos[rep[i]], pos[rep[j]]] = True
-            adj[pos[rep[j]], pos[rep[i]]] = True
-    d = np.where(adj, delta, 2.0 * delta)
-    np.fill_diagonal(d, 0.0)
-    labels = [f"x{k}" for k in keys]
-    assignment = {f"x{v}": f"x{rep[v]}" for v in range(n)}
-    return FiniteMetricSpace(labels, d), assignment
+    qd = np.zeros((m, m))
+    for a in range(m):
+        for b in range(a + 1, m):
+            qd[a, b] = qd[b, a] = min(d[u, v] for u in members[a] for v in members[b])
+    return [labels[k] for k in keys], qd, {labels[v]: labels[rep[v]] for v in range(n)}
 
 
 def _graph_orbit_reps(n: int) -> list[int]:
@@ -545,6 +496,7 @@ def find_counterexample(
     delta = spec.delta
     tried = 0
     for n in range(3, max_points + 1):
+        labels = [f"x{i}" for i in range(n)]
         pairs = list(itertools.combinations(range(n), 2))
         reps = _graph_orbit_reps(n)
         patterns = _collapse_patterns(n)
@@ -556,11 +508,18 @@ def find_counterexample(
                     return None
                 tried += 1
                 if mask not in fx_cache:
-                    x_cache[mask] = _graph_space(n, mask, pairs, delta)
+                    adj = [0] * n
+                    for e, (i, j) in enumerate(pairs):
+                        if mask >> e & 1:
+                            adj[i] |= 1 << j
+                            adj[j] |= 1 << i
+                    g = Graph.from_masks(labels, adj)
+                    x_cache[mask] = space_from_graph(g, delta)
                     fx_cache[mask] = evaluate_method(x_cache[mask], spec)
                 x = x_cache[mask]
                 fx = fx_cache[mask]
-                y, assignment = _quotient_graph_space(n, mask, pairs, pattern, delta)
+                y_labels, qd, assignment = _quotient(labels, x.dist, pattern)
+                y = FiniteMetricSpace(y_labels, qd)
                 fy = evaluate_method(y, spec)
                 if refines(fx, preimage_cover(assignment, fy)):
                     continue
@@ -682,9 +641,14 @@ def iterative_flagify_oracle(cover: Cover) -> FlagCover:
 def probe_bk_sieve_monotonicity(
     trials: int, seed: int = 0, k: int = 2
 ) -> dict:
-    """Empirical record for the open question whether the closure families
-    are monotone in the scale: build their sieves on random spaces and
-    count MonotonicityViolation events."""
+    """Build sieves of the closure families on random spaces and record
+    every MonotonicityViolation.
+
+    None can occur: both closure rules are monotone in the edge set, so
+    the closed graph only gains edges as the scale grows, and each maximal
+    clique of a graph lies inside a maximal clique of any supergraph (see
+    build_sieve). A recorded violation is therefore a bug.
+    """
     from .errors import MonotonicityViolation
 
     outcomes = {"trials": trials, "k": k, "violations": []}

@@ -1,0 +1,118 @@
+"""Golden outputs: sha256 digests of canonical JSON for seeded results.
+
+The digests were recorded before the shared kernels (graph metrization,
+quotients, assignment enumeration, bridges) were merged into one
+implementation each. Any change to an enumeration order, a random pick or
+a float in these outputs changes a digest, so a rewrite behind the public
+names that alters bytes fails here even when every structural test holds.
+"""
+
+import hashlib
+
+import pytest
+
+from sievecluster import (
+    FiniteMetricSpace,
+    MethodSpec,
+    check_functoriality,
+    cover_metric,
+    find_counterexample,
+    generated_cluster,
+    path_space,
+    random_flag_cover,
+    random_map,
+    random_metric,
+    random_morphism,
+)
+from sievecluster.fileio import canonical_json_bytes
+from sievecluster.rng import SplitMix64, derive_seed
+from sievecluster.verify import METRIC_MODES
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(canonical_json_bytes(obj)).hexdigest()
+
+
+def _witness(family):
+    return find_counterexample(
+        MethodSpec(family=family, delta=1.0, k=2), max_points=5
+    )
+
+
+def _random_map_picks():
+    # a 3-point path into a 4-point path admits many non-expansive maps,
+    # and several injective ones, so every pick depends on the order in
+    # which the valid assignments are enumerated
+    x = path_space(2, 1.0)
+    y = path_space(3, 1.0)
+    picks = []
+    for injective in (False, True):
+        for seed in range(8):
+            f = random_map(x, y, seed, require_injective=injective)
+            picks.append(dict(f.assignment))
+    return picks
+
+
+def _generated():
+    x = random_metric(6, 11, "euclidean-points")
+    test = FiniteMetricSpace(
+        ["t0", "t1", "t2"], [[0.0, 0.35, 0.6], [0.35, 0.0, 0.45], [0.6, 0.45, 0.0]]
+    )
+    return generated_cluster(x, [test]).to_dict()
+
+
+def _functoriality():
+    report = check_functoriality(MethodSpec(family="ml", delta=0.3), 50, "met", seed=0)
+    return report.to_dict()
+
+
+def _morphisms():
+    # pins the blockwise-minimum quotient of random_morphism's collapse stage
+    out = []
+    for t in range(40):
+        x = random_metric(3 + t % 5, derive_seed(9, t), METRIC_MODES[t % 3])
+        y, f = random_morphism(x, SplitMix64(derive_seed(10, t)), "met")
+        out.append({"y": y.to_dict(), "assignment": f.assignment})
+    return out
+
+
+def _cover_metric():
+    return cover_metric(random_flag_cover(7, 3), 0.5).to_dict()
+
+
+GOLDEN = {
+    "counterexample-vl2": (
+        lambda: _witness("vl"),
+        "ee1ad710bf8615f6f768ab24d7de7e0d822b0cd9afc28ce10300ddf764b10a90",
+    ),
+    "counterexample-el2": (
+        lambda: _witness("el"),
+        "6a657fd6a39ed159178a9e19a59f2a1c95c597fb07cdc0be499d36bc643b4e89",
+    ),
+    "random-map-picks": (
+        _random_map_picks,
+        "28612e9401f8061108cda1f98fa9cc066ae75b3ae784d91d38ed1f0fa739fd92",
+    ),
+    "generated-cluster": (
+        _generated,
+        "45f38e752d7bf19a85b283a13765fbe99d14695f2550710447ff1abbf40eafe2",
+    ),
+    "functoriality-ml-met": (
+        _functoriality,
+        "8a938c7d0e62838d86a103c989247b0d4323faa7622f4bd3b8e1055b490e33a8",
+    ),
+    "random-morphisms": (
+        _morphisms,
+        "7ff297b1d21411aae299dc5ee62435ea2bebd870541f388cc8b651940a32b483",
+    ),
+    "cover-metric": (
+        _cover_metric,
+        "d82f3dde3a229149ca117925b4062d49645ec746e472bcffd99a73eafd5f1b08",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_digest(name):
+    build, expected = GOLDEN[name]
+    assert _digest(build()) == expected

@@ -225,6 +225,21 @@ def test_edge_decomposition_matches_brute_force_random(k):
         ), f"seed {seed}"
 
 
+@st.composite
+def small_graphs(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    mask = draw(st.integers(0, 2 ** len(pairs) - 1))
+    return make_graph(n, [p for e, p in enumerate(pairs) if mask >> e & 1])
+
+
+@given(small_graphs(), st.sampled_from([3, 4]))
+def test_vertex_decomposition_blocks_are_maximal(g, k):
+    # the oracle keeps exactly the inclusion-maximal qualifying subsets, so
+    # agreement means no block extends by a vertex and still qualifies
+    assert max_vertex_connected_subgraphs(g, k) == brute_vertex_decomposition(g, k)
+
+
 def test_decompositions_exhaustive_four_vertices():
     pairs = list(itertools.combinations(range(4), 2))
     for mask in range(1 << len(pairs)):
