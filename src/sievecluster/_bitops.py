@@ -205,7 +205,8 @@ def biconnected_vertex_sets(adj: list[int], within: int) -> list[int]:
                             if e == (u, v):
                                 break
                         out.append(block)
-        assert not edge_stack
+        if edge_stack:
+            raise AssertionError("edges left on the stack after a block search")
     return out
 
 
@@ -369,13 +370,20 @@ def exists_clique(adj: list[int], cand: int, k) -> bool:
         return True
     if not math.isfinite(k):
         return False
-    if cand.bit_count() < k:
-        return False
-    low = cand & -cand
-    v = low.bit_length() - 1
-    if exists_clique(adj, cand & adj[v], k - 1):
-        return True
-    return exists_clique(adj, cand ^ low, k)
+    # depth-first over (candidates, size still needed); the lowest candidate
+    # is either in the clique (explored first) or dropped
+    stack = [(cand, k)]
+    while stack:
+        cand, k = stack.pop()
+        if k <= 0:
+            return True
+        if cand.bit_count() < k:
+            continue
+        low = cand & -cand
+        v = low.bit_length() - 1
+        stack.append((cand ^ low, k))
+        stack.append((cand & adj[v], k - 1))
+    return False
 
 
 def closure_bk(adj: list[int], k, relaxed: bool) -> list[int]:

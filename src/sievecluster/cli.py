@@ -23,7 +23,7 @@ import sys
 import click
 
 from . import __version__
-from .covers import Cover, FlagCover, flagify, refines
+from .covers import Cover, flagify, refines
 from .errors import (
     MonotonicityViolation,
     SieveclusterError,
@@ -37,9 +37,9 @@ from .sieves import build_sieve, check_sieve_axioms
 from .verify import (
     CATEGORIES,
     TrialReport,
+    _search_counterexample,
     check_functoriality,
     check_sandwich,
-    find_counterexample,
 )
 
 _INJECTIVE_ONLY = ("vl", "el", "bk", "bkstar")
@@ -424,7 +424,7 @@ def verify_counterexample(**kw) -> None:
     if kw["budget"] < 1:
         _fail_input("--budget must be positive")
     try:
-        witness = find_counterexample(
+        witness, tried = _search_counterexample(
             spec, max_points=kw["max_points"], budget=kw["budget"]
         )
     except (ValueError, SieveclusterError) as exc:
@@ -433,7 +433,7 @@ def verify_counterexample(**kw) -> None:
         check="counterexample",
         method=spec.to_dict(),
         category="met",
-        trials=witness["candidates_tried"] if witness else kw["budget"],
+        trials=tried,
         violations=[witness] if witness else [],
         seed=0,
         elapsed=0.0,

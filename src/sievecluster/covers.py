@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from . import _bitops
 from .errors import BaseMismatch, DuplicateLabel, NestedCover
 from .metric import FiniteMetricSpace, MetricMap
@@ -142,6 +140,27 @@ class FlagCover(Cover):
                 "maximal cliques of the co-blocking graph"
             )
 
+    @classmethod
+    def _from_cliques(cls, base: tuple[str, ...], cliques: list[int]) -> "FlagCover":
+        """The flag cover whose blocks are the given maximal cliques.
+
+        The maximal cliques of any graph form a flag cover, so nothing is
+        re-checked: blocks are read off the masks in base order and sorted.
+        A base that is not already sorted and duplicate-free takes the
+        validating constructor instead.
+        """
+        base = tuple(base)
+        if any(a >= b for a, b in zip(base, base[1:])):
+            return cls.from_masks(base, cliques)
+        blocks = [tuple(base[i] for i in _bitops.bits(m)) for m in cliques]
+        order = sorted(range(len(blocks)), key=blocks.__getitem__)
+        cover = cls.__new__(cls)
+        cover.base = base
+        cover.blocks = tuple(blocks[i] for i in order)
+        cover._index = {x: i for i, x in enumerate(base)}
+        cover._masks = [cliques[i] for i in order]
+        return cover
+
 
 class Relation:
     """A symmetric, irreflexive relation on a base set."""
@@ -252,7 +271,7 @@ def flagify(cover: Cover) -> FlagCover:
         _co_blocking_masks(len(cover.base), cover.masks()),
         _bitops.full_mask(len(cover.base)),
     )
-    return FlagCover.from_masks(cover.base, cliques)
+    return FlagCover._from_cliques(cover.base, cliques)
 
 
 def refines(fine: Cover, coarse: Cover) -> bool:
@@ -310,10 +329,10 @@ def is_consistent_map(f, cover_x: Cover, cover_y: Cover) -> bool:
 def maximal_linked_sets(relation: Relation) -> FlagCover:
     """Maximal sets whose members are pairwise related (singletons count).
 
-    These are the maximal cliques of the relation graph; the result is
-    always a flag cover (the FlagCover constructor re-asserts it).
+    These are the maximal cliques of the relation graph, which always form
+    a flag cover, so the result is built without re-checking it.
     """
     cliques = _bitops.maximal_cliques(
         relation.adj, _bitops.full_mask(len(relation.base))
     )
-    return FlagCover.from_masks(relation.base, cliques)
+    return FlagCover._from_cliques(relation.base, cliques)

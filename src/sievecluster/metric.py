@@ -159,7 +159,7 @@ def _check_triangle(labels: tuple[str, ...], d: np.ndarray, tol: float) -> None:
     rhs = d[i, k] + d[k, j]
     bad = lhs > rhs + tol
     if bad.any():
-        w = int(np.argwhere(bad)[0])
+        w = int(np.flatnonzero(bad)[0])
         raise TriangleViolation(
             (labels[int(i[w])], labels[int(k[w])], labels[int(j[w])]),
             float(lhs[w] - rhs[w]),

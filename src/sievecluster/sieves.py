@@ -11,7 +11,8 @@ conditions hold.
 
 For the threshold families the cover can only change when the edge set of
 the threshold graph changes, so the breakpoints of a built sieve are a
-subset of {0} plus the pairwise distances of the space.
+subset of {0} plus the pairwise distances of the space; build_sieve finds
+them by bisection over those candidates.
 """
 
 from __future__ import annotations
@@ -99,42 +100,81 @@ class Sieve:
         )
 
 
+def _candidate_scales(x: FiniteMetricSpace) -> list[float]:
+    """0 plus the distinct pairwise distances, ascending."""
+    scales = x.pairwise_distances()
+    if not scales or scales[0] != 0.0:
+        scales = [0.0] + scales
+    return scales
+
+
 def build_sieve(x: FiniteMetricSpace, spec: MethodSpec) -> Sieve:
-    """Sweep a method over every scale where the threshold graph changes.
+    """Sweep a method over the scales where its cover changes.
 
-    Candidate scales are 0 plus the distinct pairwise distances, ascending.
-    Consecutive equal covers are compressed away so every stored breakpoint
-    is genuine. Raises MonotonicityViolation when a flat evaluation at a
-    larger scale fails to be refined by its predecessor.
+    Candidate scales are 0 plus the distinct pairwise distances, ascending:
+    the threshold graph, and so the cover, can only change at one of them.
+    The method is not run at every candidate. An iterative bisection
+    evaluates both ends of an index interval (each evaluation cached by
+    index), drops the interval when the two covers are equal, and otherwise
+    splits it at the midpoint until it has width one. The evaluated scales,
+    walked in order, then give every breakpoint, so the sweep costs about
+    B log(S / B) evaluations for B breakpoints among S candidates.
 
-    No threshold family can do that. The threshold graph only gains edges
-    as the scale grows, and every family reads it monotonically: both
-    closure rules of bk and bkstar are monotone in the edge set, so their
-    least fixed point only grows; the step relation of l only grows; and a
-    vertex set that qualifies for vl or el still qualifies after edges are
-    added. Each maximal clique of a graph lies inside a maximal clique of
-    any supergraph, which carries this through the maximal linked sets and
-    the flag completion. The check stays on as a guard against bugs.
+    Dropping an interval is exact. The cover only grows coarser as the
+    scale grows: the threshold graph only gains edges, and every family
+    reads it monotonically. Both closure rules of bk and bkstar are
+    monotone in the edge set, so their least fixed point only grows; the
+    step relation of l only grows; and a vertex set that qualifies for vl
+    or el still qualifies after edges are added. Each maximal clique of a
+    graph lies inside a maximal clique of any supergraph, which carries
+    this through the maximal linked sets and the flag completion. Flag
+    covers are non-nested, and refinement between non-nested covers is
+    antisymmetric, so for a < b < c a cover at b that refines the one at c
+    and is refined by the one at a equals both when those two are equal.
+
+    Consecutive distinct covers are still checked for refinement: a
+    MonotonicityViolation flags a bug in a family, since none can produce
+    one.
     """
     if spec.family == "generated":
         raise ValueError(
             "generated methods have no scale parameter to sweep; "
             "build a sieve from a threshold family"
         )
-    scales = x.pairwise_distances()
-    if not scales or scales[0] != 0.0:
-        scales = [0.0] + scales
+    scales = _candidate_scales(x)
+    cache: dict[int, FlagCover] = {}
+
+    def cover_at(i: int) -> FlagCover:
+        if i not in cache:
+            cache[i] = evaluate_method(x, spec.with_delta(scales[i]))
+        return cache[i]
+
+    stack = [(0, len(scales) - 1)]
+    while stack:
+        lo, hi = stack.pop()
+        if cover_at(lo) == cover_at(hi) or hi - lo <= 1:
+            continue
+        mid = (lo + hi) // 2
+        stack.append((mid, hi))
+        stack.append((lo, mid))
+    return _profile(x.labels, ((scales[i], cache[i]) for i in sorted(cache)))
+
+
+def _profile(base: tuple[str, ...], evaluated) -> Sieve:
+    """The sieve of (scale, cover) pairs in ascending scale order, keeping
+    the first of each run of equal covers. Raises MonotonicityViolation
+    (index of the earlier stored cover, scale of the later) when a cover
+    is not refined by the last distinct one before it."""
     bps: list[float] = []
     covers: list[FlagCover] = []
-    for s in scales:
-        cover = evaluate_method(x, spec.with_delta(s))
+    for scale, cover in evaluated:
         if covers and cover == covers[-1]:
             continue
         if covers and not refines(covers[-1], cover):
-            raise MonotonicityViolation(len(covers) - 1, s)
-        bps.append(s)
+            raise MonotonicityViolation(len(covers) - 1, scale)
+        bps.append(scale)
         covers.append(cover)
-    return Sieve(x.labels, bps, covers)
+    return Sieve(base, bps, covers)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .covers import (
     preimage_cover,
     refines,
 )
-from .errors import TooLarge
+from .errors import MonotonicityViolation, TooLarge
 from .functors import (
     MethodSpec,
     clustering_parameter,
@@ -49,7 +49,7 @@ from .metric import (
     validate_metric,
 )
 from .rng import SplitMix64, derive_seed
-from .sieves import build_sieve
+from .sieves import Sieve, _candidate_scales, _profile
 
 METRIC_MODES = (
     "euclidean-points",
@@ -313,9 +313,10 @@ def random_morphism(
         y_labels = y_labels + extra
     y = metric_closure(y_labels, d)
     f = MetricMap(x, y, assignment)
-    assert f.is_nonexpansive(), "morphism templates must be non-expansive"
-    if category == "metinj":
-        assert f.is_injective()
+    if not f.is_nonexpansive():
+        raise AssertionError("morphism templates must be non-expansive")
+    if category == "metinj" and not f.is_injective():
+        raise AssertionError("injective morphism templates must be injective")
     return y, f
 
 
@@ -487,6 +488,15 @@ def find_counterexample(
     None means the search space (or budget) was exhausted: the always
     consistent families land here.
     """
+    return _search_counterexample(spec, max_points, budget)[0]
+
+
+def _search_counterexample(
+    spec: MethodSpec, max_points: int, budget: int
+) -> tuple[dict | None, int]:
+    """find_counterexample's search, also returning how many candidates it
+    tried: up to the witness when one is found, else all it enumerated
+    (at most the budget)."""
     if spec.delta is None:
         raise ValueError("counterexample search needs a method with delta")
     if not spec.delta > 0:
@@ -505,7 +515,7 @@ def find_counterexample(
         for pattern in patterns:
             for mask in reps:
                 if tried >= budget:
-                    return None
+                    return None, tried
                 tried += 1
                 if mask not in fx_cache:
                     adj = [0] * n
@@ -534,12 +544,12 @@ def find_counterexample(
                     "candidates_tried": tried,
                 }
                 if verify_witness(witness):
-                    return witness
+                    return witness, tried
                 raise AssertionError(
                     "search flagged a candidate that does not replay; "
                     "this is a bug, not a witness"
                 )
-    return None
+    return None, tried
 
 
 def verify_witness(witness: dict) -> bool:
@@ -638,6 +648,20 @@ def iterative_flagify_oracle(cover: Cover) -> FlagCover:
     return FlagCover.from_masks(cover.base, sorted(blocks))
 
 
+def _dense_sieve(x: FiniteMetricSpace, spec: MethodSpec) -> Sieve:
+    """The sieve of a threshold family by evaluating it at every candidate
+    scale (0 and each distinct distance), compressing equal neighbours.
+
+    Oracle for build_sieve, which evaluates only where its breakpoint search
+    needs to. Raises MonotonicityViolation when a cover at a larger scale is
+    not refined by the last distinct one before it.
+    """
+    return _profile(
+        x.labels,
+        ((s, evaluate_method(x, spec.with_delta(s))) for s in _candidate_scales(x)),
+    )
+
+
 def probe_bk_sieve_monotonicity(
     trials: int, seed: int = 0, k: int = 2
 ) -> dict:
@@ -647,16 +671,16 @@ def probe_bk_sieve_monotonicity(
     None can occur: both closure rules are monotone in the edge set, so
     the closed graph only gains edges as the scale grows, and each maximal
     clique of a graph lies inside a maximal clique of any supergraph (see
-    build_sieve). A recorded violation is therefore a bug.
+    build_sieve). A recorded violation is therefore a bug. The sieves are
+    built by the dense sweep, so every candidate scale is checked, not only
+    those the breakpoint search of build_sieve evaluates.
     """
-    from .errors import MonotonicityViolation
-
     outcomes = {"trials": trials, "k": k, "violations": []}
     for t in range(trials):
         x = random_metric(4 + t % 4, derive_seed(seed, 505, t), METRIC_MODES[t % 3])
         for family in ("bk", "bkstar"):
             try:
-                build_sieve(x, MethodSpec(family=family, k=k))
+                _dense_sieve(x, MethodSpec(family=family, k=k))
             except MonotonicityViolation as exc:
                 outcomes["violations"].append(
                     {"trial": t, "family": family, "index": exc.index, "scale": exc.scale}

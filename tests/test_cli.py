@@ -232,6 +232,46 @@ def test_verify_counterexample_polarity(runner):
     assert overridden.exit_code == 1
 
 
+def test_verify_counterexample_not_found_reports_candidates_tried(runner):
+    # 4 * 4 + 11 * 13 + 34 * 35 candidates over 3, 4 and 5 points: orbit
+    # representatives times collapse patterns, not the 10**6 budget
+    result = runner.invoke(
+        main,
+        ["verify", "counterexample", "--method", "ml", "--delta", "1.0",
+         "--max-points", "5"],
+    )
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert report["extra"] == {"found": False, "max_points": 5, "budget": 10**6}
+    assert report["trials"] == 1349
+
+    capped = runner.invoke(
+        main,
+        ["verify", "counterexample", "--method", "ml", "--delta", "1.0",
+         "--max-points", "5", "--budget", "100"],
+    )
+    assert capped.exit_code == 0, capped.output
+    assert json.loads(capped.output)["trials"] == 100
+
+
+def test_sampled_triangle_check_exits_two(runner, tmp_path):
+    # above 600 points triangles are sampled; this sample hits (0, k, 1)
+    n = 700
+    rows = [["label"] + [f"p{j:03d}" for j in range(n)]]
+    for i in range(n):
+        row = ["0" if i == j else "1" for j in range(n)]
+        if i < 2:
+            row[1 - i] = "2.5"
+        rows.append([f"p{i:03d}"] + row)
+    path = tmp_path / "bad700.csv"
+    path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    result = runner.invoke(
+        main, ["cluster", "--method", "sl", "--delta", "1", str(path)]
+    )
+    assert result.exit_code == 2, result.output
+    assert "triangle" in result.output
+
+
 def test_export_dot_closure_levels(runner, tmp_path):
     plain = runner.invoke(main, ["export-dot", "--delta", "1", _c4(tmp_path)])
     closed = runner.invoke(

@@ -169,3 +169,43 @@ def test_maximal_linked_sets_is_flag_of_its_relation(rel):
         for b in rel.base:
             if a != b:
                 assert cb.related(a, b) == rel.related(a, b)
+
+
+@st.composite
+def covers(draw):
+    """Arbitrary covers, nested and overlapping blocks allowed."""
+    n = draw(st.integers(1, 8))
+    base = tuple(f"v{i}" for i in range(n))
+    masks = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=6))
+    covered = 0
+    for m in masks:
+        covered |= m
+    masks += [1 << v for v in range(n) if not covered >> v & 1]
+    return Cover.from_masks(base, masks)
+
+
+def _assert_checked_flag(cover):
+    """Kernel outputs skip validation; the validating constructor must
+    accept the same blocks and give the same cached masks."""
+    assert is_flag(cover)
+    checked = FlagCover(cover.base, cover.blocks)
+    assert checked == cover
+    assert checked.masks() == cover.masks()
+
+
+@given(relations())
+def test_maximal_linked_sets_output_passes_flag_check(rel):
+    _assert_checked_flag(maximal_linked_sets(rel))
+
+
+@given(covers())
+def test_flagify_output_passes_flag_check(cover):
+    _assert_checked_flag(flagify(cover))
+
+
+def test_kernel_cover_on_unsorted_base_is_canonical():
+    # c ~ a, b alone, on a base given out of order
+    rel = Relation.from_masks(("c", "a", "b"), [0b010, 0b001, 0])
+    cover = maximal_linked_sets(rel)
+    assert cover.base == ("a", "b", "c")
+    assert cover == FlagCover(("a", "b", "c"), [("a", "c"), ("b",)])

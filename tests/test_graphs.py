@@ -7,6 +7,7 @@ blocks. That oracle is exponential but exact on small graphs.
 """
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,6 +29,7 @@ from sievecluster import (
     write_dot,
     write_edge_list,
 )
+from sievecluster import _bitops
 from sievecluster.rng import SplitMix64
 
 from conftest import graph_space
@@ -256,6 +258,20 @@ def test_vl_chain_refinement():
         covers = [max_vertex_connected_subgraphs(g, k) for k in (1, 2, 3, 4, 5)]
         for finer, coarser in zip(covers[1:], covers):
             assert refines(finer, coarser)
+
+
+def test_strict_closure_on_wide_bipartite_graph_does_not_recurse():
+    # K_{2,1200}: the two hubs share 1200 pairwise non-adjacent neighbours,
+    # so the size-2 clique search drops 1200 candidates one by one
+    n = 1202
+    adj = [0] * n
+    for hub in (0, 1):
+        for v in range(2, n):
+            adj[hub] |= 1 << v
+            adj[v] |= 1 << hub
+    start = time.perf_counter()
+    assert _bitops.closure_bk(adj, 2, relaxed=False) == adj
+    assert time.perf_counter() - start < 20.0
 
 
 def test_bk_closure_examples():

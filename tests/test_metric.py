@@ -71,6 +71,20 @@ def test_validate_reports_triangle_triple():
     assert exc.value.excess == pytest.approx(3.0)
 
 
+def test_sampled_triangle_check_reports_triple():
+    # above 600 points triangles are sampled; this sample hits (0, k, 1)
+    n = 700
+    d = np.ones((n, n))
+    np.fill_diagonal(d, 0.0)
+    d[0, 1] = d[1, 0] = 2.5
+    labels = [f"p{i:03d}" for i in range(n)]
+    with pytest.raises(TriangleViolation) as exc:
+        validate_metric(labels, d)
+    a, k, c = exc.value.triple
+    assert {a, c} == {"p000", "p001"} and k not in {a, c}
+    assert exc.value.excess == pytest.approx(0.5)
+
+
 def test_zero_distance_between_distinct_points_is_legal():
     x = validate_metric(["a", "b"], [[0, 0], [0, 0]])
     assert x.distance("a", "b") == 0.0

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sievecluster import (
     Cover,
@@ -18,8 +19,10 @@ from sievecluster import (
     is_dendrogram,
     sieve_consistent,
 )
-from sievecluster.metric import FiniteMetricSpace
-from sievecluster.verify import random_metric
+from sievecluster import sieves
+from sievecluster.metric import FiniteMetricSpace, space_from_points
+from sievecluster.rng import derive_seed
+from sievecluster.verify import METRIC_MODES, _dense_sieve, random_metric
 
 
 def test_build_sieve_single_linkage_x3(x3):
@@ -205,3 +208,93 @@ def test_build_sieve_requires_scale_family():
     lam = FiniteMetricSpace(["s", "t"], [[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         build_sieve(x, MethodSpec(family="generated", test_spaces=(lam,)))
+
+
+# every threshold family, at the levels where they differ
+SWEEP_SPECS = [
+    MethodSpec(family="sl"),
+    MethodSpec(family="ml"),
+    MethodSpec(family="l", k=2, budget=math.inf),
+    MethodSpec(family="l", k=3, budget=0.8),
+    MethodSpec(family="l", k=math.inf, budget=0.8),
+    MethodSpec(family="vl", k=2),
+    MethodSpec(family="vl", k=3),
+    MethodSpec(family="el", k=2),
+    MethodSpec(family="el", k=2, clique_exception=True),
+    MethodSpec(family="el", k=3, clique_exception=True),
+    MethodSpec(family="bk", k=2),
+    MethodSpec(family="bkstar", k=1),
+    MethodSpec(family="bkstar", k=2),
+]
+
+
+def _assert_matches_dense(x, spec):
+    assert build_sieve(x, spec) == _dense_sieve(x, spec), (x.to_dict(), spec.label())
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS, ids=MethodSpec.label)
+def test_breakpoint_search_matches_dense_sweep_on_criterion_9_spaces(spec):
+    for i in range(100):
+        x = random_metric(3 + i % 6, derive_seed(1009, i), METRIC_MODES[i % 3])
+        _assert_matches_dense(x, spec)
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS, ids=MethodSpec.label)
+@given(
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(METRIC_MODES),
+)
+def test_breakpoint_search_matches_dense_sweep_on_random_spaces(spec, n, seed, mode):
+    _assert_matches_dense(random_metric(n, seed, mode), spec)
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS, ids=MethodSpec.label)
+@given(
+    points=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=8, unique=True
+    ),
+    norm=st.sampled_from(["manhattan", "chebyshev"]),
+)
+def test_breakpoint_search_matches_dense_sweep_with_tied_distances(spec, points, norm):
+    # integer points under these norms repeat distances heavily
+    _assert_matches_dense(space_from_points(points, metric=norm), spec)
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS, ids=MethodSpec.label)
+def test_breakpoint_search_matches_dense_sweep_on_named_spaces(spec, x3, bowtie, four_cycle):
+    simplex = FiniteMetricSpace(list("abcde"), [[0 if i == j else 1 for j in range(5)] for i in range(5)])
+    for x in (FiniteMetricSpace(["p"], [[0.0]]), x3, bowtie, four_cycle, simplex):
+        _assert_matches_dense(x, spec)
+
+
+def test_breakpoint_search_evaluates_each_scale_once_and_skips_constant_runs(monkeypatch):
+    calls = []
+    real = sieves.evaluate_method
+
+    def counting(x, spec):
+        calls.append(spec.delta)
+        return real(x, spec)
+
+    monkeypatch.setattr(sieves, "evaluate_method", counting)
+    x = random_metric(40, 4242, "euclidean-points")
+    sieve = build_sieve(x, MethodSpec(family="sl"))
+    candidates = len(x.pairwise_distances()) + 1
+    assert len(sieve.breakpoints) == 40
+    assert len(set(calls)) == len(calls)
+    # each breakpoint lies in one split interval per bisection level
+    assert len(calls) <= 2 + len(sieve.breakpoints) * math.ceil(math.log2(candidates))
+    assert len(calls) < candidates // 2
+
+
+def test_breakpoint_search_keeps_the_monotonicity_guard(monkeypatch, x3):
+    whole = FlagCover(x3.labels, [x3.labels])
+    singles = FlagCover(x3.labels, [(v,) for v in x3.labels])
+
+    def coarse_then_fine(x, spec):
+        return whole if spec.delta < 2.0 else singles
+
+    monkeypatch.setattr(sieves, "evaluate_method", coarse_then_fine)
+    with pytest.raises(MonotonicityViolation) as exc:
+        build_sieve(x3, MethodSpec(family="sl"))
+    assert (exc.value.index, exc.value.scale) == (0, 2.0)

@@ -9,7 +9,6 @@ from sievecluster import (
     MethodSpec,
     SplitMix64,
     TooLarge,
-    TrialReport,
     brute_force_maximal_linked,
     check_functoriality,
     check_sandwich,
