@@ -25,6 +25,8 @@ import math
 import os
 from importlib import resources
 
+import numpy as np
+
 from .errors import InputFormatError
 from .metric import REL_TOL, FiniteMetricSpace, space_from_points, validate_metric
 
@@ -72,30 +74,43 @@ def _is_number(cell: str) -> bool:
         return False
 
 
-def _numeric_grid(rows: list[list[str]], path: str, skip_col0: bool = False):
-    out = []
-    for i, row in enumerate(rows):
-        cells = row[1:] if skip_col0 else row
-        out.append(
-            [_as_number(c, f"{path}: row {i + 1}, column {j + 1 + skip_col0}")
-             for j, c in enumerate(cells)]
+def _float_grid(rows: list[list[str]], skip_col0: bool = False):
+    """The cells as a float array, or None when any is not a finite number."""
+    try:
+        grid = np.array(
+            [[float(c) for c in row[int(skip_col0):]] for row in rows],
+            dtype=np.float64,
         )
-    return out
+    except ValueError:
+        return None
+    return grid if np.isfinite(grid).all() else None
 
 
-def _looks_like_matrix(grid: list[list[float]]) -> bool:
-    n = len(grid)
-    if any(len(row) != n for row in grid):
+def _numeric_grid(rows: list[list[str]], path: str, skip_col0: bool = False):
+    grid = _float_grid(rows, skip_col0)
+    if grid is None:  # name the first offending cell
+        for i, row in enumerate(rows):
+            for j, c in enumerate(row[int(skip_col0):]):
+                _as_number(c, f"{path}: row {i + 1}, column {j + 1 + skip_col0}")
+    return grid
+
+
+def _looks_like_matrix(grid: np.ndarray) -> bool:
+    n, m = grid.shape
+    if n != m:
         return False
-    scale = max((abs(v) for row in grid for v in row), default=0.0)
-    tol = REL_TOL * scale
-    for i in range(n):
-        if abs(grid[i][i]) > tol:
-            return False
-        for j in range(i + 1, n):
-            if abs(grid[i][j] - grid[j][i]) > tol:
-                return False
-    return True
+    tol = REL_TOL * float(np.abs(grid).max())
+    return bool(
+        (np.abs(np.diagonal(grid)) <= tol).all()
+        and (np.abs(grid - grid.T) <= tol).all()
+    )
+
+
+def _unlabeled_matrix(grid: np.ndarray, rel_tol: float) -> FiniteMetricSpace:
+    n = len(grid)
+    width = max(2, len(str(n - 1)))
+    labels = [f"p{i:0{width}d}" for i in range(n)]
+    return validate_metric(labels, grid, rel_tol=rel_tol)
 
 
 def _dedupe_labels(labels: list[str], path: str) -> None:
@@ -115,14 +130,12 @@ def _matrix_space(
 ) -> FiniteMetricSpace:
     if _is_number(rows[0][0]):
         grid = _numeric_grid(rows, path)
-        n = len(grid)
-        if any(len(row) != n for row in grid):
+        n, m = grid.shape
+        if n != m:
             raise InputFormatError(
-                f"{path}: matrix must be square, got {n} rows x {len(grid[0])} columns"
+                f"{path}: matrix must be square, got {n} rows x {m} columns"
             )
-        width = max(2, len(str(n - 1)))
-        labels = [f"p{i:0{width}d}" for i in range(n)]
-        return validate_metric(labels, grid, rel_tol=rel_tol)
+        return _unlabeled_matrix(grid, rel_tol)
     header = rows[0]
     body = rows[1:]
     if not body:
@@ -187,14 +200,14 @@ def ingest_space(
     if fmt == "points":
         return _points_space(rows, path, norm)
     if _is_number(rows[0][0]):
-        if all(_is_number(c) for row in rows for c in row):
-            grid = _numeric_grid(rows, path)
-            if len(grid) == len(grid[0]) and _looks_like_matrix(grid):
-                return _matrix_space(rows, path, rel_tol)
-            return _points_space(rows, path, norm)
-        raise InputFormatError(
-            f"{path}: mixed numeric and non-numeric cells without a label column"
-        )
+        grid = _float_grid(rows)
+        if grid is None:
+            raise InputFormatError(
+                f"{path}: mixed numeric and non-numeric cells without a label column"
+            )
+        if _looks_like_matrix(grid):
+            return _unlabeled_matrix(grid, rel_tol)
+        return space_from_points(grid, metric=norm)
     if rows[0][0].lower() == "label" and len(rows) > 1:
         header_names = rows[0][1:]
         body_labels = [row[0] for row in rows[1:]]

@@ -47,7 +47,13 @@ from .graphs import (
     space_from_graph,
     threshold_graph,
 )
-from .metric import REL_TOL, FiniteMetricSpace, _nonexpansive_assignments, path_space
+from .metric import (
+    REL_TOL,
+    FiniteMetricSpace,
+    _min_plus,
+    _nonexpansive_assignments,
+    path_space,
+)
 
 FAMILIES = ("sl", "ml", "l", "vl", "el", "bk", "bkstar", "generated")
 
@@ -220,12 +226,11 @@ def _step_relation(x: FiniteMetricSpace, delta: float, k, budget) -> Relation:
     w = np.where(close, x.dist, np.inf)
     np.fill_diagonal(w, 0.0)
     dist = w.copy()
-    steps = n - 1 if k == math.inf else min(k, n - 1) if k != math.inf else k
+    steps = n - 1 if k == math.inf else min(k, n - 1)
     remaining = max(steps - 1, 0)
     for _ in range(remaining):
         nxt = dist.copy()
-        for m in range(n):
-            np.minimum(nxt, np.add.outer(dist[:, m], w[m, :]), out=nxt)
+        _min_plus(nxt, dist, w)
         if np.array_equal(nxt, dist):
             break
         dist = nxt

@@ -25,14 +25,8 @@ from .errors import (
     NonzeroDiagonal,
     TriangleViolation,
 )
-from .rng import SplitMix64
 
 REL_TOL = 1e-9
-
-# Above this size the cubic triangle scan is replaced by deterministic
-# sampling; see validate_metric.
-_FULL_TRIANGLE_LIMIT = 600
-_TRIANGLE_SAMPLES = 200_000
 
 
 def _canonical_labels(labels: Iterable[str]) -> tuple[str, ...]:
@@ -128,41 +122,30 @@ class FiniteMetricSpace:
         return f"FiniteMetricSpace({self.n} points, diameter {self.diameter():g})"
 
 
+def _min_plus(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+    """Relax ``out`` in place by the min-plus product of ``left`` and ``right``.
+
+    For each pivot k in turn, ``out = min(out, left[:, k] + right[k, :])``.
+    Each sum is formed in full in one scratch buffer before ``out`` is
+    updated, and entries may be ``inf``. ``out`` may alias both factors:
+    that is Floyd-Warshall, which ends at the all-pairs shortest paths when
+    the diagonal is zero and no entry is negative.
+    """
+    buf = np.empty_like(out)
+    for k in range(left.shape[1]):
+        np.add(left[:, k, None], right[None, k, :], out=buf)
+        np.minimum(out, buf, out=out)
+
+
 def _check_triangle(labels: tuple[str, ...], d: np.ndarray, tol: float) -> None:
-    n = len(labels)
-    if n <= _FULL_TRIANGLE_LIMIT:
-        best = d.copy()
-        argk = np.zeros((n, n), dtype=np.int64)
-        for k in range(n):
-            via = np.add.outer(d[:, k], d[k, :])
-            better = via < best
-            if better.any():
-                best = np.where(better, via, best)
-                argk[better] = k
-        bad = d > best + tol
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
-            k = int(argk[i, j])
-            raise TriangleViolation(
-                (labels[i], labels[k], labels[j]), float(d[i, j] - best[i, j])
-            )
-        return
-    # Large matrix: deterministic sample of triples.
-    rng = SplitMix64(0xA11CE ^ n)
-    m = _TRIANGLE_SAMPLES
-    idx = np.empty((3, m), dtype=np.int64)
-    for r in range(3):
-        for c in range(m):
-            idx[r, c] = rng.randint(n)
-    i, k, j = idx
-    lhs = d[i, j]
-    rhs = d[i, k] + d[k, j]
-    bad = lhs > rhs + tol
+    best = d.copy()
+    _min_plus(best, d, d)
+    bad = d > best + tol
     if bad.any():
-        w = int(np.flatnonzero(bad)[0])
+        i, j = map(int, np.argwhere(bad)[0])
+        k = int(np.argmin(d[i] + d[:, j]))
         raise TriangleViolation(
-            (labels[int(i[w])], labels[int(k[w])], labels[int(j[w])]),
-            float(lhs[w] - rhs[w]),
+            (labels[i], labels[k], labels[j]), float(d[i, j] - best[i, j])
         )
 
 
@@ -221,8 +204,14 @@ def validate_metric(
     tolerance raises AsymmetricMatrix; within tolerance the matrix is
     symmetrized exactly (averaged with its transpose). Entries below zero
     beyond tolerance raise NegativeDistance; tiny negatives are clamped to
-    zero. Diagonal entries away from zero raise NonzeroDiagonal. A triangle
-    failure raises TriangleViolation naming an offending triple.
+    zero. Diagonal entries away from zero raise NonzeroDiagonal.
+
+    The triangle check is exact at every size: it compares each distance
+    with the shortest two-step path, a min-plus product that is cubic in
+    the number of points (seconds at 1,200 points, tens of seconds at
+    2,000). A failure raises TriangleViolation naming the first offending
+    pair in row-major order, the cheapest intermediate point and the
+    excess. ``check_triangle=False`` skips it.
     """
     labels, d, tol = _checked_matrix(labels, matrix, rel_tol)
     if check_triangle:
@@ -286,10 +275,7 @@ def metric_closure(
     itself.
     """
     labels, d, _ = _checked_matrix(labels, matrix, rel_tol)
-    n = d.shape[0]
-    for k in range(n):
-        via = np.add.outer(d[:, k], d[k, :])
-        np.minimum(d, via, out=d)
+    _min_plus(d, d, d)
     d = (d + d.T) / 2.0
     np.fill_diagonal(d, 0.0)
     return FiniteMetricSpace(labels, d)

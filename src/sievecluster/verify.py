@@ -30,7 +30,7 @@ from .covers import (
     preimage_cover,
     refines,
 )
-from .errors import MonotonicityViolation, TooLarge
+from .errors import TooLarge
 from .functors import (
     MethodSpec,
     clustering_parameter,
@@ -660,29 +660,3 @@ def _dense_sieve(x: FiniteMetricSpace, spec: MethodSpec) -> Sieve:
         x.labels,
         ((s, evaluate_method(x, spec.with_delta(s))) for s in _candidate_scales(x)),
     )
-
-
-def probe_bk_sieve_monotonicity(
-    trials: int, seed: int = 0, k: int = 2
-) -> dict:
-    """Build sieves of the closure families on random spaces and record
-    every MonotonicityViolation.
-
-    None can occur: both closure rules are monotone in the edge set, so
-    the closed graph only gains edges as the scale grows, and each maximal
-    clique of a graph lies inside a maximal clique of any supergraph (see
-    build_sieve). A recorded violation is therefore a bug. The sieves are
-    built by the dense sweep, so every candidate scale is checked, not only
-    those the breakpoint search of build_sieve evaluates.
-    """
-    outcomes = {"trials": trials, "k": k, "violations": []}
-    for t in range(trials):
-        x = random_metric(4 + t % 4, derive_seed(seed, 505, t), METRIC_MODES[t % 3])
-        for family in ("bk", "bkstar"):
-            try:
-                _dense_sieve(x, MethodSpec(family=family, k=k))
-            except MonotonicityViolation as exc:
-                outcomes["violations"].append(
-                    {"trial": t, "family": family, "index": exc.index, "scale": exc.scale}
-                )
-    return outcomes

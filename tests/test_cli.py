@@ -254,22 +254,34 @@ def test_verify_counterexample_not_found_reports_candidates_tried(runner):
     assert json.loads(capped.output)["trials"] == 100
 
 
-def test_sampled_triangle_check_exits_two(runner, tmp_path):
-    # above 600 points triangles are sampled; this sample hits (0, k, 1)
+def _write_700(path, fill, bad):
+    """A labeled 700-point matrix CSV of ``fill`` with symmetric ``bad``
+    entries."""
     n = 700
     rows = [["label"] + [f"p{j:03d}" for j in range(n)]]
     for i in range(n):
-        row = ["0" if i == j else "1" for j in range(n)]
-        if i < 2:
-            row[1 - i] = "2.5"
+        row = ["0" if i == j else fill for j in range(n)]
+        for (a, b), v in bad.items():
+            if i in (a, b):
+                row[a + b - i] = v
         rows.append([f"p{i:03d}"] + row)
-    path = tmp_path / "bad700.csv"
     path.write_text("\n".join(",".join(r) for r in rows) + "\n")
-    result = runner.invoke(
-        main, ["cluster", "--method", "sl", "--delta", "1", str(path)]
-    )
-    assert result.exit_code == 2, result.output
-    assert "triangle" in result.output
+    return str(path)
+
+
+def test_sampled_triangle_check_exits_two(runner, tmp_path):
+    # 700 points: the check must stay exact at this size, since a sample of
+    # triples would likely miss a lone bad triple such as (3, 7, 5)
+    for name, fill, bad in [
+        ("bad700.csv", "1", {(0, 1): "2.5"}),
+        ("lone700.csv", "2", {(3, 7): "1", (7, 5): "1", (3, 5): "2.5"}),
+    ]:
+        path = _write_700(tmp_path / name, fill, bad)
+        result = runner.invoke(
+            main, ["cluster", "--method", "sl", "--delta", "1", path]
+        )
+        assert result.exit_code == 2, result.output
+        assert "triangle" in result.output
 
 
 def test_export_dot_closure_levels(runner, tmp_path):

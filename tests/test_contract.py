@@ -69,7 +69,6 @@ PUBLIC_NAMES = [
     "metric_closure",
     "path_space",
     "preimage_cover",
-    "probe_bk_sieve_monotonicity",
     "probe_relation",
     "random_flag_cover",
     "random_map",
@@ -94,7 +93,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 82
+    assert len(PUBLIC_NAMES) == 81
     assert sorted(sievecluster.__all__) == PUBLIC_NAMES
 
 

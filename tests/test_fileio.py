@@ -99,6 +99,30 @@ def test_non_finite_rejected(tmp_path):
         ingest_space(p)
 
 
+@pytest.mark.parametrize("cell", ["x", "inf", "nan"])
+def test_bad_cell_messages(tmp_path, cell):
+    p = _write(tmp_path, "bad.csv", f"0,1,2\n1,0,{cell}\n2,oops,0\n")
+    with pytest.raises(InputFormatError, match="mixed numeric and non-numeric"):
+        ingest_space(p)
+    # forced formats name the first offending cell in row-major order
+    reason = "is not a number" if cell == "x" else "is not finite"
+    for fmt in ("matrix", "points"):
+        with pytest.raises(InputFormatError) as info:
+            ingest_space(p, fmt=fmt)
+        assert str(info.value) == f"{p}: row 2, column 3: {cell!r} {reason}"
+
+
+def test_auto_detection_symmetry_tolerance(tmp_path):
+    # asymmetry and diagonal within REL_TOL of the largest entry still read
+    # as a matrix; beyond it the rows are points
+    near = _write(tmp_path, "near.csv", "0,1.0000000001,2\n1,0,1\n2,1,0\n")
+    far = _write(tmp_path, "far.csv", "0,1.00000001,2\n1,0,1\n2,1,0\n")
+    assert ingest_space(near) == ingest_space(near, fmt="matrix")
+    assert ingest_space(far) == ingest_space(far, fmt="points")
+    off_diagonal = _write(tmp_path, "diag.csv", "1e-8,1,2\n1,0,1\n2,1,0\n")
+    assert ingest_space(off_diagonal) == ingest_space(off_diagonal, fmt="points")
+
+
 def test_header_label_mismatch(tmp_path):
     p = _write(tmp_path, "bad.csv", "label,a,b\na,0,1\nc,1,0\n")
     with pytest.raises(InputFormatError):

@@ -1,8 +1,8 @@
 """Golden outputs: sha256 digests of canonical JSON for seeded results.
 
 The digests were recorded before the shared kernels (graph metrization,
-quotients, assignment enumeration, bridges) were merged into one
-implementation each. Any change to an enumeration order, a random pick or
+quotients, assignment enumeration, bridges, the min-plus product) were
+merged into one implementation each. Any change to an enumeration order, a random pick or
 a float in these outputs changes a digest, so a rewrite behind the public
 names that alters bytes fails here even when every structural test holds.
 """
@@ -66,6 +66,12 @@ def _functoriality():
     return report.to_dict()
 
 
+def _functoriality_l():
+    # the l family with a finite budget K runs the min-plus step relation
+    spec = MethodSpec(family="l", delta=0.3, k=2, budget=1.5)
+    return check_functoriality(spec, 50, "met", seed=0).to_dict()
+
+
 def _morphisms():
     # pins the blockwise-minimum quotient of random_morphism's collapse stage
     out = []
@@ -100,6 +106,10 @@ GOLDEN = {
     "functoriality-ml-met": (
         _functoriality,
         "8a938c7d0e62838d86a103c989247b0d4323faa7622f4bd3b8e1055b490e33a8",
+    ),
+    "functoriality-l-budget": (
+        _functoriality_l,
+        "f3dfe8a43db2bc3ea1aa4296dc949e88614a4d1df3c1533c17b4d6a095ea1da0",
     ),
     "random-morphisms": (
         _morphisms,

@@ -19,6 +19,7 @@ from sievecluster import (
     space_from_points,
     validate_metric,
 )
+from sievecluster.metric import _min_plus
 
 
 def test_labels_are_sorted_and_matrix_permuted():
@@ -71,18 +72,71 @@ def test_validate_reports_triangle_triple():
     assert exc.value.excess == pytest.approx(3.0)
 
 
-def test_sampled_triangle_check_reports_triple():
-    # above 600 points triangles are sampled; this sample hits (0, k, 1)
-    n = 700
-    d = np.ones((n, n))
+def _uniform_700(fill, bad):
+    """A 700-point matrix of ``fill`` with the symmetric entries ``bad``."""
+    d = np.full((700, 700), fill)
     np.fill_diagonal(d, 0.0)
-    d[0, 1] = d[1, 0] = 2.5
-    labels = [f"p{i:03d}" for i in range(n)]
+    for (i, j), v in bad.items():
+        d[i, j] = d[j, i] = v
+    return d
+
+
+def test_sampled_triangle_check_reports_triple():
+    # 700 points: the check must stay exact at this size, since a sample of
+    # triples would likely miss a lone bad triple such as (3, 7, 5)
+    labels = [f"p{i:03d}" for i in range(700)]
     with pytest.raises(TriangleViolation) as exc:
-        validate_metric(labels, d)
+        validate_metric(labels, _uniform_700(1.0, {(0, 1): 2.5}))
     a, k, c = exc.value.triple
     assert {a, c} == {"p000", "p001"} and k not in {a, c}
     assert exc.value.excess == pytest.approx(0.5)
+    for k in (7, 699):  # the only short cut is through point k
+        lone = _uniform_700(2.0, {(3, k): 1.0, (k, 5): 1.0, (3, 5): 2.5})
+        with pytest.raises(TriangleViolation) as exc:
+            validate_metric(labels, lone)
+        assert exc.value.triple == ("p003", labels[k], "p005")
+        assert exc.value.excess == pytest.approx(0.5)
+
+
+def _brute_violations(d, tol):
+    n = len(d)
+    return [
+        (i, k, j)
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+        if d[i, j] > d[i, k] + d[k, j] + tol
+    ]
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=2, max_size=7),
+    st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(1, 8)), max_size=3
+    ),
+)
+def test_triangle_check_matches_brute_force(points, bumps):
+    # manhattan distances between lattice points, then planted violations:
+    # some pairs pushed farther apart
+    pts = np.array(points, dtype=np.float64)
+    d = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    n = len(d)
+    for i, j, extra in bumps:
+        i, j = i % n, j % n
+        if i != j:
+            d[i, j] = d[j, i] = d[i, j] + extra
+    labels = [f"p{i}" for i in range(n)]
+    tol = 1e-9 * float(d.max())
+    bad = _brute_violations(d, tol)
+    if not bad:
+        assert validate_metric(labels, d).n == n
+        return
+    with pytest.raises(TriangleViolation) as exc:
+        validate_metric(labels, d)
+    i, k, j = (int(lab[1:]) for lab in exc.value.triple)
+    assert (i, j) == bad[0][::2]  # first bad pair in row-major order
+    assert exc.value.excess == d[i, j] - (d[i, k] + d[k, j])
+    assert exc.value.excess > tol
 
 
 def test_zero_distance_between_distinct_points_is_legal():
@@ -145,6 +199,41 @@ def test_metric_closure_output_is_a_metric(n, entries):
         for j in range(n):
             for k in range(n):
                 assert m[i, j] <= m[i, k] + m[k, j] + 1e-9
+
+
+def _matrices(rows, cols, values):
+    return st.lists(
+        st.lists(values, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(lambda m: np.array(m, dtype=np.float64))
+
+
+_ENTRIES = st.one_of(st.floats(0.0, 10.0), st.just(math.inf))
+
+
+@given(st.data(), st.integers(1, 5), st.integers(1, 5), st.integers(1, 5))
+def test_min_plus_matches_broadcast_product(data, m, n, p):
+    out = data.draw(_matrices(m, p, _ENTRIES))
+    left = data.draw(_matrices(m, n, _ENTRIES))
+    right = data.draw(_matrices(n, p, _ENTRIES))
+    expected = np.minimum(out, (left[:, :, None] + right[None]).min(axis=1))
+    _min_plus(out, left, right)
+    assert np.array_equal(out, expected)
+
+
+@given(st.data(), st.integers(1, 6))
+def test_min_plus_aliased_reaches_shortest_paths(data, n):
+    # integer weights keep every path sum exact, so any order of relaxation
+    # ends at the same fixed point
+    d = data.draw(_matrices(n, n, st.one_of(st.integers(0, 9), st.just(math.inf))))
+    np.fill_diagonal(d, 0.0)
+    expected = d.copy()
+    while True:
+        nxt = np.minimum(expected, (expected[:, :, None] + expected[None]).min(axis=1))
+        if np.array_equal(nxt, expected):
+            break
+        expected = nxt
+    _min_plus(d, d, d)
+    assert np.array_equal(d, expected)
 
 
 def test_metric_map_validates_totality_and_codomain(x3):

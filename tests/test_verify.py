@@ -17,7 +17,6 @@ from sievecluster import (
     iterative_flagify_oracle,
     maximal_linked_sets,
     path_space,
-    probe_bk_sieve_monotonicity,
     random_flag_cover,
     random_map,
     random_metric,
@@ -239,11 +238,3 @@ def test_reports_are_reproducible():
     a = check_functoriality(MethodSpec(family="ml", delta=1.0), trials=10, seed=77)
     b = check_functoriality(MethodSpec(family="ml", delta=1.0), trials=10, seed=77)
     assert a.to_dict() == b.to_dict()
-
-
-def test_bk_monotonicity_probe_shape():
-    record = probe_bk_sieve_monotonicity(trials=40, seed=0, k=2)
-    assert record["trials"] == 40
-    assert isinstance(record["violations"], list)
-    # empirical record: no violation observed on these spaces so far
-    assert record["violations"] == []
