@@ -210,73 +210,72 @@ def biconnected_vertex_sets(adj: list[int], within: int) -> list[int]:
     return out
 
 
-def _max_flow_vertex_cut(
-    adj: list[int], verts: list[int], s: int, t: int, limit: int
-) -> int | None:
-    """Vertex cut separating non-adjacent s and t if its size is < limit.
+def _network(size: int, arc_pairs) -> tuple[list[list[int]], list[int], list[int]]:
+    """A residual network on nodes 0..size-1 from (u, v, cap, back_cap)
+    arc pairs: per-node arc lists, arc heads and residual capacities.
+    Arc a runs u -> v and arc a ^ 1 is its reverse v -> u."""
+    arcs: list[list[int]] = [[] for _ in range(size)]
+    head: list[int] = []
+    cap: list[int] = []
+    for u, v, c, back in arc_pairs:
+        arcs[u].append(len(head))
+        head.append(v)
+        cap.append(c)
+        arcs[v].append(len(head))
+        head.append(u)
+        cap.append(back)
+    return arcs, head, cap
 
-    Menger via unit-capacity max-flow on the split digraph (v_in -> v_out
-    cap 1, each edge both directions with large cap). Returns the cut as a
-    mask of original vertex indices, or None when flow reaches the limit.
-    """
-    pos = {v: i for i, v in enumerate(verts)}
-    m = len(verts)
-    big = m + limit + 1
-    # arcs: list of [to, cap]; arc i and i^1 are a residual pair
-    graph: list[list[int]] = [[] for _ in range(2 * m)]
-    arcs: list[list[int]] = []
 
-    def add_arc(u: int, v: int, cap: int) -> None:
-        graph[u].append(len(arcs))
-        arcs.append([v, cap])
-        graph[v].append(len(arcs))
-        arcs.append([u, 0])
-
-    within = mask_of(verts)
-    for v in verts:
-        i = pos[v]
-        add_arc(2 * i, 2 * i + 1, 1)
-        nb = adj[v] & within
-        for w in bits(nb):
-            if w > v:
-                j = pos[w]
-                add_arc(2 * i + 1, 2 * j, big)
-                add_arc(2 * j + 1, 2 * i, big)
-    source = 2 * pos[s] + 1
-    sink = 2 * pos[t]
-    flow = 0
-    while flow < limit:
-        prev_arc = [-1] * (2 * m)
-        seen = [False] * (2 * m)
-        seen[source] = True
+def _augment(net, source: int, sink: int, limit: int) -> list[int] | None:
+    """Push up to limit unit paths from source to sink through a network
+    from _network, on a fresh copy of its capacities (net is unchanged).
+    None when limit paths fit; otherwise the nodes the source still
+    reaches in the residual network, the source side of a minimum cut."""
+    arcs, head, cap = net
+    cap = list(cap)
+    for _ in range(limit):
+        via = [-1] * len(arcs)  # arc each node was reached by; -1 unseen
+        via[source] = -2
         queue = [source]
-        while queue:
-            nxt = []
-            for u in queue:
-                for ai in graph[u]:
-                    to, cap = arcs[ai]
-                    if cap > 0 and not seen[to]:
-                        seen[to] = True
-                        prev_arc[to] = ai
-                        nxt.append(to)
-            if seen[sink]:
+        for u in queue:
+            for a in arcs[u]:
+                w = head[a]
+                if cap[a] and via[w] == -1:
+                    via[w] = a
+                    queue.append(w)
+            if via[sink] != -1:
                 break
-            queue = nxt
-        if not seen[sink]:
-            cut = 0
-            for v in verts:
-                i = pos[v]
-                if seen[2 * i] and not seen[2 * i + 1]:
-                    cut |= 1 << v
-            return cut
-        node = sink
-        while node != source:
-            ai = prev_arc[node]
-            arcs[ai][1] -= 1
-            arcs[ai ^ 1][1] += 1
-            node = arcs[ai ^ 1][0]
-        flow += 1
+        else:  # the sink is out of reach: the queue holds the source side
+            return queue
+        w = sink
+        while w != source:
+            a = via[w]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            w = head[a ^ 1]
     return None
+
+
+def _max_flow_vertex_cut(net, verts: list[int], i: int, j: int, limit: int) -> int | None:
+    """Vertex cut of fewer than limit vertices separating the non-adjacent
+    verts[i] and verts[j], as a mask of vertex indices, or None when limit
+    vertex-disjoint paths join them.
+
+    ``net`` is the split network of vertex_cut_below. The benchmark tracer
+    (bench/tracer.py) counts max-flow calls by wrapping this name, so the
+    name is kept and vertex_cut_below looks it up at call time.
+    """
+    reached = _augment(net, 2 * i + 1, 2 * j, limit)
+    if reached is None:
+        return None
+    ins = outs = 0
+    for node in reached:
+        if node & 1:
+            outs |= 1 << verts[node >> 1]
+        else:
+            ins |= 1 << verts[node >> 1]
+    return ins & ~outs
 
 
 def vertex_cut_below(adj: list[int], within: int, k: int) -> int | None:
@@ -284,84 +283,60 @@ def vertex_cut_below(adj: list[int], within: int, k: int) -> int | None:
     or None when the subgraph is k-vertex-connected.
 
     Requires the induced subgraph connected with more than k vertices.
-    A minimum-degree vertex of degree < k yields its neighborhood as a
-    cut immediately; otherwise every non-adjacent pair is tested with a
-    flow capped at k.
+    A complete subgraph has no cut; a minimum-degree vertex of degree < k
+    yields its neighborhood as a cut. Otherwise Menger on the split
+    network, built once: vertex v becomes v_in -> v_out with capacity 1
+    and each edge vw becomes v_out -> w_in and w_out -> v_in with capacity
+    k, which no cut below k can use. Every non-adjacent pair (s, t), s < t,
+    in ascending order gets a flow capped at k until one stays below k.
     """
     verts = list(bits(within))
     m = len(verts)
-    min_v = -1
-    min_d = None
-    for v in verts:
-        d = (adj[v] & within).bit_count()
-        if min_d is None or d < min_d:
-            min_d = d
-            min_v = v
-    if min_d is not None and min_d >= m - 1:
+    min_v = min(verts, key=lambda v: (adj[v] & within).bit_count())
+    min_d = (adj[min_v] & within).bit_count()
+    if min_d >= m - 1:
         return None  # complete graph, connectivity m - 1 >= k given m > k
-    if min_d is not None and min_d < k:
+    if min_d < k:
         return adj[min_v] & within
-    for s in verts:
-        non_nb = within & ~adj[s] & ~(1 << s)
-        for t in bits(non_nb):
-            if t <= s:
-                continue
-            cut = _max_flow_vertex_cut(adj, verts, s, t, k)
+    pos = {v: i for i, v in enumerate(verts)}
+    arc_pairs = []
+    for i, v in enumerate(verts):
+        arc_pairs.append((2 * i, 2 * i + 1, 1, 0))
+        for w in bits(adj[v] & within & ~((2 << v) - 1)):
+            j = pos[w]
+            arc_pairs.append((2 * i + 1, 2 * j, k, 0))
+            arc_pairs.append((2 * j + 1, 2 * i, k, 0))
+    net = _network(2 * m, arc_pairs)
+    for i, s in enumerate(verts):
+        for t in bits(within & ~adj[s] & ~((2 << s) - 1)):
+            cut = _max_flow_vertex_cut(net, verts, i, pos[t], k)
             if cut is not None:
                 return cut
     return None
 
 
 def edge_cut_below(adj: list[int], within: int, k: int) -> int | None:
-    """One side of a global edge cut of weight < k, or None if the induced
-    subgraph is k-edge-connected. Requires the subgraph connected, >= 2
-    vertices, bridgeless (callers split on bridges first), and k finite.
+    """One side of an edge cut of the induced subgraph with fewer than k
+    edges, or None when the subgraph is k-edge-connected (None also for
+    fewer than 2 vertices). k must be a positive integer.
 
-    Stoer-Wagner with unit weights; each phase's cut-of-the-phase is a
-    valid cut, so the search stops at the first one under k.
+    Every cut separates the lowest vertex s from some t, so the edge
+    connectivity is the least s-t flow: one unit arc pair per edge, and
+    for each t in ascending order a flow capped at k. The side returned
+    is the source side of the first flow that stays below k.
     """
     verts = list(bits(within))
-    m = len(verts)
-    if m < 2:
-        return None
-    w = np.zeros((m, m))
     pos = {v: i for i, v in enumerate(verts)}
-    for v in verts:
-        for u in bits(adj[v] & within):
-            if u > v:
-                w[pos[v], pos[u]] = w[pos[u], pos[v]] = 1.0
-    groups = [1 << v for v in verts]
-    active = list(range(m))
-    best_weight = math.inf
-    best_side = 0
-    while len(active) > 1:
-        a0 = active[0]
-        in_a = {a0}
-        keys = {v: w[a0, v] for v in active[1:]}
-        order = [a0]
-        while len(order) < len(active):
-            pick = max(keys, key=lambda v: (keys[v], -v))
-            order.append(pick)
-            del keys[pick]
-            in_a.add(pick)
-            for v in keys:
-                keys[v] += w[pick, v]
-        t = order[-1]
-        s = order[-2]
-        weight = float(sum(w[t, v] for v in active if v != t))
-        if weight < best_weight:
-            best_weight = weight
-            best_side = groups[t]
-            if best_weight < k:
-                return best_side
-        # merge t into s
-        for v in active:
-            if v != t and v != s:
-                w[s, v] += w[t, v]
-                w[v, s] = w[s, v]
-        groups[s] |= groups[t]
-        active.remove(t)
-    return None if best_weight >= k else best_side
+    net = _network(len(verts), [
+        (i, pos[w], 1, 1)
+        for i, v in enumerate(verts)
+        for w in bits(adj[v] & within & ~((2 << v) - 1))
+    ])
+    for t in range(1, len(verts)):
+        reached = _augment(net, 0, t, k)
+        if reached is not None:
+            return mask_of(verts[node] for node in reached)
+    return None
 
 
 def exists_clique(adj: list[int], cand: int, k) -> bool:

@@ -29,7 +29,7 @@ from .errors import (
     SieveclusterError,
     TrivialFunctor,
 )
-from .fileio import canonical_json_bytes, ingest_space, write_json
+from .fileio import canonical_json_bytes, ingest_space
 from .functors import FAMILIES, MethodSpec, clustering_parameter, evaluate_method
 from .graphs import Graph, bk_closure, bk_star_closure, threshold_graph, write_dot
 from .metric import FiniteMetricSpace
@@ -177,11 +177,22 @@ def _dot_graph(x: FiniteMetricSpace, delta: float, closure: str | None, k) -> Gr
     return g
 
 
+def _write_file(path: str, data: bytes) -> None:
+    """Write an output file; a path that cannot be written is a usage
+    error (exit 2), not a crash."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        _fail_input(f"cannot write {path}: {exc.strerror}")
+
+
 def _emit_json(obj, output: str | None) -> None:
+    data = canonical_json_bytes(obj)
     if output:
-        write_json(output, obj)
+        _write_file(output, data)
     else:
-        sys.stdout.buffer.write(canonical_json_bytes(obj))
+        sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
 
 
@@ -227,8 +238,7 @@ def cluster(**kw) -> None:
         if spec.delta is None:
             _fail_input("--emit-dot needs a method with --delta")
         g = _dot_graph(x, spec.delta, spec.family, spec.k)
-        with open(kw["dot_path"], "w", encoding="utf-8") as fh:
-            fh.write(write_dot(g))
+        _write_file(kw["dot_path"], write_dot(g).encode("utf-8"))
     _emit_json(cover.to_dict(), kw["output"])
 
 
@@ -495,8 +505,7 @@ def export_dot(**kw) -> None:
         _fail_input(str(exc))
     text = write_dot(g)
     if kw["output"]:
-        with open(kw["output"], "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_file(kw["output"], text.encode("utf-8"))
     else:
         click.echo(text, nl=False)
 

@@ -28,6 +28,21 @@ def _canonical_base(base: Iterable[str]) -> tuple[str, ...]:
     return out
 
 
+def _string_lists(data: Mapping, key: str, depth: int) -> list:
+    """data[key] checked against the JSON schemas: lists nested depth
+    deep with strings at the bottom (depth 1 for a base, 2 for a block
+    list, 3 for a sieve's covers). ValueError naming the key otherwise."""
+    message = f"{key!r} must be a list of {'lists of ' * (depth - 1)}strings"
+    level = [data[key]]
+    for _ in range(depth):
+        if not all(isinstance(v, list) for v in level):
+            raise ValueError(message)
+        level = [x for v in level for x in v]
+    if not all(isinstance(v, str) for v in level):
+        raise ValueError(message)
+    return data[key]
+
+
 class Cover:
     """A family of blocks covering a base set. Overlap and nesting allowed."""
 
@@ -89,7 +104,7 @@ class Cover:
     def from_dict(cls, data: dict) -> "Cover":
         if "base" not in data or "clusters" not in data:
             raise ValueError("cover JSON needs 'base' and 'clusters'")
-        return cls(data["base"], data["clusters"])
+        return cls(_string_lists(data, "base", 1), _string_lists(data, "clusters", 2))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cover):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .covers import Cover, FlagCover, is_consistent_map, refines
+from .covers import Cover, FlagCover, _string_lists, is_consistent_map, refines
 from .errors import MonotonicityViolation
 from .functors import MethodSpec, evaluate_method
 from .metric import FiniteMetricSpace
@@ -80,8 +80,8 @@ class Sieve:
         for key in ("base", "breakpoints", "covers"):
             if key not in data:
                 raise ValueError(f"sieve JSON needs {key!r}")
-        base = data["base"]
-        covers = [FlagCover(base, blocks) for blocks in data["covers"]]
+        base = _string_lists(data, "base", 1)
+        covers = [FlagCover(base, blocks) for blocks in _string_lists(data, "covers", 3)]
         return cls(base, data["breakpoints"], covers)
 
     def __eq__(self, other) -> bool:

@@ -133,6 +133,28 @@ def test_sieve_nontrivial_terminal_exits_one_but_emits(runner, tmp_path):
     assert data["covers"][-1] != [["a", "b", "c"]]
 
 
+def test_unwritable_json_output_is_usage_error(runner, tmp_path):
+    out = tmp_path / "missing" / "r.json"
+    result = runner.invoke(
+        main, ["cluster", "--method", "sl", "--delta", "1", "-o", str(out), _x3(tmp_path)]
+    )
+    assert result.exit_code == 2
+    assert f"cannot write {out}: No such file or directory" in result.output
+
+
+def test_unwritable_dot_output_is_usage_error(runner, tmp_path):
+    dot = tmp_path / "missing" / "g.dot"
+    result = runner.invoke(
+        main,
+        ["cluster", "--method", "ml", "--delta", "1", "--emit-dot", str(dot), _x3(tmp_path)],
+    )
+    assert result.exit_code == 2
+    assert f"cannot write {dot}: No such file or directory" in result.output
+    result = runner.invoke(main, ["export-dot", "--delta", "1", "-o", str(dot), _x3(tmp_path)])
+    assert result.exit_code == 2
+    assert f"cannot write {dot}" in result.output
+
+
 def test_flagify_command(runner, tmp_path):
     cover = tmp_path / "cover.json"
     cover.write_text(
@@ -141,6 +163,14 @@ def test_flagify_command(runner, tmp_path):
     result = runner.invoke(main, ["flagify", str(cover)])
     assert result.exit_code == 0
     assert json.loads(result.output)["clusters"] == [["a", "b", "c"]]
+
+
+def test_flagify_rejects_cover_json_off_schema(runner, tmp_path):
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"base": "ab", "clusters": "ab"}))
+    result = runner.invoke(main, ["flagify", str(cover)])
+    assert result.exit_code == 2
+    assert "'base' must be a list of strings" in result.output
 
 
 def test_refines_command(runner, tmp_path):

@@ -140,6 +140,28 @@ def test_cover_dict_roundtrip():
     assert c.to_dict() == {"base": ["a", "b", "c"], "clusters": [["a", "b"], ["c"]]}
 
 
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"base": "ab", "clusters": "ab"}, "base"),
+        ({"base": ["a", "b"], "clusters": "ab"}, "clusters"),
+        ({"base": [1, 2], "clusters": [["1", "2"]]}, "base"),
+        ({"base": None, "clusters": [["a"]]}, "base"),
+        ({"base": ["a", "b"], "clusters": [["a", "b"], "a"]}, "clusters"),
+        ({"base": ["a", "b"], "clusters": [["a", 2]]}, "clusters"),
+        ({"base": ["a"], "clusters": None}, "clusters"),
+    ],
+)
+def test_cover_from_dict_requires_lists_of_strings(data, key):
+    with pytest.raises(ValueError, match=repr(key)):
+        Cover.from_dict(data)
+
+
+def test_cover_constructor_still_takes_any_iterables():
+    c = Cover(iter("ba"), ({"a"}, ("b",)))
+    assert c.to_dict() == {"base": ["a", "b"], "clusters": [["a"], ["b"]]}
+
+
 @st.composite
 def relations(draw):
     n = draw(st.integers(1, 8))

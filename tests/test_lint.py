@@ -1,6 +1,7 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -94,3 +95,28 @@ def test_no_dead_private_names():
         if name not in read
     ]
     assert dead == []
+
+
+def tracer_targets() -> list[tuple[str, str]]:
+    """(module, attribute path) pairs of ``TARGETS`` in bench/tracer.py,
+    read from its syntax tree: the benchmark is not imported."""
+    tree = ast.parse((TESTS.parent / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return [(module, path) for module, path, _ in ast.literal_eval(node.value)]
+    raise AssertionError("bench/tracer.py defines no TARGETS")
+
+
+def test_tracer_targets_resolve():
+    targets = tracer_targets()
+    assert ("_bitops", "_max_flow_vertex_cut") in targets
+    missing = []
+    for module, path in targets:
+        owner = importlib.import_module(f"sievecluster.{module}")
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{path}")
+    assert missing == []

@@ -2,14 +2,15 @@
 
 One low-link DFS gives the blocks of a graph, and the bridges are its
 blocks with two vertices; both are compared with networkx on induced
-subgraphs given by a ``within`` mask. The edge-connectivity partition is
-compared with ``k_edge_subgraphs``.
+subgraphs given by a ``within`` mask. The vertex and edge cut searches are
+compared with ``node_connectivity`` and ``edge_connectivity``, and the
+edge-connectivity partition with ``k_edge_subgraphs``.
 """
 
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sievecluster import Cover, Graph, max_edge_connected_subgraphs
 from sievecluster import _bitops
@@ -32,6 +33,28 @@ def masked_graphs(draw, max_n=9):
     return adj, within
 
 
+@st.composite
+def two_blobs(draw, max_n=12):
+    """Near-complete graphs on the vertex ranges [0, h) and [h, n), with
+    a few edges between them, induced on all vertices: degrees are high
+    but connectivity is low, so the degree shortcuts do not decide it and
+    the flows must find the cut. Random masks seldom look like this."""
+    n = draw(st.integers(2, max_n))
+    h = draw(st.integers(1, n - 1))
+    inside, across = [], []
+    for i, j in itertools.combinations(range(n), 2):
+        (inside if (i < h) == (j < h) else across).append((i, j))
+    edges = set(inside)
+    if inside:
+        edges -= draw(st.sets(st.sampled_from(inside), max_size=3))
+    edges |= draw(st.sets(st.sampled_from(across), max_size=5))
+    adj = [0] * n
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj, _bitops.full_mask(n)
+
+
 def _nx_graph(adj, within):
     g = nx.Graph()
     g.add_nodes_from(_bitops.bits(within))
@@ -51,7 +74,7 @@ def test_blocks_and_bridges_match_networkx(graph):
     assert bridges == sorted(_bitops.mask_of(e) for e in nx.bridges(g))
 
 
-@given(masked_graphs(), st.sampled_from([2, 3]))
+@given(masked_graphs(), st.sampled_from([2, 3, 4]))
 def test_edge_partition_matches_k_edge_subgraphs(graph, k):
     adj, _ = graph
     labels = [f"v{i}" for i in range(len(adj))]
@@ -59,3 +82,30 @@ def test_edge_partition_matches_k_edge_subgraphs(graph, k):
     full = _nx_graph(adj, _bitops.full_mask(len(adj)))
     theirs = Cover(labels, [[labels[v] for v in c] for c in nx.k_edge_subgraphs(full, k)])
     assert ours == theirs
+
+
+@settings(max_examples=400)
+@given(st.one_of(masked_graphs(), two_blobs()), st.integers(1, 4))
+def test_vertex_cut_below_matches_node_connectivity(graph, k):
+    adj, within = graph
+    g = _nx_graph(adj, within)
+    assume(g.number_of_nodes() > k and nx.is_connected(g))
+    cut = _bitops.vertex_cut_below(adj, within, k)
+    assert (cut is None) == (nx.node_connectivity(g) >= k)
+    if cut is not None:
+        assert cut & ~within == 0 and cut.bit_count() < k
+        assert not nx.is_connected(g.subgraph(set(_bitops.bits(within & ~cut))))
+
+
+@settings(max_examples=400)
+@given(st.one_of(masked_graphs(), two_blobs()), st.integers(1, 4))
+def test_edge_cut_below_matches_edge_connectivity(graph, k):
+    adj, within = graph
+    g = _nx_graph(adj, within)
+    assume(g.number_of_nodes() >= 2)
+    side = _bitops.edge_cut_below(adj, within, k)
+    assert (side is None) == (nx.edge_connectivity(g) >= k)
+    if side is not None:
+        assert side and side & ~within == 0 and side != within
+        crossing = sum((adj[v] & within & ~side).bit_count() for v in _bitops.bits(side))
+        assert crossing < k

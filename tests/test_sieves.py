@@ -189,6 +189,22 @@ def test_sieve_from_dict_validation():
         Sieve.from_dict({"base": ["a"], "breakpoints": [], "covers": []})
 
 
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"base": "ab", "breakpoints": [0.0], "covers": [[["a", "b"]]]}, "base"),
+        ({"base": [1], "breakpoints": [0.0], "covers": [[["1"]]]}, "base"),
+        ({"base": None, "breakpoints": [0.0], "covers": [[["a"]]]}, "base"),
+        ({"base": ["a"], "breakpoints": [0.0], "covers": "a"}, "covers"),
+        ({"base": ["a"], "breakpoints": [0.0], "covers": [["a"]]}, "covers"),
+        ({"base": ["a"], "breakpoints": [0.0], "covers": [[[1]]]}, "covers"),
+    ],
+)
+def test_sieve_from_dict_requires_lists_of_strings(data, key):
+    with pytest.raises(ValueError, match=repr(key)):
+        Sieve.from_dict(data)
+
+
 def test_random_spaces_produce_valid_sieves():
     for seed in range(12):
         x = random_metric(3 + seed % 5, 8800 + seed, "closure-of-random-matrix")
