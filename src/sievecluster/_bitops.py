@@ -82,7 +82,8 @@ def is_complete(adj: list[int], mask: int) -> bool:
 
 
 def degeneracy_order(adj: list[int], within: int) -> list[int]:
-    """Vertices by repeated removal of a minimum-degree vertex."""
+    """Vertices by repeated removal of a minimum-degree vertex. No kernel
+    calls it; the benchmark tracer (bench/tracer.py) wraps the name."""
     order = []
     remaining = within
     while remaining:
@@ -101,39 +102,12 @@ def degeneracy_order(adj: list[int], within: int) -> list[int]:
     return order
 
 
-def _bk_pivot(adj: list[int], clique: int, P: int, X: int, out: list[int]) -> None:
-    if P == 0:
-        if X == 0:
-            out.append(clique)
-        return
-    px = P | X
-    best = -1
-    piv_adj = 0
-    m = px
-    while m:
-        u = (m & -m).bit_length() - 1
-        m &= m - 1
-        c = (adj[u] & P).bit_count()
-        if c > best:
-            best = c
-            piv_adj = adj[u]
-    cand = P & ~piv_adj
-    while cand:
-        low = cand & -cand
-        v = low.bit_length() - 1
-        cand ^= low
-        _bk_pivot(adj, clique | low, P & adj[v], X & adj[v], out)
-        P ^= low
-        X |= low
-
-
 def maximal_cliques(adj: list[int], within: int | None = None) -> list[int]:
     """All maximal cliques of the induced subgraph (singletons included).
 
-    Bron-Kerbosch with pivoting, seeded by a degeneracy order, run per
-    connected component; components that are already complete are emitted
-    directly, which makes equivalence-relation inputs (unions of complete
-    blocks) linear.
+    Bron-Kerbosch with Tomita pivoting on an explicit stack, run per
+    connected component. Complete components are emitted directly, so
+    unions of complete blocks (equivalence relations) stay linear.
     """
     if within is None:
         within = full_mask(len(adj))
@@ -142,14 +116,36 @@ def maximal_cliques(adj: list[int], within: int | None = None) -> list[int]:
         if is_complete(adj, comp):
             out.append(comp)
             continue
-        order = degeneracy_order(adj, comp)
-        P = comp
-        X = 0
-        for v in order:
-            b = 1 << v
-            _bk_pivot(adj, b, P & adj[v], X & adj[v], out)
-            P ^= b
-            X |= b
+        # frames [clique, P, X, branch set]; None until the pivot is chosen
+        stack: list[list] = [[0, comp, 0, None]]
+        while stack:
+            frame = stack[-1]
+            clique, P, X, branch = frame
+            if branch is None:
+                # Tomita pivot: the vertex of P | X with most neighbours in
+                # P, lowest index on ties; branch on P minus its neighbours
+                best = -1
+                m = P | X
+                while m:
+                    u = (m & -m).bit_length() - 1
+                    m &= m - 1
+                    c = (adj[u] & P).bit_count()
+                    if c > best:
+                        best = c
+                        pivot = u
+                branch = P & ~adj[pivot]
+            if not branch:
+                stack.pop()
+                continue
+            low = branch & -branch
+            v = low.bit_length() - 1
+            frame[1:] = P ^ low, X | low, branch ^ low
+            P &= adj[v]
+            X &= adj[v]
+            if P:
+                stack.append([clique | low, P, X, None])
+            elif not X:
+                out.append(clique | low)
     return out
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 from . import _bitops
 from .errors import BaseMismatch, DuplicateLabel, NestedCover
-from .metric import FiniteMetricSpace, MetricMap
+from .metric import MetricMap
 
 
 def _canonical_base(base: Iterable[str]) -> tuple[str, ...]:
@@ -203,12 +203,6 @@ class Relation:
         rel._index = {x: i for i, x in enumerate(rel.base)}
         rel.adj = [m & ~(1 << i) for i, m in enumerate(adj)]
         return rel
-
-    @classmethod
-    def from_threshold(cls, space: FiniteMetricSpace, delta: float) -> "Relation":
-        """Pairs at distance <= delta (inclusive)."""
-        close = space.dist <= delta
-        return cls.from_masks(space.labels, _bitops.adjacency_from_bool(close))
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
         out = []

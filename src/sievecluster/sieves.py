@@ -82,7 +82,12 @@ class Sieve:
                 raise ValueError(f"sieve JSON needs {key!r}")
         base = _string_lists(data, "base", 1)
         covers = [FlagCover(base, blocks) for blocks in _string_lists(data, "covers", 3)]
-        return cls(base, data["breakpoints"], covers)
+        bps = data["breakpoints"]
+        if not isinstance(bps, list) or not all(
+            isinstance(b, (int, float)) and not isinstance(b, bool) for b in bps
+        ):
+            raise ValueError("'breakpoints' must be a list of numbers")
+        return cls(base, bps, covers)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sieve):

@@ -3,6 +3,7 @@
 import importlib
 import importlib.metadata
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -47,6 +48,21 @@ def test_cluster_maximal_linkage(runner, tmp_path):
         "base": ["a", "b", "c"],
         "clusters": [["a", "b"], ["b", "c"]],
     }
+
+
+def test_cluster_maximal_linkage_deep_near_clique(runner, tmp_path):
+    # K_1500 minus one edge: the clique search nests 1,500 frames deep. A
+    # one-column point CSV keeps the cubic triangle check of a matrix out.
+    path = tmp_path / "line.csv"
+    path.write_text("".join(f"{i / 1499!r}\n" for i in range(1500)))
+    start = time.perf_counter()
+    result = runner.invoke(
+        main,
+        ["cluster", "--method", "ml", "--delta", "0.9995", "--as-points", str(path)],
+    )
+    assert time.perf_counter() - start < 30.0
+    assert result.exit_code == 0, result.output
+    assert [len(c) for c in json.loads(result.output)["clusters"]] == [1499, 1499]
 
 
 def test_cluster_missing_delta_is_usage_error(runner, tmp_path):

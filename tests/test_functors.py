@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +24,7 @@ from sievecluster import (
     path_space,
     refines,
     single_linkage,
+    space_from_points,
     vertex_linkage,
 )
 from sievecluster.verify import random_metric
@@ -43,6 +45,19 @@ def test_maximal_linkage_examples(x3, bowtie):
     assert maximal_linkage(x3, 1.0).blocks == (("a", "b"), ("b", "c"))
     assert maximal_linkage(bowtie, 1.0).blocks == (("1", "2", "3"), ("3", "4", "5"))
     assert maximal_linkage(x3, 2.0).blocks == (("a", "b", "c"),)
+
+
+def test_maximal_linkage_deep_near_clique():
+    # 1,500 points on a line: at delta 0.9995 only the two ends are apart,
+    # so the threshold graph is K_1500 minus one edge and the clique search
+    # nests one frame per vertex; a recursive search overflows the stack
+    x = space_from_points([[i / 1499] for i in range(1500)])
+    start = time.perf_counter()
+    blocks = maximal_linkage(x, 0.9995).blocks
+    assert time.perf_counter() - start < 30.0
+    assert [len(b) for b in blocks] == [1499, 1499]
+    first, last = x.labels[0], x.labels[-1]
+    assert [set(x.labels) - set(b) for b in blocks] == [{last}, {first}]
 
 
 def test_k_linkage_examples(x3):

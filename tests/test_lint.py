@@ -97,6 +97,43 @@ def test_no_dead_private_names():
     assert dead == []
 
 
+def self_recursive_functions(source: str) -> list[str]:
+    """Functions that call themselves by name: ``f(...)`` inside ``def f``,
+    or ``self.f(...)`` / ``cls.f(...)`` inside a method ``f``. Deep inputs
+    overflow the interpreter stack there, so kernels keep explicit stacks."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            if (isinstance(f, ast.Name) and f.id == node.name) or (
+                isinstance(f, ast.Attribute)
+                and f.attr == node.name
+                and isinstance(f.value, ast.Name)
+                and f.value.id in ("self", "cls")
+            ):
+                found.append(f"line {node.lineno}: {node.name}")
+                break
+    return found
+
+
+def test_self_recursion_scan_catches_one():
+    source = (
+        "def fact(n):\n    return 1 if n < 2 else n * fact(n - 1)\n\n"
+        "def total(n):\n    return sum(range(n))\n\n"
+        "class Tree:\n    def size(self):\n        return 1 + self.size()\n"
+    )
+    assert self_recursive_functions(source) == ["line 1: fact", "line 8: size"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_self_recursion(path):
+    assert self_recursive_functions(path.read_text(encoding="utf-8")) == []
+
+
 def tracer_targets() -> list[tuple[str, str]]:
     """(module, attribute path) pairs of ``TARGETS`` in bench/tracer.py,
     read from its syntax tree: the benchmark is not imported."""

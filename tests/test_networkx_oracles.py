@@ -2,8 +2,9 @@
 
 One low-link DFS gives the blocks of a graph, and the bridges are its
 blocks with two vertices; both are compared with networkx on induced
-subgraphs given by a ``within`` mask. The vertex and edge cut searches are
-compared with ``node_connectivity`` and ``edge_connectivity``, and the
+subgraphs given by a ``within`` mask, and so are the maximal cliques
+(``find_cliques``). The vertex and edge cut searches are compared with
+``node_connectivity`` and ``edge_connectivity``, and the
 edge-connectivity partition with ``k_edge_subgraphs``.
 """
 
@@ -55,6 +56,24 @@ def two_blobs(draw, max_n=12):
     return adj, _bitops.full_mask(n)
 
 
+@st.composite
+def dense_graphs(draw, max_n=40):
+    """Graphs on up to max_n vertices (past the 16-point cap of
+    brute_force_maximal_linked) with a drawn edge density, plus a
+    ``within`` mask that is often everything."""
+    n = draw(st.integers(1, max_n))
+    eighths = draw(st.integers(0, 8))
+    rnd = draw(st.randoms(use_true_random=False))
+    adj = [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        if rnd.randrange(8) < eighths:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    full = _bitops.full_mask(n)
+    within = draw(st.one_of(st.just(full), st.integers(0, full)))
+    return adj, within
+
+
 def _nx_graph(adj, within):
     g = nx.Graph()
     g.add_nodes_from(_bitops.bits(within))
@@ -72,6 +91,15 @@ def test_blocks_and_bridges_match_networkx(graph):
     assert blocks == sorted(_bitops.mask_of(c) for c in nx.biconnected_components(g))
     bridges = sorted(b for b in blocks if b.bit_count() == 2)
     assert bridges == sorted(_bitops.mask_of(e) for e in nx.bridges(g))
+
+
+@settings(max_examples=300)
+@given(st.one_of(masked_graphs(), dense_graphs()))
+def test_maximal_cliques_match_find_cliques(graph):
+    adj, within = graph
+    ours = sorted(_bitops.maximal_cliques(adj, within))
+    g = _nx_graph(adj, within)
+    assert ours == sorted(_bitops.mask_of(c) for c in nx.find_cliques(g))
 
 
 @given(masked_graphs(), st.sampled_from([2, 3, 4]))

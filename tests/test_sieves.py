@@ -205,6 +205,14 @@ def test_sieve_from_dict_requires_lists_of_strings(data, key):
         Sieve.from_dict(data)
 
 
+@pytest.mark.parametrize("breakpoints", ["0", ["0"], [None], [False]])
+def test_sieve_from_dict_requires_numeric_breakpoints(breakpoints):
+    data = {"base": ["a"], "breakpoints": breakpoints, "covers": [[["a"]]]}
+    with pytest.raises(ValueError, match="'breakpoints'"):
+        Sieve.from_dict(data)
+    assert Sieve.from_dict({**data, "breakpoints": [0]}).breakpoints == (0.0,)
+
+
 def test_random_spaces_produce_valid_sieves():
     for seed in range(12):
         x = random_metric(3 + seed % 5, 8800 + seed, "closure-of-random-matrix")
