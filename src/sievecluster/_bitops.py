@@ -105,9 +105,8 @@ def degeneracy_order(adj: list[int], within: int) -> list[int]:
 def maximal_cliques(adj: list[int], within: int | None = None) -> list[int]:
     """All maximal cliques of the induced subgraph (singletons included).
 
-    Bron-Kerbosch with Tomita pivoting on an explicit stack, run per
-    connected component. Complete components are emitted directly, so
-    unions of complete blocks (equivalence relations) stay linear.
+    Run per connected component through cliques_containing. Complete
+    components, singletons among them, are emitted without that call.
     """
     if within is None:
         within = full_mask(len(adj))
@@ -115,37 +114,57 @@ def maximal_cliques(adj: list[int], within: int | None = None) -> list[int]:
     for comp in components(adj, within):
         if is_complete(adj, comp):
             out.append(comp)
+        else:
+            out += cliques_containing(adj, 0, comp)
+    return out
+
+
+def cliques_containing(adj: list[int], clique: int, cand: int) -> list[int]:
+    """Every maximal clique of the subgraph induced on clique | cand that
+    contains the clique: the clique joined with each maximal clique of
+    the subgraph induced on cand. Every vertex of cand must be adjacent to
+    every vertex of the clique.
+
+    Bron-Kerbosch with Tomita pivoting on an explicit stack, seeded with
+    (clique, cand, no excluded vertices). With an empty clique and a
+    connected cand these are the maximal cliques of G[cand]; with the two
+    ends of a new edge uv and their common neighbourhood they are the
+    maximal cliques the edge creates. A complete cand is joined directly,
+    so unions of complete blocks (equivalence relations) stay linear.
+    """
+    if is_complete(adj, cand):
+        return [clique | cand]
+    out: list[int] = []
+    # frames [clique, P, X, branch set]; None until the pivot is chosen
+    stack: list[list] = [[clique, cand, 0, None]]
+    while stack:
+        frame = stack[-1]
+        clique, P, X, branch = frame
+        if branch is None:
+            # Tomita pivot: the vertex of P | X with most neighbours in
+            # P, lowest index on ties; branch on P minus its neighbours
+            best = -1
+            m = P | X
+            while m:
+                u = (m & -m).bit_length() - 1
+                m &= m - 1
+                c = (adj[u] & P).bit_count()
+                if c > best:
+                    best = c
+                    pivot = u
+            branch = P & ~adj[pivot]
+        if not branch:
+            stack.pop()
             continue
-        # frames [clique, P, X, branch set]; None until the pivot is chosen
-        stack: list[list] = [[0, comp, 0, None]]
-        while stack:
-            frame = stack[-1]
-            clique, P, X, branch = frame
-            if branch is None:
-                # Tomita pivot: the vertex of P | X with most neighbours in
-                # P, lowest index on ties; branch on P minus its neighbours
-                best = -1
-                m = P | X
-                while m:
-                    u = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    c = (adj[u] & P).bit_count()
-                    if c > best:
-                        best = c
-                        pivot = u
-                branch = P & ~adj[pivot]
-            if not branch:
-                stack.pop()
-                continue
-            low = branch & -branch
-            v = low.bit_length() - 1
-            frame[1:] = P ^ low, X | low, branch ^ low
-            P &= adj[v]
-            X &= adj[v]
-            if P:
-                stack.append([clique | low, P, X, None])
-            elif not X:
-                out.append(clique | low)
+        low = branch & -branch
+        v = low.bit_length() - 1
+        frame[1:] = P ^ low, X | low, branch ^ low
+        P &= adj[v]
+        X &= adj[v]
+        if P:
+            stack.append([clique | low, P, X, None])
+        elif not X:
+            out.append(clique | low)
     return out
 
 

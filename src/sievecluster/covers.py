@@ -169,11 +169,27 @@ class FlagCover(Cover):
             return cls.from_masks(base, cliques)
         blocks = [tuple(base[i] for i in _bitops.bits(m)) for m in cliques]
         order = sorted(range(len(blocks)), key=blocks.__getitem__)
+        return cls._from_sorted(
+            base,
+            {x: i for i, x in enumerate(base)},
+            tuple(blocks[i] for i in order),
+            [cliques[i] for i in order],
+        )
+
+    @classmethod
+    def _from_sorted(
+        cls, base: tuple[str, ...], index: dict[str, int], blocks: tuple, masks: list[int]
+    ) -> "FlagCover":
+        """A flag cover from canonical parts, taken as given: a sorted,
+        duplicate-free base, its label index (which may be shared between
+        covers, since nothing mutates it), sorted distinct blocks that are
+        the maximal cliques of some graph, and their masks in block order.
+        """
         cover = cls.__new__(cls)
         cover.base = base
-        cover.blocks = tuple(blocks[i] for i in order)
-        cover._index = {x: i for i, x in enumerate(base)}
-        cover._masks = [cliques[i] for i in order]
+        cover.blocks = blocks
+        cover._index = index
+        cover._masks = masks
         return cover
 
 

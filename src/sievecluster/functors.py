@@ -357,6 +357,27 @@ def generated_cluster(
     return maximal_linked_sets(probe_relation(x, test_spaces, rel_tol))
 
 
+def _linked_relation(
+    x: FiniteMetricSpace, spec: MethodSpec, delta: float, start: list[int] | None = None
+) -> list[int]:
+    """Adjacency masks of the relation whose maximal linked sets are the
+    cover of an l, bk or bkstar method at scale delta: the step relation,
+    or the strict or relaxed closure of the threshold graph.
+
+    ``start`` is this relation at a smaller scale. The closures resume
+    from it: both rules are monotone, so closing the threshold graph
+    joined with a smaller fixed point gives the closure of the threshold
+    graph itself. The step relation ignores it.
+    """
+    if spec.family == "l":
+        budget = math.inf if spec.budget is None else spec.budget
+        return _step_relation(x, delta, spec.k, budget).adj
+    adj = _bitops.adjacency_from_bool(x.dist <= delta)
+    if start is not None:
+        adj = [a | b for a, b in zip(adj, start)]
+    return _bitops.closure_bk(adj, spec.k, relaxed=spec.family == "bkstar")
+
+
 def evaluate_method(x: FiniteMetricSpace, spec: MethodSpec) -> FlagCover:
     """Run one clustering method on one space."""
     fam = spec.family

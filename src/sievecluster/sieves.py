@@ -12,7 +12,8 @@ conditions hold.
 For the threshold families the cover can only change when the edge set of
 the threshold graph changes, so the breakpoints of a built sieve are a
 subset of {0} plus the pairwise distances of the space; build_sieve finds
-them by bisection over those candidates.
+them by bisection over those candidates, and for the clique families it
+keeps the maximal cliques up to date as the relation gains pairs.
 """
 
 from __future__ import annotations
@@ -20,9 +21,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
+from ._bitops import bits, cliques_containing
 from .covers import Cover, FlagCover, _string_lists, is_consistent_map, refines
 from .errors import MonotonicityViolation
-from .functors import MethodSpec, evaluate_method
+from .functors import MethodSpec, _linked_relation, evaluate_method
 from .metric import FiniteMetricSpace
 
 
@@ -58,6 +62,46 @@ class Sieve:
                 )
         self.breakpoints = bps
         self.covers = cvs
+
+    @classmethod
+    def _from_lifetimes(cls, base: tuple[str, ...], breakpoints, lifetimes) -> "Sieve":
+        """The sieve whose blocks are given as lifetimes (mask, birth,
+        death): the block of mask bits over the sorted base is in the
+        covers at breakpoint indexes birth <= i < death. The masks are
+        distinct maximal cliques of one graph per breakpoint.
+
+        Each block's label tuple is made once and all are sorted once, so
+        every cover is read off in canonical order and built as a trusted
+        FlagCover. Raises ValueError, as the constructor does, when two
+        neighbouring covers are equal: no block is born or dies between.
+        """
+        bps = tuple(float(b) for b in breakpoints)
+        changed = [False] * (len(bps) + 1)
+        rows = []
+        for mask, birth, death in lifetimes:
+            rows.append((tuple(base[i] for i in bits(mask)), mask, birth, death))
+            changed[birth] = changed[death] = True
+        for i in range(1, len(bps)):
+            if not changed[i]:
+                raise ValueError(
+                    f"covers at breakpoints {i - 1} and {i} are equal; "
+                    "breakpoints must be genuine"
+                )
+        rows.sort()
+        blocks: list[list] = [[] for _ in bps]
+        masks: list[list[int]] = [[] for _ in bps]
+        for blk, mask, birth, death in rows:
+            for i in range(birth, death):
+                blocks[i].append(blk)
+                masks[i].append(mask)
+        index = {x: i for i, x in enumerate(base)}
+        sieve = cls.__new__(cls)
+        sieve.base = base
+        sieve.breakpoints = bps
+        sieve.covers = tuple(
+            FlagCover._from_sorted(base, index, tuple(b), m) for b, m in zip(blocks, masks)
+        )
+        return sieve
 
     def evaluate(self, t: float) -> Cover:
         """The cover in effect at scale t (inclusive on the left)."""
@@ -118,51 +162,151 @@ def build_sieve(x: FiniteMetricSpace, spec: MethodSpec) -> Sieve:
 
     Candidate scales are 0 plus the distinct pairwise distances, ascending:
     the threshold graph, and so the cover, can only change at one of them.
-    The method is not run at every candidate. An iterative bisection
-    evaluates both ends of an index interval (each evaluation cached by
-    index), drops the interval when the two covers are equal, and otherwise
-    splits it at the midpoint until it has width one. The evaluated scales,
-    walked in order, then give every breakpoint, so the sweep costs about
-    B log(S / B) evaluations for B breakpoints among S candidates.
+    Every family reads the threshold graph monotonically, so its cover only
+    grows coarser as the scale grows. There are two sweeps.
 
-    Dropping an interval is exact. The cover only grows coarser as the
-    scale grows: the threshold graph only gains edges, and every family
-    reads it monotonically. Both closure rules of bk and bkstar are
-    monotone in the edge set, so their least fixed point only grows; the
-    step relation of l only grows; and a vertex set that qualifies for vl
-    or el still qualifies after edges are added. Each maximal clique of a
-    graph lies inside a maximal clique of any supergraph, which carries
-    this through the maximal linked sets and the flag completion. Flag
+    The ml, l, bk and bkstar covers are the maximal linked sets of a
+    relation that only gains pairs: the threshold graph, the step relation,
+    or a closure (both closure rules are monotone, so their least fixed
+    point only grows). Their sweep keeps the maximal cliques up to date as
+    the relation gains pairs, in ascending order of scale (_clique_sweep),
+    so no scale runs a full clique search. The threshold graph gains the
+    pairs at each distinct distance, read off the sorted distances. The
+    other relations are found by bisection (_bisect), which evaluates the
+    relation where its breakpoint search needs to, and each closure resumes
+    from the one at the nearest smaller evaluated scale.
+
+    The sl, vl and el covers are bisected directly. A vertex set that
+    qualifies for vl or el still qualifies after edges are added; each
+    maximal clique of a graph lies inside a maximal clique of any
+    supergraph, which carries this through the flag completion. Flag
     covers are non-nested, and refinement between non-nested covers is
     antisymmetric, so for a < b < c a cover at b that refines the one at c
     and is refined by the one at a equals both when those two are equal.
 
-    Consecutive distinct covers are still checked for refinement: a
-    MonotonicityViolation flags a bug in a family, since none can produce
-    one.
+    Consecutive distinct covers are still checked for refinement; for l,
+    bk and bkstar, as inclusion of the relations, which is equivalent (the
+    ml sweep only ever adds pairs). A MonotonicityViolation flags a bug in
+    a family, since none can produce one.
     """
     if spec.family == "generated":
         raise ValueError(
             "generated methods have no scale parameter to sweep; "
             "build a sieve from a threshold family"
         )
+    if spec.family == "ml":
+        return _clique_sweep(x.labels, _threshold_batches(x))
     scales = _candidate_scales(x)
-    cache: dict[int, FlagCover] = {}
+    if spec.family in ("l", "bk", "bkstar"):
+        relations = _bisect(
+            len(scales), lambda i, below: _linked_relation(x, spec, scales[i], below)
+        )
+        return _clique_sweep(
+            x.labels, _relation_batches((scales[i], relations[i]) for i in sorted(relations))
+        )
+    covers = _bisect(len(scales), lambda i, below: evaluate_method(x, spec.with_delta(scales[i])))
+    return _profile(x.labels, ((scales[i], covers[i]) for i in sorted(covers)))
 
-    def cover_at(i: int) -> FlagCover:
-        if i not in cache:
-            cache[i] = evaluate_method(x, spec.with_delta(scales[i]))
-        return cache[i]
 
-    stack = [(0, len(scales) - 1)]
+def _bisect(count: int, at) -> dict:
+    """The values at(i, below) of a monotone step function on the indexes
+    0..count-1, at the indexes its breakpoint search visits, keyed by index.
+
+    An iterative bisection evaluates both ends of an index interval, drops
+    the interval when the two values are equal, and otherwise splits it
+    at the midpoint until it has width one. Dropping is exact for a
+    monotone value. Walked in order, the visited indexes give every
+    breakpoint, at about B log(count / B) evaluations for B breakpoints.
+    ``below`` is the value at the lower end of the interval being split,
+    which is always visited first.
+    """
+    values = {0: at(0, None)}
+    stack = [(0, count - 1)]
     while stack:
         lo, hi = stack.pop()
-        if cover_at(lo) == cover_at(hi) or hi - lo <= 1:
+        if hi not in values:
+            values[hi] = at(hi, values[lo])
+        if hi - lo <= 1 or values[lo] == values[hi]:
             continue
         mid = (lo + hi) // 2
+        values[mid] = at(mid, values[lo])
         stack.append((mid, hi))
         stack.append((lo, mid))
-    return _profile(x.labels, ((scales[i], cache[i]) for i in sorted(cache)))
+    return values
+
+
+def _threshold_batches(x: FiniteMetricSpace) -> list[tuple[float, list[tuple[int, int]]]]:
+    """(scale, pairs (u, v) with u < v at that distance) for scale 0 and
+    each distinct pairwise distance, ascending: the pairs the threshold
+    graph gains at each candidate scale."""
+    rows, cols = np.triu_indices(x.n, 1)
+    dist = x.dist[rows, cols]
+    order = np.argsort(dist, kind="stable")
+    batches: list[tuple[float, list[tuple[int, int]]]] = [(0.0, [])]
+    for d, u, v in zip(dist[order].tolist(), rows[order].tolist(), cols[order].tolist()):
+        if d != batches[-1][0]:
+            batches.append((d, []))
+        batches[-1][1].append((u, v))
+    return batches
+
+
+def _relation_batches(relations):
+    """(scale, pairs (u, v) with u < v gained there) from a relation given
+    as adjacency masks at ascending scales, one batch at the first scale
+    and one wherever the relation changes. Raises MonotonicityViolation
+    (index of the earlier batch, the later scale) when a relation lacks a
+    pair of the one before it, which is when its maximal cliques fail to
+    refine the earlier ones."""
+    prev = None
+    count = 0
+    for scale, rel in relations:
+        if prev is None:
+            prev = [0] * len(rel)
+        elif rel == prev:
+            continue
+        if any(a & ~r for a, r in zip(prev, rel)):
+            raise MonotonicityViolation(count - 1, scale)
+        yield scale, [
+            (u, v)
+            for u, (a, r) in enumerate(zip(prev, rel))
+            for v in bits(r & ~a & ~((2 << u) - 1))
+        ]
+        prev = rel
+        count += 1
+
+
+def _clique_sweep(base: tuple[str, ...], batches) -> Sieve:
+    """The sieve of the maximal cliques of a graph on the base that gains
+    the pairs of each (scale, pairs) batch in turn, one breakpoint per
+    batch, the first at 0 (possibly with no pairs).
+
+    The cliques are kept up to date one new pair at a time (Stix 2004;
+    Das, Svendsen & Tirthapura 2019). The maximal cliques that a new pair
+    uv creates are {u, v} joined with each maximal clique of the common
+    neighbourhood of u and v. An old maximal clique stops being maximal
+    exactly when one of these is it plus u or plus v; every other clique
+    lives on. Each clique is recorded once, as a lifetime over breakpoint
+    indexes; one born and absorbed within one batch never shows.
+    """
+    n = len(base)
+    adj = [0] * n
+    alive = {1 << v: 0 for v in range(n)}  # maximal clique -> birth index
+    lifetimes: list[tuple[int, int, int]] = []
+    bps: list[float] = []
+    for scale, pairs in batches:
+        j = len(bps)
+        bps.append(scale)
+        for u, v in pairs:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            for clique in cliques_containing(adj, (1 << u) | (1 << v), adj[u] & adj[v]):
+                alive[clique] = j
+                for old in (clique ^ (1 << u), clique ^ (1 << v)):
+                    birth = alive.pop(old, j)
+                    if birth < j:
+                        lifetimes.append((old, birth, j))
+    lifetimes += [(mask, birth, len(bps)) for mask, birth in alive.items()]
+    return Sieve._from_lifetimes(base, bps, lifetimes)
 
 
 def _profile(base: tuple[str, ...], evaluated) -> Sieve:

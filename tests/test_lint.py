@@ -157,3 +157,19 @@ def test_tracer_targets_resolve():
         if not callable(owner):
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+def assert_statements(source: str) -> list[int]:
+    """Line numbers of ``assert`` statements. ``python -O`` strips them, so
+    a guard written as one silently stops guarding."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_assert_scan_catches_one():
+    source = "def f(x):\n    assert x > 0, 'positive'\n    if x > 1:\n        raise ValueError(x)\n"
+    assert assert_statements(source) == [2]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_statements(path.read_text(encoding="utf-8")) == []

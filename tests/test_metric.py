@@ -19,6 +19,7 @@ from sievecluster import (
     space_from_points,
     validate_metric,
 )
+from sievecluster import metric
 from sievecluster.metric import _min_plus
 
 
@@ -96,6 +97,56 @@ def test_sampled_triangle_check_reports_triple():
             validate_metric(labels, lone)
         assert exc.value.triple == ("p003", labels[k], "p005")
         assert exc.value.excess == pytest.approx(0.5)
+
+
+def _first_bad_triple(d, tol):
+    """(i, k, j) for the first pair (i, j) in row-major order with
+    d[i, j] > d[i, k] + d[k, j] + tol, k the cheapest such point, or None:
+    a scan of every triple, one row of them at a time."""
+    for i in range(len(d)):
+        via = d[i][:, None] + d  # via[k, j] = d[i, k] + d[k, j]
+        bad = np.flatnonzero(d[i] > via.min(axis=0) + tol)
+        if bad.size:
+            j = int(bad[0])
+            return i, int(np.argmin(via[:, j])), j
+    return None
+
+
+@pytest.mark.parametrize("tile_entries", [None, 4096, 1])
+@pytest.mark.parametrize(
+    "n, planted",
+    [
+        (200, []),
+        (200, [(150, 199)]),
+        (300, [(260, 299), (120, 7)]),
+        (300, [(17, 205), (205, 17), (3, 250)]),
+        (250, [(249, 100), (248, 249)]),
+    ],
+)
+def test_triangle_check_across_row_tiles_matches_triple_scan(
+    monkeypatch, tile_entries, n, planted
+):
+    # a 3-D point cloud with some pairs pushed apart; the check runs in its
+    # default row tiles (one or two here), in tiles of 13-20 rows, and one
+    # row at a time
+    if tile_entries is not None:
+        monkeypatch.setattr(metric, "_TILE_ENTRIES", tile_entries)
+    pts = np.random.default_rng(n + len(planted)).random((n, 3))
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    for i, j in planted:
+        d[i, j] = d[j, i] = d[i, j] + 1.0
+    labels = [f"p{i:03d}" for i in range(n)]
+    tol = 1e-9 * float(d.max())
+    first = _first_bad_triple(d, tol)
+    if first is None:
+        assert not planted
+        assert validate_metric(labels, d).n == n
+        return
+    with pytest.raises(TriangleViolation) as exc:
+        validate_metric(labels, d)
+    i, k, j = first
+    assert exc.value.triple == (labels[i], labels[k], labels[j])
+    assert exc.value.excess == d[i, j] - (d[i, k] + d[k, j])
 
 
 def _brute_violations(d, tol):

@@ -3,9 +3,10 @@
 One low-link DFS gives the blocks of a graph, and the bridges are its
 blocks with two vertices; both are compared with networkx on induced
 subgraphs given by a ``within`` mask, and so are the maximal cliques
-(``find_cliques``). The vertex and edge cut searches are compared with
-``node_connectivity`` and ``edge_connectivity``, and the
-edge-connectivity partition with ``k_edge_subgraphs``.
+(``find_cliques``), also those through one edge. The vertex and edge cut
+searches are compared with ``node_connectivity`` and
+``edge_connectivity``, and the edge-connectivity partition with
+``k_edge_subgraphs``.
 """
 
 import itertools
@@ -100,6 +101,20 @@ def test_maximal_cliques_match_find_cliques(graph):
     ours = sorted(_bitops.maximal_cliques(adj, within))
     g = _nx_graph(adj, within)
     assert ours == sorted(_bitops.mask_of(c) for c in nx.find_cliques(g))
+
+
+@settings(max_examples=300)
+@given(st.one_of(masked_graphs(), dense_graphs()), st.data())
+def test_cliques_through_an_edge_match_find_cliques(graph, data):
+    # the seeded search the clique sweep runs for each new edge uv
+    adj, _ = graph
+    edges = [(u, v) for u in range(len(adj)) for v in _bitops.bits(adj[u]) if v > u]
+    assume(edges)
+    u, v = data.draw(st.sampled_from(edges))
+    ours = sorted(_bitops.cliques_containing(adj, (1 << u) | (1 << v), adj[u] & adj[v]))
+    g = _nx_graph(adj, _bitops.full_mask(len(adj)))
+    theirs = [_bitops.mask_of(c) for c in nx.find_cliques(g) if u in c and v in c]
+    assert ours == sorted(theirs)
 
 
 @given(masked_graphs(), st.sampled_from([2, 3, 4]))

@@ -1,9 +1,10 @@
 """Scale-sweep profiles: construction, evaluation, axioms, consistency."""
 
 import math
+import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sievecluster import (
     Cover,
@@ -283,6 +284,60 @@ def test_breakpoint_search_matches_dense_sweep_on_random_spaces(spec, n, seed, m
 def test_breakpoint_search_matches_dense_sweep_with_tied_distances(spec, points, norm):
     # integer points under these norms repeat distances heavily
     _assert_matches_dense(space_from_points(points, metric=norm), spec)
+
+
+# the families swept by keeping maximal cliques up to date
+CLIQUE_SPECS = [s for s in SWEEP_SPECS if s.family in ("ml", "l", "bk", "bkstar")]
+
+
+@pytest.mark.parametrize("spec", CLIQUE_SPECS, ids=MethodSpec.label)
+@settings(max_examples=25)
+@given(
+    points=st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=20, max_size=30, unique=True
+    ),
+    norm=st.sampled_from(["manhattan", "chebyshev"]),
+)
+def test_clique_sweep_matches_dense_sweep_on_lattices(spec, points, norm):
+    # 20-30 points at few distinct distances: each scale adds many pairs
+    # at once, so cliques are born and absorbed within one batch
+    _assert_matches_dense(space_from_points(points, metric=norm), spec)
+
+
+@pytest.mark.parametrize("spec", CLIQUE_SPECS, ids=MethodSpec.label)
+def test_clique_sweep_matches_dense_sweep_on_25_points(spec):
+    for i, mode in enumerate(METRIC_MODES):
+        _assert_matches_dense(random_metric(25, derive_seed(2501, i), mode), spec)
+
+
+def test_maximal_linkage_sieve_at_60_points_is_fast():
+    x = random_metric(60, 1)
+    start = time.perf_counter()
+    data = build_sieve(x, MethodSpec(family="ml")).to_dict()
+    assert time.perf_counter() - start < 3.0
+    assert len(data["breakpoints"]) == len(x.pairwise_distances()) + 1
+    assert data["covers"][-1] == [list(x.labels)]
+
+
+def test_clique_sweep_keeps_the_monotonicity_guard(monkeypatch, x3):
+    complete = [0b110, 0b101, 0b011]
+
+    def complete_then_empty(x, spec, delta, start=None):
+        return complete if delta < 2.0 else [0, 0, 0]
+
+    monkeypatch.setattr(sieves, "_linked_relation", complete_then_empty)
+    with pytest.raises(MonotonicityViolation) as exc:
+        build_sieve(x3, MethodSpec(family="bk", k=2))
+    assert (exc.value.index, exc.value.scale) == (0, 2.0)
+
+
+def test_sieve_from_lifetimes_refuses_equal_neighbours():
+    base = ("a", "b")
+    whole, a, b = 0b11, 0b01, 0b10
+    sieve = Sieve._from_lifetimes(base, [0.0, 1.0], [(a, 0, 1), (b, 0, 1), (whole, 1, 2)])
+    assert sieve == Sieve(base, [0.0, 1.0], [Cover(base, ["a", "b"]), Cover(base, ["ab"])])
+    with pytest.raises(ValueError, match="breakpoints 1 and 2 are equal"):
+        Sieve._from_lifetimes(base, [0.0, 1.0, 2.0], [(a, 0, 1), (b, 0, 1), (whole, 1, 3)])
 
 
 @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=MethodSpec.label)
