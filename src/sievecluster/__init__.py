@@ -5,182 +5,75 @@ The package provides flat clustering methods that produce flag covers
 verification harness that runs the methods' structural guarantees —
 consistency under non-expansive maps, the refinement sandwich, refinement
 chains — as randomized and exhaustive checks.
+
+Modules load on first use: ``import sievecluster`` binds no public name
+until one is read, and the command line imports only what a command runs,
+so ``--help`` starts without numpy.
 """
 
-from .covers import (
-    Cover,
-    FlagCover,
-    Relation,
-    co_blocking,
-    flagify,
-    is_consistent_map,
-    is_flag,
-    maximal_linked_sets,
-    preimage_cover,
-    reduce_to_maximal,
-    refines,
-)
-from .errors import (
-    AsymmetricMatrix,
-    BaseMismatch,
-    DuplicateLabel,
-    InputFormatError,
-    MonotonicityViolation,
-    NegativeDistance,
-    NestedCover,
-    NonzeroDiagonal,
-    SearchBudgetExceeded,
-    SieveclusterError,
-    TooLarge,
-    TriangleViolation,
-    TrivialFunctor,
-)
-from .fileio import canonical_json_bytes, ingest_space, load_schema, write_matrix_csv
-from .functors import (
-    FAMILIES,
-    MethodSpec,
-    ProbeResult,
-    bk_clusters,
-    bk_star_clusters,
-    clustering_parameter,
-    cover_metric,
-    edge_linkage,
-    evaluate_method,
-    generated_cluster,
-    k_linkage,
-    maximal_linkage,
-    probe_relation,
-    single_linkage,
-    vertex_linkage,
-)
-from .graphs import (
-    Graph,
-    bk_closure,
-    bk_star_closure,
-    connected_components,
-    max_edge_connected_subgraphs,
-    max_vertex_connected_subgraphs,
-    read_edge_list,
-    relation_from_graph,
-    space_from_graph,
-    threshold_graph,
-    write_dot,
-    write_edge_list,
-)
-from .metric import (
-    FiniteMetricSpace,
-    MetricMap,
-    metric_closure,
-    path_space,
-    space_from_points,
-    validate_metric,
-)
-from .rng import SplitMix64, derive_seed
-from .sieves import (
-    Sieve,
-    SieveAxiomReport,
-    block_births,
-    build_sieve,
-    check_sieve_axioms,
-    is_dendrogram,
-    sieve_consistent,
-)
-from .verify import (
-    TrialReport,
-    brute_force_maximal_linked,
-    check_functoriality,
-    check_sandwich,
-    find_counterexample,
-    iterative_flagify_oracle,
-    random_flag_cover,
-    random_map,
-    random_metric,
-    random_morphism,
-    verify_witness,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymmetricMatrix",
-    "BaseMismatch",
-    "Cover",
-    "DuplicateLabel",
-    "FAMILIES",
-    "FiniteMetricSpace",
-    "FlagCover",
-    "Graph",
-    "InputFormatError",
-    "MethodSpec",
-    "MetricMap",
-    "MonotonicityViolation",
-    "NegativeDistance",
-    "NestedCover",
-    "NonzeroDiagonal",
-    "ProbeResult",
-    "Relation",
-    "SearchBudgetExceeded",
-    "Sieve",
-    "SieveAxiomReport",
-    "SieveclusterError",
-    "SplitMix64",
-    "TooLarge",
-    "TriangleViolation",
-    "TrialReport",
-    "TrivialFunctor",
-    "bk_closure",
-    "bk_clusters",
-    "bk_star_closure",
-    "bk_star_clusters",
-    "block_births",
-    "brute_force_maximal_linked",
-    "build_sieve",
-    "canonical_json_bytes",
-    "check_functoriality",
-    "check_sandwich",
-    "check_sieve_axioms",
-    "clustering_parameter",
-    "co_blocking",
-    "connected_components",
-    "cover_metric",
-    "derive_seed",
-    "edge_linkage",
-    "evaluate_method",
-    "find_counterexample",
-    "flagify",
-    "generated_cluster",
-    "ingest_space",
-    "is_consistent_map",
-    "is_dendrogram",
-    "is_flag",
-    "iterative_flagify_oracle",
-    "k_linkage",
-    "load_schema",
-    "max_edge_connected_subgraphs",
-    "max_vertex_connected_subgraphs",
-    "maximal_linkage",
-    "maximal_linked_sets",
-    "metric_closure",
-    "path_space",
-    "preimage_cover",
-    "probe_relation",
-    "random_flag_cover",
-    "random_map",
-    "random_metric",
-    "random_morphism",
-    "read_edge_list",
-    "reduce_to_maximal",
-    "refines",
-    "relation_from_graph",
-    "sieve_consistent",
-    "single_linkage",
-    "space_from_graph",
-    "space_from_points",
-    "threshold_graph",
-    "validate_metric",
-    "verify_witness",
-    "vertex_linkage",
-    "write_dot",
-    "write_edge_list",
-    "write_matrix_csv",
-]
+# public name -> the module that defines it, grouped by module
+_EXPORTS = {
+    "covers": (
+        "Cover", "FlagCover", "Relation", "co_blocking", "flagify", "is_consistent_map",
+        "is_flag", "maximal_linked_sets", "preimage_cover", "reduce_to_maximal",
+        "refines",
+    ),
+    "errors": (
+        "AsymmetricMatrix", "BaseMismatch", "DuplicateLabel", "InputFormatError",
+        "MonotonicityViolation", "NegativeDistance", "NestedCover", "NonzeroDiagonal",
+        "SearchBudgetExceeded", "SieveclusterError", "TooLarge", "TriangleViolation",
+        "TrivialFunctor",
+    ),
+    "fileio": (
+        "canonical_json_bytes", "ingest_space", "load_schema", "write_matrix_csv",
+    ),
+    "functors": (
+        "FAMILIES", "MethodSpec", "ProbeResult", "bk_clusters", "bk_star_clusters",
+        "clustering_parameter", "cover_metric", "edge_linkage", "evaluate_method",
+        "generated_cluster", "k_linkage", "maximal_linkage", "probe_relation",
+        "single_linkage", "vertex_linkage",
+    ),
+    "graphs": (
+        "Graph", "bk_closure", "bk_star_closure", "connected_components",
+        "max_edge_connected_subgraphs", "max_vertex_connected_subgraphs",
+        "read_edge_list", "relation_from_graph", "space_from_graph", "threshold_graph",
+        "write_dot", "write_edge_list",
+    ),
+    "metric": (
+        "FiniteMetricSpace", "MetricMap", "metric_closure", "path_space",
+        "space_from_points", "validate_metric",
+    ),
+    "rng": (
+        "SplitMix64", "derive_seed",
+    ),
+    "sieves": (
+        "Sieve", "SieveAxiomReport", "block_births", "build_sieve",
+        "check_sieve_axioms", "is_dendrogram", "sieve_consistent",
+    ),
+    "verify": (
+        "TrialReport", "brute_force_maximal_linked", "check_functoriality",
+        "check_sandwich", "find_counterexample", "iterative_flagify_oracle",
+        "random_flag_cover", "random_map", "random_metric", "random_morphism",
+        "verify_witness",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -13,34 +13,34 @@ violations it should not have (or a sieve sweep broke monotonicity), 2
 malformed input or usage. All randomness is seeded; --seed defaults to the
 SIEVECLUSTER_SEED environment variable, then 0. JSON output is canonical,
 so identical inputs and seeds give byte-identical files.
+
+Each command imports the library functions it calls inside its body, so
+building the options, ``--help``, ``--version`` and usage errors load
+neither numpy nor the kernels.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import click
 
 from . import __version__
-from .covers import Cover, flagify, refines
+from ._names import CATEGORIES, FAMILIES
 from .errors import (
     MonotonicityViolation,
     SieveclusterError,
     TrivialFunctor,
 )
-from .fileio import canonical_json_bytes, ingest_space
-from .functors import FAMILIES, MethodSpec, clustering_parameter, evaluate_method
-from .graphs import Graph, bk_closure, bk_star_closure, threshold_graph, write_dot
-from .metric import FiniteMetricSpace
-from .sieves import build_sieve, check_sieve_axioms
-from .verify import (
-    CATEGORIES,
-    TrialReport,
-    _search_counterexample,
-    check_functoriality,
-    check_sandwich,
-)
+
+if TYPE_CHECKING:
+    from .covers import Cover
+    from .functors import MethodSpec
+    from .graphs import Graph
+    from .metric import FiniteMetricSpace
+    from .verify import TrialReport
 
 _INJECTIVE_ONLY = ("vl", "el", "bk", "bkstar")
 
@@ -53,7 +53,7 @@ def _fail_input(message: str) -> None:
     raise _InputError(message)
 
 
-def _parse_level(value: str | None):
+def _parse_level(value: str | None, flag: str = "--k"):
     if value is None:
         return None
     if value.lower() in ("inf", "infinity"):
@@ -61,7 +61,7 @@ def _parse_level(value: str | None):
     try:
         return int(value)
     except ValueError:
-        _fail_input(f"--k must be a positive integer or 'inf', got {value!r}")
+        _fail_input(f"{flag} must be a positive integer or 'inf', got {value!r}")
 
 
 def _parse_budget(value: str | None):
@@ -134,6 +134,8 @@ def _ingest(path: str, fmt_matrix: bool, fmt_points: bool, norm: str) -> FiniteM
     if fmt_matrix and fmt_points:
         _fail_input("--as-matrix and --as-points are mutually exclusive")
     fmt = "matrix" if fmt_matrix else "points" if fmt_points else "auto"
+    from .fileio import ingest_space
+
     try:
         return ingest_space(path, fmt=fmt, norm=norm)
     except SieveclusterError as exc:
@@ -143,6 +145,9 @@ def _ingest(path: str, fmt_matrix: bool, fmt_points: bool, norm: str) -> FiniteM
 def _build_method(kw: dict) -> MethodSpec:
     """The method named by a command's method options; commands without a
     --delta option (sieve) build a scale-free method."""
+    from .fileio import ingest_space
+    from .functors import MethodSpec
+
     family = kw["family"]
     delta = kw.get("delta")
     test_spaces = []
@@ -169,6 +174,8 @@ def _build_method(kw: dict) -> MethodSpec:
 def _dot_graph(x: FiniteMetricSpace, delta: float, closure: str | None, k) -> Graph:
     """The threshold graph at delta, closed under the bk or bkstar rule
     at level k when ``closure`` names one."""
+    from .graphs import bk_closure, bk_star_closure, threshold_graph
+
     g = threshold_graph(x, delta)
     if closure == "bk":
         return bk_closure(g, k)
@@ -188,6 +195,8 @@ def _write_file(path: str, data: bytes) -> None:
 
 
 def _emit_json(obj, output: str | None) -> None:
+    from .fileio import canonical_json_bytes
+
     data = canonical_json_bytes(obj)
     if output:
         _write_file(output, data)
@@ -197,6 +206,7 @@ def _emit_json(obj, output: str | None) -> None:
 
 
 def _read_cover(path: str) -> Cover:
+    from .covers import Cover
     from .fileio import read_json
 
     try:
@@ -228,6 +238,9 @@ def main() -> None:
 @_space_options
 def cluster(**kw) -> None:
     """Evaluate a flat method at one scale; write the cover as JSON."""
+    from .functors import evaluate_method
+    from .graphs import write_dot
+
     x = _ingest(kw["input_path"], kw["fmt_matrix"], kw["fmt_points"], kw["norm"])
     spec = _build_method(kw)
     try:
@@ -255,6 +268,8 @@ def sieve(**kw) -> None:
     non-trivial cover (the profile is still written in the latter case)."""
     if kw["family"] == "generated":
         _fail_input("the generated family has no scale parameter to sweep")
+    from .sieves import build_sieve, check_sieve_axioms
+
     x = _ingest(kw["input_path"], kw["fmt_matrix"], kw["fmt_points"], kw["norm"])
     spec = _build_method(kw)
     try:
@@ -279,6 +294,8 @@ sieve = _method_options(sieve, with_delta=False)
 @click.option("-o", "--output", type=click.Path(), help="Write JSON here instead of stdout.")
 def flagify_cmd(cover_path: str, output: str | None) -> None:
     """Complete a cover (JSON) to the nearest flag cover."""
+    from .covers import flagify
+
     cover = _read_cover(cover_path)
     try:
         result = flagify(cover)
@@ -292,6 +309,8 @@ def flagify_cmd(cover_path: str, output: str | None) -> None:
 @click.argument("coarse_path", type=click.Path(exists=False))
 def refines_cmd(fine_path: str, coarse_path: str) -> None:
     """Print "true" if the first cover refines the second, else "false"."""
+    from .covers import refines
+
     fine = _read_cover(fine_path)
     coarse = _read_cover(coarse_path)
     try:
@@ -309,6 +328,8 @@ def param_probe(**kw) -> None:
     prints a "trivial" diagnosis instead (still exit 0: triviality is a
     legitimate probe outcome, not an error).
     """
+    from .functors import clustering_parameter
+
     spec = _build_method(kw)
     try:
         probe = clustering_parameter(spec)
@@ -370,6 +391,8 @@ def _finish_report(report: TrialReport, output: str | None, expect_zero: bool) -
 @click.option("-o", "--output", type=click.Path(), help="Write report JSON here.")
 def verify_functoriality(**kw) -> None:
     """Check consistency of the method under sampled maps."""
+    from .verify import check_functoriality
+
     spec = _build_method(kw)
     if kw["trials"] < 0:
         _fail_input("--trials must be nonnegative")
@@ -377,7 +400,7 @@ def verify_functoriality(**kw) -> None:
         report = check_functoriality(
             spec, kw["trials"], category=kw["category"], seed=kw["seed"]
         )
-    except SieveclusterError as exc:
+    except (ValueError, SieveclusterError) as exc:
         _fail_input(str(exc))
     expect = kw["expect"]
     if expect == "auto":
@@ -399,6 +422,8 @@ verify_functoriality = _method_options(verify_functoriality)
 def verify_sandwich(**kw) -> None:
     """Check the two-sided bracketing at the probed scale (always expected
     to hold; violations exit 1)."""
+    from .verify import check_sandwich
+
     spec = _build_method(kw)
     if kw["trials"] < 0:
         _fail_input("--trials must be nonnegative")
@@ -406,7 +431,7 @@ def verify_sandwich(**kw) -> None:
         report = check_sandwich(spec, kw["trials"], seed=kw["seed"])
     except TrivialFunctor as exc:
         _fail_input(f"sandwich needs a non-trivial method; probe says: {exc}")
-    except SieveclusterError as exc:
+    except (ValueError, SieveclusterError) as exc:
         _fail_input(str(exc))
     _finish_report(report, kw["output"], expect_zero=True)
 
@@ -428,6 +453,8 @@ verify_sandwich = _method_options(verify_sandwich)
 @click.option("-o", "--output", type=click.Path(), help="Write report JSON here.")
 def verify_counterexample(**kw) -> None:
     """Search small spaces for consistency violations of the method."""
+    from .verify import TrialReport, _search_counterexample
+
     spec = _build_method(kw)
     if kw["max_points"] < 3:
         _fail_input("--max-points must be at least 3")
@@ -489,6 +516,8 @@ verify_counterexample = _method_options(verify_counterexample)
 @_space_options
 def export_dot(**kw) -> None:
     """Write the threshold graph of a space (optionally after closure) as DOT."""
+    from .graphs import write_dot
+
     if kw["bk_level"] is not None and kw["bkstar_level"] is not None:
         _fail_input("--bk and --bkstar are mutually exclusive")
     x = _ingest(kw["input_path"], kw["fmt_matrix"], kw["fmt_points"], kw["norm"])
@@ -500,7 +529,7 @@ def export_dot(**kw) -> None:
     elif kw["bkstar_level"] is not None:
         closure, level = "bkstar", kw["bkstar_level"]
     try:
-        g = _dot_graph(x, kw["delta"], closure, _parse_level(level))
+        g = _dot_graph(x, kw["delta"], closure, _parse_level(level, f"--{closure}"))
     except (TypeError, ValueError) as exc:
         _fail_input(str(exc))
     text = write_dot(g)

@@ -27,8 +27,11 @@ from importlib import resources
 
 import numpy as np
 
+# metric's functions are looked up on the module at call time, so a
+# wrapper installed there later (a profiler, a tracer) sees these calls too
+from . import metric
 from .errors import InputFormatError
-from .metric import REL_TOL, FiniteMetricSpace, space_from_points, validate_metric
+from .metric import REL_TOL, FiniteMetricSpace
 
 POINT_NORMS = ("euclidean", "manhattan", "chebyshev")
 FORMATS = ("auto", "matrix", "points")
@@ -110,7 +113,7 @@ def _unlabeled_matrix(grid: np.ndarray, rel_tol: float) -> FiniteMetricSpace:
     n = len(grid)
     width = max(2, len(str(n - 1)))
     labels = [f"p{i:0{width}d}" for i in range(n)]
-    return validate_metric(labels, grid, rel_tol=rel_tol)
+    return metric.validate_metric(labels, grid, rel_tol=rel_tol)
 
 
 def _dedupe_labels(labels: list[str], path: str) -> None:
@@ -148,7 +151,7 @@ def _matrix_space(
             f"labels {labels} in the same order"
         )
     grid = _numeric_grid(body, path, skip_col0=True)
-    return validate_metric(labels, grid, rel_tol=rel_tol)
+    return metric.validate_metric(labels, grid, rel_tol=rel_tol)
 
 
 def _points_space(
@@ -156,7 +159,7 @@ def _points_space(
 ) -> FiniteMetricSpace:
     if _is_number(rows[0][0]):
         coords = _numeric_grid(rows, path)
-        return space_from_points(coords, metric=norm)
+        return metric.space_from_points(coords, metric=norm)
     if rows[0][0].lower() == "label" or len(rows[0]) < 2 or not _is_number(rows[0][1]):
         body = rows[1:]
     else:
@@ -168,7 +171,7 @@ def _points_space(
     labels = [row[0] for row in body]
     _dedupe_labels(labels, path)
     coords = _numeric_grid(body, path, skip_col0=True)
-    return space_from_points(coords, metric=norm, labels=labels)
+    return metric.space_from_points(coords, metric=norm, labels=labels)
 
 
 def ingest_space(
@@ -207,7 +210,7 @@ def ingest_space(
             )
         if _looks_like_matrix(grid):
             return _unlabeled_matrix(grid, rel_tol)
-        return space_from_points(grid, metric=norm)
+        return metric.space_from_points(grid, metric=norm)
     if rows[0][0].lower() == "label" and len(rows) > 1:
         header_names = rows[0][1:]
         body_labels = [row[0] for row in rows[1:]]
@@ -231,10 +234,11 @@ def write_matrix_csv(x: FiniteMetricSpace, path: str) -> None:
 
 def canonical_json_bytes(obj) -> bytes:
     """Deterministic JSON encoding: sorted keys, two-space indent, trailing
-    newline, floats in shortest round-trip form."""
-    return (json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode(
-        "utf-8"
-    )
+    newline, floats in shortest round-trip form. Infinite and NaN floats
+    raise ValueError: JSON has no numbers for them."""
+    return (
+        json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+    ).encode("utf-8")
 
 
 def write_json(path: str, obj) -> None:

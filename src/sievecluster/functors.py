@@ -27,6 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _bitops
+from ._names import FAMILIES
 from .covers import (
     Cover,
     FlagCover,
@@ -54,8 +55,6 @@ from .metric import (
     _nonexpansive_assignments,
     path_space,
 )
-
-FAMILIES = ("sl", "ml", "l", "vl", "el", "bk", "bkstar", "generated")
 
 _NEEDS_K = {"l", "vl", "el", "bk", "bkstar"}
 _GENERATED_POINT_CAP = 6

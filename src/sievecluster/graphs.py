@@ -118,8 +118,8 @@ def space_from_graph(g: Graph, delta: float) -> FiniteMetricSpace:
     Values in {delta, 2*delta} satisfy the triangle inequality outright,
     and the threshold graph of the result at delta is g again.
     """
-    if delta < 0:
-        raise ValueError("edge length must be nonnegative")
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"edge length must be finite and nonnegative, got {delta!r}")
     n = len(g.vertices)
     d = np.full((n, n), 2.0 * delta)
     for i, m in enumerate(g._adj):

@@ -16,11 +16,13 @@ canonical dict form.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._names import CATEGORIES
 from .covers import (
     Cover,
     FlagCover,
@@ -56,8 +58,6 @@ METRIC_MODES = (
     "closure-of-random-matrix",
     "ultrametric-tree",
 )
-
-CATEGORIES = ("met", "metinj")
 
 
 @dataclass
@@ -320,6 +320,12 @@ def random_morphism(
     return y, f
 
 
+def _require_finite_delta(spec: MethodSpec, check: str) -> None:
+    """A report carries its method, and JSON has no infinite numbers."""
+    if spec.delta is not None and not math.isfinite(spec.delta):
+        raise ValueError(f"{check} needs a finite delta, got {spec.delta!r}")
+
+
 def check_functoriality(
     spec: MethodSpec,
     trials: int,
@@ -333,6 +339,7 @@ def check_functoriality(
     refines the preimage of the clustering of Y. Violation entries carry
     everything needed to replay the trial.
     """
+    _require_finite_delta(spec, "functoriality check")
     start = time.perf_counter()
     lo, hi = sizes
     violations: list[dict] = []
@@ -375,6 +382,7 @@ def check_sandwich(
     """Probe the method's scale, then check the two-sided bracketing:
     maximal linkage at the probed scale refines the method's output, which
     refines single linkage at the probed scale."""
+    _require_finite_delta(spec, "sandwich check")
     start = time.perf_counter()
     probe = clustering_parameter(spec)
     lo, hi = sizes
@@ -499,8 +507,8 @@ def _search_counterexample(
     (at most the budget)."""
     if spec.delta is None:
         raise ValueError("counterexample search needs a method with delta")
-    if not spec.delta > 0:
-        raise ValueError("counterexample search needs delta > 0")
+    if not 0 < spec.delta < math.inf:
+        raise ValueError(f"counterexample search needs a finite delta > 0, got {spec.delta!r}")
     if max_points > 7:
         raise ValueError("orbit enumeration supports at most 7 points")
     delta = spec.delta

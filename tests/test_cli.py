@@ -252,6 +252,34 @@ def test_verify_sandwich_rejects_trivial_method(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["counterexample", "--method", "ml", "--delta", "inf", "--max-points", "3"],
+        ["counterexample", "--method", "vl", "--k", "2", "--delta", "inf", "--max-points", "3"],
+        ["counterexample", "--method", "ml", "--delta", "nan", "--max-points", "3"],
+        ["functoriality", "--method", "ml", "--delta", "inf", "--trials", "2"],
+        ["functoriality", "--method", "ml", "--delta", "nan", "--trials", "2"],
+        ["sandwich", "--method", "vl", "--k", "2", "--delta", "inf", "--trials", "2"],
+        ["sandwich", "--method", "vl", "--k", "2", "--delta", "nan", "--trials", "2"],
+    ],
+    ids=lambda args: f"{args[0]}-{args[2]}-{args[args.index('--delta') + 1]}",
+)
+def test_verify_refuses_non_finite_delta(runner, args):
+    result = runner.invoke(main, ["verify", *args])
+    assert result.exit_code == 2, result.output
+    assert "Infinity" not in result.output and "NaN" not in result.output
+
+
+def test_cluster_accepts_infinite_delta(runner, tmp_path):
+    # the cover JSON holds labels only, so an infinite scale is fine here
+    result = runner.invoke(
+        main, ["cluster", "--method", "ml", "--delta", "inf", _x3(tmp_path)]
+    )
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["clusters"] == [["a", "b", "c"]]
+
+
 def test_verify_counterexample_polarity(runner):
     found = runner.invoke(
         main,
@@ -343,6 +371,18 @@ def test_export_dot_closure_levels(runner, tmp_path):
         ["export-dot", "--delta", "1", "--bk", "2", "--bkstar", "2", _c4(tmp_path)],
     )
     assert both.exit_code == 2
+
+
+@pytest.mark.parametrize("flag", ["--bk", "--bkstar"])
+def test_export_dot_level_error_names_its_flag(runner, tmp_path, flag):
+    result = runner.invoke(main, ["export-dot", "--delta", "0.3", flag, "2.5", _c4(tmp_path)])
+    assert result.exit_code == 2
+    assert f"Error: {flag} must be a positive integer or 'inf', got '2.5'" in result.output
+    result = runner.invoke(
+        main, ["cluster", "--method", "vl", "--delta", "1", "--k", "2.5", _c4(tmp_path)]
+    )
+    assert result.exit_code == 2
+    assert "Error: --k must be a positive integer" in result.output
 
 
 def test_version_flag(runner):

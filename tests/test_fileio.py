@@ -167,6 +167,13 @@ def test_canonical_json_is_stable():
     assert blob.index(b'"a"') < blob.index(b'"b"')
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_canonical_json_refuses_non_finite_floats(value):
+    # json.dumps would write Infinity or NaN, which no JSON parser must accept
+    with pytest.raises(ValueError):
+        canonical_json_bytes({"delta": value})
+
+
 def test_write_and_read_json(tmp_path):
     p = tmp_path / "data.json"
     write_json(p, {"x": [1.0, 2.0]})

@@ -7,6 +7,7 @@ blocks. That oracle is exponential but exact on small graphs.
 """
 
 import itertools
+import math
 import time
 
 import pytest
@@ -157,6 +158,13 @@ def test_space_from_graph_roundtrip():
     x = space_from_graph(g, 1.5)
     assert threshold_graph(x, 1.5).edges == g.edges
     assert x.distance("v0", "v2") == 3.0
+
+
+@pytest.mark.parametrize("delta", [math.inf, math.nan, -1.0])
+def test_space_from_graph_rejects_non_finite_or_negative_length(delta):
+    # at delta = inf every off-diagonal entry would be inf: the graph is lost
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        space_from_graph(make_graph(3, [(0, 1)]), delta)
 
 
 def test_connected_components():

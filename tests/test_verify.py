@@ -161,6 +161,19 @@ def test_counterexample_argument_validation():
         find_counterexample(MethodSpec(family="sl", delta=1.0), max_points=8)
 
 
+@pytest.mark.parametrize("family, k", [("ml", None), ("vl", 2)])
+def test_checks_refuse_infinite_delta(family, k):
+    # a report carries its method, and JSON has no number for inf
+    spec = MethodSpec(family=family, delta=math.inf, k=k)
+    for check in (
+        lambda: find_counterexample(spec, max_points=3),
+        lambda: check_functoriality(spec, 2),
+        lambda: check_sandwich(spec, 2),
+    ):
+        with pytest.raises(ValueError, match="finite delta"):
+            check()
+
+
 def test_counterexample_budget_exhaustion_returns_none():
     assert find_counterexample(MethodSpec(family="vl", delta=1.0, k=2), budget=3) is None
 
