@@ -336,7 +336,7 @@ def param_probe(**kw) -> None:
     except TrivialFunctor as exc:
         click.echo(f"trivial: {exc}")
         return
-    except SieveclusterError as exc:
+    except (ValueError, SieveclusterError) as exc:
         _fail_input(str(exc))
     click.echo(repr(probe.delta_f))
 

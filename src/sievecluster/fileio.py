@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,27 +39,75 @@ POINT_NORMS = ("euclidean", "manhattan", "chebyshev")
 FORMATS = ("auto", "matrix", "points")
 
 
-def _read_rows(path: str) -> list[list[str]]:
+def _csv_rows(path: str):
+    """The rows of a CSV file that hold a non-blank cell, cells unstripped."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [
-                [cell.strip() for cell in row]
-                for row in csv.reader(fh)
-                if any(cell.strip() for cell in row)
-            ]
+            for row in csv.reader(fh):
+                if any(cell.strip() for cell in row):
+                    yield row
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path} is not valid UTF-8 text") from exc
-    if not rows:
+    except csv.Error as exc:  # a cell longer than csv.field_size_limit()
+        raise InputFormatError(f"{path}: {exc}") from exc
+
+
+class _Table(NamedTuple):
+    """A CSV file as read: only its first row and first column as text."""
+
+    head: list[str]  # the first row, cells stripped
+    first: list[str]  # the first cell of every row, stripped
+    grid: np.ndarray  # every cell as a float, NaN where it is not a number
+
+
+def _value(cell: str) -> float:
+    """The cell as a float, or NaN when it is not a number."""
+    try:
+        return float(cell.strip())
+    except ValueError:
+        return math.nan
+
+
+def _read_table(path: str) -> _Table:
+    """Read a CSV file in one pass, turning each row's cells into floats as
+    the row is read, so no table of strings is ever held.
+
+    The grid starts with as many rows as the first row has cells, which is
+    exact for a matrix, and doubles in place when a point cloud outgrows
+    it. Every row must be as wide as the first. The first row that is not
+    is reported only after the whole file is read, so that a decoding error
+    anywhere in the file takes precedence, as it does for any reader that
+    reads the file whole before checking it.
+    """
+    head: list[str] = []
+    first: list[str] = []
+    bad_width = None
+    for i, row in enumerate(_csv_rows(path)):
+        if not head:
+            head = [cell.strip() for cell in row]
+            width = len(head)
+            grid = np.empty((width, width))
+        if bad_width or len(row) != width:
+            bad_width = bad_width or (i, len(row))
+            continue
+        n = len(first)
+        if n == len(grid):
+            grid.resize((2 * n, width), refcheck=False)
+        first.append(row[0].strip())  # the first column is converted below
+        try:  # float() skips most padding itself; _value strips the rest
+            grid[n, 1:] = np.fromiter(map(float, row[1:]), np.float64, width - 1)
+        except ValueError:  # a cell that is not a number becomes NaN
+            grid[n, 1:] = np.fromiter(map(_value, row[1:]), np.float64, width - 1)
+    if not head:
         raise InputFormatError(f"{path} contains no data rows")
-    width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise InputFormatError(
-                f"{path}: row {i + 1} has {len(row)} fields, expected {width}"
-            )
-    return rows
+    if bad_width:
+        i, got = bad_width
+        raise InputFormatError(f"{path}: row {i + 1} has {got} fields, expected {width}")
+    grid.resize((len(first), width), refcheck=False)
+    grid[:, 0] = [_value(cell) for cell in first]
+    return _Table(head, first, grid)
 
 
 def _as_number(cell: str, where: str) -> float:
@@ -71,30 +121,23 @@ def _as_number(cell: str, where: str) -> float:
 
 
 def _is_number(cell: str) -> bool:
-    try:
-        return math.isfinite(float(cell))
-    except ValueError:
-        return False
+    return math.isfinite(_value(cell))
 
 
-def _float_grid(rows: list[list[str]], skip_col0: bool = False):
-    """The cells as a float array, or None when any is not a finite number."""
-    try:
-        grid = np.array(
-            [[float(c) for c in row[int(skip_col0):]] for row in rows],
-            dtype=np.float64,
-        )
-    except ValueError:
-        return None
-    return grid if np.isfinite(grid).all() else None
-
-
-def _numeric_grid(rows: list[list[str]], path: str, skip_col0: bool = False):
-    grid = _float_grid(rows, skip_col0)
-    if grid is None:  # name the first offending cell
+def _numeric_grid(
+    table: _Table, path: str, skip_row0: bool = False, skip_col0: bool = False
+) -> np.ndarray:
+    """The cells below the first row when ``skip_row0`` and right of the
+    first column when ``skip_col0``, which must all be finite numbers."""
+    grid = table.grid[int(skip_row0):, int(skip_col0):]
+    if not np.isfinite(grid).all():
+        # only the first row and column were kept as text: read the file
+        # again to name the first offending cell in row-major order
+        rows = itertools.islice(_csv_rows(path), int(skip_row0), None)
         for i, row in enumerate(rows):
             for j, c in enumerate(row[int(skip_col0):]):
-                _as_number(c, f"{path}: row {i + 1}, column {j + 1 + skip_col0}")
+                _as_number(c.strip(), f"{path}: row {i + 1}, column {j + 1 + skip_col0}")
+        raise InputFormatError(f"{path} changed while it was read")
     return grid
 
 
@@ -128,49 +171,40 @@ def _dedupe_labels(labels: list[str], path: str) -> None:
         seen[lab] = i
 
 
-def _matrix_space(
-    rows: list[list[str]], path: str, rel_tol: float
-) -> FiniteMetricSpace:
-    if _is_number(rows[0][0]):
-        grid = _numeric_grid(rows, path)
+def _matrix_space(t: _Table, path: str, rel_tol: float) -> FiniteMetricSpace:
+    if _is_number(t.head[0]):
+        grid = _numeric_grid(t, path)
         n, m = grid.shape
         if n != m:
             raise InputFormatError(
                 f"{path}: matrix must be square, got {n} rows x {m} columns"
             )
         return _unlabeled_matrix(grid, rel_tol)
-    header = rows[0]
-    body = rows[1:]
-    if not body:
+    labels = t.first[1:]
+    if not labels:
         raise InputFormatError(f"{path}: matrix has a header but no rows")
-    labels = [row[0] for row in body]
     _dedupe_labels(labels, path)
-    if header[1:] != labels:
+    if t.head[1:] != labels:
         raise InputFormatError(
-            f"{path}: matrix column header {header[1:]} must equal the row "
+            f"{path}: matrix column header {t.head[1:]} must equal the row "
             f"labels {labels} in the same order"
         )
-    grid = _numeric_grid(body, path, skip_col0=True)
+    grid = _numeric_grid(t, path, skip_row0=True, skip_col0=True)
     return metric.validate_metric(labels, grid, rel_tol=rel_tol)
 
 
-def _points_space(
-    rows: list[list[str]], path: str, norm: str
-) -> FiniteMetricSpace:
-    if _is_number(rows[0][0]):
-        coords = _numeric_grid(rows, path)
+def _points_space(t: _Table, path: str, norm: str) -> FiniteMetricSpace:
+    if _is_number(t.head[0]):
+        coords = _numeric_grid(t, path)
         return metric.space_from_points(coords, metric=norm)
-    if rows[0][0].lower() == "label" or len(rows[0]) < 2 or not _is_number(rows[0][1]):
-        body = rows[1:]
-    else:
-        body = rows
-    if not body:
+    header = t.head[0].lower() == "label" or len(t.head) < 2 or not _is_number(t.head[1])
+    labels = t.first[int(header):]
+    if not labels:
         raise InputFormatError(f"{path}: point cloud has a header but no rows")
-    if len(body[0]) < 2:
+    if len(t.head) < 2:
         raise InputFormatError(f"{path}: labeled points need at least one coordinate")
-    labels = [row[0] for row in body]
     _dedupe_labels(labels, path)
-    coords = _numeric_grid(body, path, skip_col0=True)
+    coords = _numeric_grid(t, path, skip_row0=header, skip_col0=True)
     return metric.space_from_points(coords, metric=norm, labels=labels)
 
 
@@ -197,27 +231,22 @@ def ingest_space(
             return FiniteMetricSpace.from_dict(data)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"{path}: {exc}") from exc
-    rows = _read_rows(path)
+    t = _read_table(path)
     if fmt == "matrix":
-        return _matrix_space(rows, path, rel_tol)
+        return _matrix_space(t, path, rel_tol)
     if fmt == "points":
-        return _points_space(rows, path, norm)
-    if _is_number(rows[0][0]):
-        grid = _float_grid(rows)
-        if grid is None:
+        return _points_space(t, path, norm)
+    if _is_number(t.head[0]):
+        if not np.isfinite(t.grid).all():
             raise InputFormatError(
                 f"{path}: mixed numeric and non-numeric cells without a label column"
             )
-        if _looks_like_matrix(grid):
-            return _unlabeled_matrix(grid, rel_tol)
-        return metric.space_from_points(grid, metric=norm)
-    if rows[0][0].lower() == "label" and len(rows) > 1:
-        header_names = rows[0][1:]
-        body_labels = [row[0] for row in rows[1:]]
-        if header_names == body_labels:
-            return _matrix_space(rows, path, rel_tol)
-        return _points_space(rows, path, norm)
-    return _points_space(rows, path, norm)
+        if _looks_like_matrix(t.grid):
+            return _unlabeled_matrix(t.grid, rel_tol)
+        return metric.space_from_points(t.grid, metric=norm)
+    if t.head[0].lower() == "label" and len(t.first) > 1 and t.head[1:] == t.first[1:]:
+        return _matrix_space(t, path, rel_tol)
+    return _points_space(t, path, norm)
 
 
 def write_matrix_csv(x: FiniteMetricSpace, path: str) -> None:

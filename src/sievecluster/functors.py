@@ -82,7 +82,7 @@ class MethodSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.delta is not None and not self.delta >= 0:
-            raise ValueError("delta must be nonnegative")
+            raise ValueError(f"delta must be nonnegative, got {self.delta!r}")
         if self.family in _NEEDS_K:
             if self.k is None:
                 raise ValueError(f"family {self.family!r} requires k")
@@ -439,6 +439,11 @@ def clustering_parameter(spec: MethodSpec, rel_tol: float = REL_TOL) -> ProbeRes
         if spec.delta is None:
             raise ValueError("clustering_parameter needs the method's delta")
         hi = 2.0 * spec.delta
+        if not math.isfinite(hi):
+            raise ValueError(
+                "clustering_parameter probes scales up to 2 * delta, which must be "
+                f"finite, got delta = {spec.delta!r}"
+            )
     if hi <= 0:
         hi = 1.0
     if not _merged_on_two_points(spec, 0.0):

@@ -4,6 +4,7 @@ import importlib
 import importlib.metadata
 import json
 import time
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -269,6 +270,26 @@ def test_verify_refuses_non_finite_delta(runner, args):
     result = runner.invoke(main, ["verify", *args])
     assert result.exit_code == 2, result.output
     assert "Infinity" not in result.output and "NaN" not in result.output
+
+
+@pytest.mark.parametrize(
+    "delta, message",
+    [
+        ("inf", "2 * delta, which must be finite, got delta = inf"),
+        ("1e308", "2 * delta, which must be finite, got delta = 1e+308"),
+        ("-inf", "delta must be nonnegative, got -inf"),
+        ("nan", "delta must be nonnegative, got nan"),
+    ],
+)
+def test_param_probe_refuses_non_finite_delta(runner, delta, message):
+    # once 2 * delta overflowed, the probe's path space had inf * 0 on its
+    # diagonal: numpy warned, and the command printed a made-up scale or a
+    # "trivial" diagnosis
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, ["param-probe", "--method", "sl", "--delta", delta])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("Error: ") and result.output.endswith(f"{message}\n")
 
 
 def test_cluster_accepts_infinite_delta(runner, tmp_path):

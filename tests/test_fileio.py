@@ -1,11 +1,23 @@
 """CSV/JSON ingestion, canonical serialization, packaged schemas."""
 
+import csv
+import io
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sievecluster import FiniteMetricSpace, InputFormatError, space_from_points
+from sievecluster import (
+    FiniteMetricSpace,
+    InputFormatError,
+    space_from_points,
+    validate_metric,
+)
+from sievecluster import fileio
+from sievecluster.metric import REL_TOL
 from sievecluster.fileio import (
     FORMATS,
     POINT_NORMS,
@@ -196,3 +208,225 @@ def test_roundtrip_preserves_equality_through_dict(tmp_path):
     p = tmp_path / "s.json"
     write_json(p, x.to_dict())
     assert FiniteMetricSpace.from_dict(read_json(p)) == x
+
+
+# -- the streaming reader against the reader it replaced --------------------
+
+
+def _rows_oracle(path):
+    """Every non-blank row with its cells stripped, read whole: the table of
+    strings that ingest parsed before it streamed."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [
+                [cell.strip() for cell in row]
+                for row in csv.reader(fh)
+                if any(cell.strip() for cell in row)
+            ]
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path} is not valid UTF-8 text") from exc
+    if not rows:
+        raise InputFormatError(f"{path} contains no data rows")
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise InputFormatError(
+                f"{path}: row {i + 1} has {len(row)} fields, expected {len(rows[0])}"
+            )
+    return rows
+
+
+def _finite_oracle(cell):
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+def _grid_oracle(rows, path=None, skip_col0=False):
+    """The cells as floats. With a path, the first cell that is not a finite
+    number raises; without one, such a cell gives None."""
+    try:
+        grid = np.array([[float(c) for c in row[int(skip_col0):]] for row in rows])
+        if np.isfinite(grid).all():
+            return grid
+    except ValueError:
+        pass
+    if path is None:
+        return None
+    for i, row in enumerate(rows):
+        for j, c in enumerate(row[int(skip_col0):]):
+            fileio._as_number(c, f"{path}: row {i + 1}, column {j + 1 + skip_col0}")
+
+
+def _matrix_oracle(rows, path):
+    if _finite_oracle(rows[0][0]):
+        grid = _grid_oracle(rows, path)
+        if grid.shape[0] != grid.shape[1]:
+            raise InputFormatError(
+                f"{path}: matrix must be square, got {grid.shape[0]} rows x "
+                f"{grid.shape[1]} columns"
+            )
+        return fileio._unlabeled_matrix(grid, REL_TOL)
+    body = rows[1:]
+    if not body:
+        raise InputFormatError(f"{path}: matrix has a header but no rows")
+    labels = [row[0] for row in body]
+    fileio._dedupe_labels(labels, path)
+    if rows[0][1:] != labels:
+        raise InputFormatError(
+            f"{path}: matrix column header {rows[0][1:]} must equal the row "
+            f"labels {labels} in the same order"
+        )
+    return validate_metric(labels, _grid_oracle(body, path, skip_col0=True))
+
+
+def _points_oracle(rows, path, norm):
+    if _finite_oracle(rows[0][0]):
+        return space_from_points(_grid_oracle(rows, path), metric=norm)
+    head = rows[0]
+    if head[0].lower() == "label" or len(head) < 2 or not _finite_oracle(head[1]):
+        body = rows[1:]
+    else:
+        body = rows
+    if not body:
+        raise InputFormatError(f"{path}: point cloud has a header but no rows")
+    if len(body[0]) < 2:
+        raise InputFormatError(f"{path}: labeled points need at least one coordinate")
+    labels = [row[0] for row in body]
+    fileio._dedupe_labels(labels, path)
+    coords = _grid_oracle(body, path, skip_col0=True)
+    return space_from_points(coords, metric=norm, labels=labels)
+
+
+def _ingest_oracle(path, fmt, norm):
+    rows = _rows_oracle(path)
+    if fmt == "matrix":
+        return _matrix_oracle(rows, path)
+    if fmt == "points":
+        return _points_oracle(rows, path, norm)
+    if _finite_oracle(rows[0][0]):
+        grid = _grid_oracle(rows)
+        if grid is None:
+            raise InputFormatError(
+                f"{path}: mixed numeric and non-numeric cells without a label column"
+            )
+        if fileio._looks_like_matrix(grid):
+            return fileio._unlabeled_matrix(grid, REL_TOL)
+        return space_from_points(grid, metric=norm)
+    if rows[0][0].lower() == "label" and len(rows) > 1:
+        if rows[0][1:] == [row[0] for row in rows[1:]]:
+            return _matrix_oracle(rows, path)
+    return _points_oracle(rows, path, norm)
+
+
+def _outcome(read, *args):
+    """A space as its labels and distance bytes, or an error as its type
+    and message."""
+    try:
+        x = read(*args)
+    except Exception as exc:  # the two readers must fail alike, whatever the error
+        return type(exc).__name__, str(exc)
+    return x.labels, x.dist.tobytes()
+
+
+# padding that str.strip() removes; float() itself refuses "\x1c".."\x1f"
+_PAD = st.sampled_from(["", " ", "  ", "\t", "\xa0", "\x1c"])
+_BAD_CELLS = st.sampled_from(["x", "nan", "NaN", "inf", "-Infinity", "1e400", "", "label"])
+_LABELS = st.sampled_from(["a", "b", "c,d", "label", "e f", '"q"', "1", "2.5"])
+
+
+@st.composite
+def csv_documents(draw):
+    """The text of a CSV file near the shapes ingest accepts: a labeled or
+    headerless matrix or point cloud, then a few random edits."""
+    n = draw(st.integers(1, 5))
+    dim = draw(st.integers(1, 3))
+    pts = np.array(
+        draw(st.lists(st.lists(st.sampled_from([-1.5, 0.0, 0.25, 1.0, 3.0]),
+                               min_size=dim, max_size=dim), min_size=n, max_size=n))
+    )
+    labels = [f"p{i}" for i in range(n)]
+    kind = draw(st.sampled_from(["labeled matrix", "labeled points",
+                                 "points without header", "matrix", "points"]))
+    if kind.endswith("matrix"):
+        body = [[repr(v) for v in row] for row in space_from_points(pts).dist.tolist()]
+    else:
+        body = [[repr(v) for v in row] for row in pts.tolist()]
+    if kind.startswith("labeled"):
+        rows = [["label", *(labels if kind == "labeled matrix" else
+                            [f"x{j}" for j in range(dim)])]]
+        rows += [[lab, *row] for lab, row in zip(labels, body)]
+    elif kind == "points without header":
+        rows = [[lab, *row] for lab, row in zip(labels, body)]
+    else:
+        rows = body
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        edit = draw(st.sampled_from(["bad cell", "label", "ragged", "pad"]))
+        if edit == "bad cell":
+            rows[i][j] = draw(_BAD_CELLS)
+        elif edit == "label":
+            rows[i][0 if i else j] = draw(_LABELS | st.sampled_from(labels))
+        elif edit == "ragged":
+            rows[i] = rows[i][:-1] if draw(st.booleans()) else [*rows[i], "0"]
+        else:
+            rows[i][j] = draw(_PAD) + rows[i][j] + draw(_PAD)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n",
+                        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
+    for row in rows:
+        for _ in range(draw(st.integers(0, 1))):
+            buf.write(draw(st.sampled_from(["\n", "  \n", " , \t\n"])))
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+@given(
+    text=csv_documents(),
+    fmt=st.sampled_from(FORMATS),
+    norm=st.sampled_from(POINT_NORMS),
+)
+@settings(max_examples=400)
+def test_streaming_reader_matches_reading_whole(tmp_path_factory, text, fmt, norm):
+    path = str(tmp_path_factory.getbasetemp() / "doc.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    expected = _outcome(_ingest_oracle, path, fmt, norm)
+    assert _outcome(ingest_space, path, fmt, norm) == expected
+
+
+def test_streaming_reader_error_precedence(tmp_path):
+    # a decoding error anywhere beats a width error, and a width error
+    # beats a bad cell in an earlier row
+    p = tmp_path / "bad.csv"
+    p.write_bytes(b"0,1\n1,x\n2\n" + b"3,4\n" * 5000 + b"\xff,0\n")
+    with pytest.raises(InputFormatError, match="is not valid UTF-8 text"):
+        ingest_space(p)
+    p.write_bytes(b"0,1\n1,x\n2\n")
+    with pytest.raises(InputFormatError, match="row 3 has 1 fields, expected 2"):
+        ingest_space(p)
+
+
+def test_overlong_cell_is_an_input_error(tmp_path):
+    p = tmp_path / "big.csv"
+    p.write_text("label,a,b\na,0," + "1" * 200_000 + "\nb,1,0\n")
+    with pytest.raises(InputFormatError, match="field larger than field limit"):
+        ingest_space(p)
+
+
+def test_ingest_peak_memory(tmp_path):
+    # reading every cell into a stripped string, then a float, peaked at
+    # several times the matrix; streaming keeps one grid of floats beside
+    # the copies that validation makes
+    n = 400
+    x = space_from_points(np.random.default_rng(0).random((n, 2)))
+    p = tmp_path / "m.csv"
+    write_matrix_csv(x, p)
+    tracemalloc.start()
+    try:
+        ingest_space(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n * n * 8 + 2**20

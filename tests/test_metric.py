@@ -1,6 +1,7 @@
 """Metric validation, constructions, and non-expansive maps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,11 +205,69 @@ def test_space_from_points_norms():
         space_from_points(pts, "cosine")
 
 
+def _full_broadcast_distances(pts: np.ndarray, norm: str) -> np.ndarray:
+    """The point distances as one n x n x dim broadcast, averaged with
+    their transpose: the reference for the row blocks of space_from_points."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    if norm == "euclidean":
+        d = np.sqrt((diff * diff).sum(axis=2))
+    elif norm == "manhattan":
+        d = np.abs(diff).sum(axis=2)
+    else:
+        d = np.abs(diff).max(axis=2)
+    d = (d + d.T) / 2.0
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "manhattan", "chebyshev"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 9, 12])
+def test_space_from_points_matches_full_broadcast(norm, dim):
+    # dim >= 9 sums its squares pairwise in numpy; the blocks must keep that
+    rng = np.random.default_rng(dim)
+    for n in (1, 20, 300):
+        step = metric._TILE_ENTRIES // (n * dim)
+        assert n == 1 or (n == 20) == (step >= n)
+        assert n != 300 or (step < n and n % step)  # several blocks, ragged last
+        pts = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4, size=(n, dim))
+        pts[n // 2] = pts[0]  # a zero distance between distinct points
+        got = space_from_points(pts, norm).dist
+        assert got.tobytes() == _full_broadcast_distances(pts, norm).tobytes()
+
+
+def test_space_from_points_averages_like_full_broadcast_near_overflow():
+    # a distance above half the largest float overflows when averaged with
+    # its transpose, in the blocks as in the full broadcast
+    pts = np.array([[0.0], [1.5e308], [-1e308], [1.0]])
+    for norm in ("euclidean", "manhattan", "chebyshev"):
+        with np.errstate(over="ignore"):
+            got = space_from_points(pts, norm).dist
+            assert got.tobytes() == _full_broadcast_distances(pts, norm).tobytes()
+        assert math.isinf(got[0, 1])
+
+
+def test_space_from_points_peak_memory():
+    # the seed's full broadcast peaked at 30.9 MB here: two n x n x 2
+    # arrays beside the matrix and its copy
+    n = 900
+    pts = np.random.default_rng(0).random((n, 2))
+    tracemalloc.start()
+    try:
+        space_from_points(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n * n * 8
+
+
 def test_path_space_distances():
     lam = path_space(3, 0.5)
     assert lam.n == 4
     assert lam.distance(lam.labels[0], lam.labels[3]) == pytest.approx(1.5)
     assert lam.distance(lam.labels[1], lam.labels[2]) == pytest.approx(0.5)
+    for step in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            path_space(1, step)
 
 
 def test_metric_closure_shortcuts_long_edges():
