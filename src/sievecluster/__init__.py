@@ -7,8 +7,9 @@ consistency under non-expansive maps, the refinement sandwich, refinement
 chains — as randomized and exhaustive checks.
 
 Modules load on first use: ``import sievecluster`` binds no public name
-until one is read, and the command line imports only what a command runs,
-so ``--help`` starts without numpy.
+until one is read, and the command line imports only what a command runs.
+No module imports numpy when it loads; the dense kernels import it only
+for inputs of at least ``metric._NUMPY_MIN_POINTS`` points.
 """
 
 import importlib

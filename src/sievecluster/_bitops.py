@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 
 def bits(mask: int):
     """Indices of set bits, ascending."""
@@ -38,8 +36,10 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def adjacency_from_bool(matrix: np.ndarray) -> list[int]:
-    """Rows of a boolean matrix as bitmasks (diagonal cleared)."""
+def adjacency_from_bool(matrix) -> list[int]:
+    """Rows of a square boolean numpy array as bitmasks (diagonal cleared)."""
+    import numpy as np
+
     mat = np.array(matrix, dtype=bool)
     np.fill_diagonal(mat, False)
     packed = np.packbits(mat, axis=1, bitorder="little")

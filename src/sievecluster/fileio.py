@@ -24,10 +24,9 @@ import itertools
 import json
 import math
 import os
+from array import array
 from importlib import resources
 from typing import NamedTuple
-
-import numpy as np
 
 # metric's functions are looked up on the module at call time, so a
 # wrapper installed there later (a profiler, a tracer) sees these calls too
@@ -59,7 +58,7 @@ class _Table(NamedTuple):
 
     head: list[str]  # the first row, cells stripped
     first: list[str]  # the first cell of every row, stripped
-    grid: np.ndarray  # every cell as a float, NaN where it is not a number
+    grid: array  # every cell as a float, row-major, NaN where it is not a number
 
 
 def _value(cell: str) -> float:
@@ -74,40 +73,58 @@ def _read_table(path: str) -> _Table:
     """Read a CSV file in one pass, turning each row's cells into floats as
     the row is read, so no table of strings is ever held.
 
-    The grid starts with as many rows as the first row has cells, which is
-    exact for a matrix, and doubles in place when a point cloud outgrows
-    it. Every row must be as wide as the first. The first row that is not
-    is reported only after the whole file is read, so that a decoding error
+    The grid is one stdlib float array that grows as rows are read. Every
+    row must be as wide as the first. The first row that is not is
+    reported only after the whole file is read, so that a decoding error
     anywhere in the file takes precedence, as it does for any reader that
     reads the file whole before checking it.
     """
     head: list[str] = []
     first: list[str] = []
+    grid = array("d")
     bad_width = None
     for i, row in enumerate(_csv_rows(path)):
         if not head:
             head = [cell.strip() for cell in row]
             width = len(head)
-            grid = np.empty((width, width))
         if bad_width or len(row) != width:
             bad_width = bad_width or (i, len(row))
             continue
-        n = len(first)
-        if n == len(grid):
-            grid.resize((2 * n, width), refcheck=False)
-        first.append(row[0].strip())  # the first column is converted below
+        first.append(row[0].strip())
+        grid.append(_value(row[0]))
+        end = len(grid)
         try:  # float() skips most padding itself; _value strips the rest
-            grid[n, 1:] = np.fromiter(map(float, row[1:]), np.float64, width - 1)
+            grid.extend(map(float, row[1:]))
         except ValueError:  # a cell that is not a number becomes NaN
-            grid[n, 1:] = np.fromiter(map(_value, row[1:]), np.float64, width - 1)
+            del grid[end:]
+            grid.extend(map(_value, row[1:]))
     if not head:
         raise InputFormatError(f"{path} contains no data rows")
     if bad_width:
         i, got = bad_width
         raise InputFormatError(f"{path}: row {i + 1} has {got} fields, expected {width}")
-    grid.resize((len(first), width), refcheck=False)
-    grid[:, 0] = [_value(cell) for cell in first]
     return _Table(head, first, grid)
+
+
+def _cells(t: _Table, skip_row0: bool = False, skip_col0: bool = False):
+    """The grid below the first row when ``skip_row0`` and right of the
+    first column when ``skip_col0``: as a list of float arrays, one a row,
+    when it has fewer rows than ``metric._NUMPY_MIN_POINTS``, else as a
+    zero-copy numpy view."""
+    width = len(t.head)
+    r0, c0 = int(skip_row0), int(skip_col0)
+    np = metric._numpy(len(t.first) - r0)
+    if np is None:
+        return [t.grid[r * width + c0 : (r + 1) * width] for r in range(r0, len(t.first))]
+    return np.frombuffer(t.grid, dtype=np.float64).reshape(-1, width)[r0:, c0:]
+
+
+def _all_finite(cells) -> bool:
+    if isinstance(cells, list):
+        return all(all(map(math.isfinite, row)) for row in cells)
+    import numpy as np
+
+    return bool(np.isfinite(cells).all())
 
 
 def _as_number(cell: str, where: str) -> float:
@@ -124,13 +141,12 @@ def _is_number(cell: str) -> bool:
     return math.isfinite(_value(cell))
 
 
-def _numeric_grid(
-    table: _Table, path: str, skip_row0: bool = False, skip_col0: bool = False
-) -> np.ndarray:
+def _numeric_grid(table: _Table, path: str, skip_row0: bool = False, skip_col0: bool = False):
     """The cells below the first row when ``skip_row0`` and right of the
-    first column when ``skip_col0``, which must all be finite numbers."""
-    grid = table.grid[int(skip_row0):, int(skip_col0):]
-    if not np.isfinite(grid).all():
+    first column when ``skip_col0``, as _cells gives them, which must all
+    be finite numbers."""
+    grid = _cells(table, skip_row0, skip_col0)
+    if not _all_finite(grid):
         # only the first row and column were kept as text: read the file
         # again to name the first offending cell in row-major order
         rows = itertools.islice(_csv_rows(path), int(skip_row0), None)
@@ -141,7 +157,19 @@ def _numeric_grid(
     return grid
 
 
-def _looks_like_matrix(grid: np.ndarray) -> bool:
+def _looks_like_matrix(grid) -> bool:
+    """Whether finite cells, as _cells gives them, form a square grid that
+    is symmetric with a zero diagonal, up to REL_TOL of the largest."""
+    if isinstance(grid, list):
+        n = len(grid)
+        if n != len(grid[0]):
+            return False
+        tol = REL_TOL * max(max(map(abs, row)) for row in grid)
+        return all(abs(grid[i][i]) <= tol for i in range(n)) and all(
+            abs(grid[i][j] - grid[j][i]) <= tol for i in range(n) for j in range(n)
+        )
+    import numpy as np
+
     n, m = grid.shape
     if n != m:
         return False
@@ -152,7 +180,7 @@ def _looks_like_matrix(grid: np.ndarray) -> bool:
     )
 
 
-def _unlabeled_matrix(grid: np.ndarray, rel_tol: float) -> FiniteMetricSpace:
+def _unlabeled_matrix(grid, rel_tol: float) -> FiniteMetricSpace:
     n = len(grid)
     width = max(2, len(str(n - 1)))
     labels = [f"p{i:0{width}d}" for i in range(n)]
@@ -174,7 +202,7 @@ def _dedupe_labels(labels: list[str], path: str) -> None:
 def _matrix_space(t: _Table, path: str, rel_tol: float) -> FiniteMetricSpace:
     if _is_number(t.head[0]):
         grid = _numeric_grid(t, path)
-        n, m = grid.shape
+        n, m = len(t.first), len(t.head)
         if n != m:
             raise InputFormatError(
                 f"{path}: matrix must be square, got {n} rows x {m} columns"
@@ -237,13 +265,14 @@ def ingest_space(
     if fmt == "points":
         return _points_space(t, path, norm)
     if _is_number(t.head[0]):
-        if not np.isfinite(t.grid).all():
+        grid = _cells(t)
+        if not _all_finite(grid):
             raise InputFormatError(
                 f"{path}: mixed numeric and non-numeric cells without a label column"
             )
-        if _looks_like_matrix(t.grid):
-            return _unlabeled_matrix(t.grid, rel_tol)
-        return metric.space_from_points(t.grid, metric=norm)
+        if _looks_like_matrix(grid):
+            return _unlabeled_matrix(grid, rel_tol)
+        return metric.space_from_points(grid, metric=norm)
     if t.head[0].lower() == "label" and len(t.first) > 1 and t.head[1:] == t.first[1:]:
         return _matrix_space(t, path, rel_tol)
     return _points_space(t, path, norm)
@@ -255,8 +284,8 @@ def write_matrix_csv(x: FiniteMetricSpace, path: str) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["label", *x.labels])
-    for i, lab in enumerate(x.labels):
-        writer.writerow([lab, *[repr(float(v)) for v in x.dist[i]]])
+    for lab, row in zip(x.labels, x._rows()):
+        writer.writerow([lab, *map(repr, row)])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(buf.getvalue())
 

@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-import numpy as np
-
 from . import _bitops
 from ._names import FAMILIES
 from .covers import (
@@ -53,6 +51,7 @@ from .metric import (
     FiniteMetricSpace,
     _min_plus,
     _nonexpansive_assignments,
+    _numpy,
     path_space,
 )
 
@@ -193,9 +192,8 @@ def _step_relation(x: FiniteMetricSpace, delta: float, k, budget) -> Relation:
     if not budget >= 0:
         raise ValueError("budget K must be nonnegative")
     n = x.n
-    close = x.dist <= delta
     if budget == math.inf:
-        adj = _bitops.adjacency_from_bool(close)
+        adj = x._adjacency(delta)
         if k == 1:
             return Relation.from_masks(x.labels, adj)
         if k == math.inf:
@@ -222,19 +220,45 @@ def _step_relation(x: FiniteMetricSpace, delta: float, k, budget) -> Relation:
             rel.append(reached & ~(1 << v))
         return Relation.from_masks(x.labels, rel)
     # finite budget: cheapest total length over <= k steps, then threshold
-    w = np.where(close, x.dist, np.inf)
+    steps = n - 1 if k == math.inf else min(k, n - 1)
+    np = _numpy(n)
+    if np is None:
+        # from each point, one round of steps at a time; a round extends only
+        # the totals that fell in the round before (the others were extended
+        # already), so each total is the one the numpy products reach
+        near = [
+            [(j, v) for j, v in enumerate(row) if v <= delta and j != i]
+            for i, row in enumerate(x._rows())
+        ]
+        rel = []
+        for i in range(n):
+            best = [math.inf] * n
+            best[i] = 0.0
+            fell = {i: 0.0}
+            for _ in range(steps):
+                lower = {}
+                for u, total in fell.items():
+                    for j, v in near[u]:
+                        s = total + v
+                        if s < best[j] and s < lower.get(j, math.inf):
+                            lower[j] = s
+                if not lower:
+                    break
+                for j, s in lower.items():
+                    best[j] = s
+                fell = lower
+            rel.append(sum(1 << j for j, v in enumerate(best) if v <= budget and j != i))
+        return Relation.from_masks(x.labels, rel)
+    w = np.where(x.dist <= delta, x.dist, np.inf)
     np.fill_diagonal(w, 0.0)
     dist = w.copy()
-    steps = n - 1 if k == math.inf else min(k, n - 1)
-    remaining = max(steps - 1, 0)
-    for _ in range(remaining):
+    for _ in range(steps - 1):
         nxt = dist.copy()
         _min_plus(nxt, dist, w)
         if np.array_equal(nxt, dist):
             break
         dist = nxt
-    related = dist <= budget
-    return Relation.from_masks(x.labels, _bitops.adjacency_from_bool(related))
+    return Relation.from_masks(x.labels, _bitops.adjacency_from_bool(dist <= budget))
 
 
 def k_linkage(
@@ -326,7 +350,7 @@ def probe_relation(
                 f"probe search of {t.n}-point test space against {n} points "
                 f"exceeds the enumeration budget"
             )
-    scale = float(x.dist.max()) if n else 0.0
+    scale = x.diameter() if n else 0.0
     rel = [0] * n
     full = _bitops.full_mask(n)
 
@@ -336,7 +360,7 @@ def probe_relation(
     for t in tests:
         if complete():
             break
-        tol = rel_tol * max(scale, float(t.dist.max()))
+        tol = rel_tol * max(scale, t.diameter())
         for assigned in _nonexpansive_assignments(t, x, tol):
             image = sorted(set(assigned))
             for a_pos in range(len(image)):
@@ -371,7 +395,7 @@ def _linked_relation(
     if spec.family == "l":
         budget = math.inf if spec.budget is None else spec.budget
         return _step_relation(x, delta, spec.k, budget).adj
-    adj = _bitops.adjacency_from_bool(x.dist <= delta)
+    adj = x._adjacency(delta)
     if start is not None:
         adj = [a | b for a, b in zip(adj, start)]
     return _bitops.closure_bk(adj, spec.k, relaxed=spec.family == "bkstar")

@@ -23,9 +23,8 @@ Connectivity conventions, fixed here and relied on throughout:
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Iterable
-
-import numpy as np
 
 from . import _bitops
 from .covers import Cover, Relation, reduce_to_maximal
@@ -108,8 +107,7 @@ def threshold_graph(space: FiniteMetricSpace, delta: float) -> Graph:
     """Edges between points at distance <= delta (inclusive)."""
     if delta < 0:
         raise ValueError("threshold must be nonnegative")
-    close = space.dist <= delta
-    return Graph.from_masks(space.labels, _bitops.adjacency_from_bool(close))
+    return Graph.from_masks(space.labels, space._adjacency(delta))
 
 
 def space_from_graph(g: Graph, delta: float) -> FiniteMetricSpace:
@@ -121,14 +119,17 @@ def space_from_graph(g: Graph, delta: float) -> FiniteMetricSpace:
     if not 0 <= delta < math.inf:
         raise ValueError(f"edge length must be finite and nonnegative, got {delta!r}")
     n = len(g.vertices)
-    d = np.full((n, n), 2.0 * delta)
+    flat = array("d")
     for i, m in enumerate(g._adj):
+        row = [2.0 * delta] * n
         for j in _bitops.bits(m):
-            d[i, j] = delta
-    np.fill_diagonal(d, 0.0)
-    d = np.maximum(d, d.T)  # masks are symmetric; keep the matrix exactly so
-    np.fill_diagonal(d, 0.0)
-    return FiniteMetricSpace(g.vertices, d)
+            # only a pair that each endpoint's mask holds: the matrix stays
+            # exactly symmetric even if the masks are not
+            if g._adj[j] >> i & 1:
+                row[j] = delta
+        row[i] = 0.0
+        flat.extend(row)
+    return FiniteMetricSpace._of(g.vertices, flat)
 
 
 def connected_components(g: Graph) -> Cover:

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from operator import itemgetter
 
 from ._bitops import bits, cliques_containing
 from .covers import Cover, FlagCover, _string_lists, is_consistent_map, refines
 from .errors import MonotonicityViolation
 from .functors import MethodSpec, _linked_relation, evaluate_method
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, _numpy
 
 
 class Sieve:
@@ -239,11 +238,19 @@ def _threshold_batches(x: FiniteMetricSpace) -> list[tuple[float, list[tuple[int
     """(scale, pairs (u, v) with u < v at that distance) for scale 0 and
     each distinct pairwise distance, ascending: the pairs the threshold
     graph gains at each candidate scale."""
-    rows, cols = np.triu_indices(x.n, 1)
-    dist = x.dist[rows, cols]
-    order = np.argsort(dist, kind="stable")
+    n = x.n
+    np = _numpy(n)
+    if np is None:  # a stable sort keeps equal distances in row-major order
+        flat = x._flat
+        pairs = [(flat[u * n + v], u, v) for u in range(n) for v in range(u + 1, n)]
+        pairs.sort(key=itemgetter(0))
+    else:
+        rows, cols = np.triu_indices(n, 1)
+        dist = x.dist[rows, cols]
+        order = np.argsort(dist, kind="stable")
+        pairs = zip(dist[order].tolist(), rows[order].tolist(), cols[order].tolist())
     batches: list[tuple[float, list[tuple[int, int]]]] = [(0.0, [])]
-    for d, u, v in zip(dist[order].tolist(), rows[order].tolist(), cols[order].tolist()):
+    for d, u, v in pairs:
         if d != batches[-1][0]:
             batches.append((d, []))
         batches[-1][1].append((u, v))
@@ -365,13 +372,19 @@ class SieveAxiomReport:
 def check_sieve_axioms(s: Sieve) -> SieveAxiomReport:
     """Report conditions (1)-(3) for a possibly hand-built profile.
 
-    Right continuity is structural in this representation, but the checker
-    still exercises evaluate() at and just above each breakpoint and
-    compares against the stored cover.
+    Refinement is tested only on the blocks of each cover that the next
+    one lacks: a block present in both is contained in a block of the
+    next. Right continuity is structural in this representation, but the
+    checker still exercises evaluate() at and just above each breakpoint
+    and compares against the stored cover.
     """
     refinement = []
-    for i in range(len(s.covers) - 1):
-        if not refines(s.covers[i], s.covers[i + 1]):
+    for i, (fine, coarse) in enumerate(zip(s.covers, s.covers[1:])):
+        blocks = coarse.masks()
+        kept = set(blocks)
+        if any(
+            m not in kept and not any(m & c == m for c in blocks) for m in fine.masks()
+        ):
             refinement.append((i, s.breakpoints[i + 1]))
     continuity = []
     for i, b in enumerate(s.breakpoints):

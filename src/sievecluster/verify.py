@@ -20,8 +20,6 @@ import math
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ._names import CATEGORIES
 from .covers import (
     Cover,
@@ -112,14 +110,13 @@ def random_metric(n: int, seed: int, mode: str = "euclidean-points") -> FiniteMe
     if mode == "euclidean-points":
         coords = [(rng.uniform(), rng.uniform()) for _ in range(n)]
         return space_from_points(coords, labels=labels)
+    d = [[0.0] * n for _ in range(n)]
     if mode == "closure-of-random-matrix":
-        d = np.zeros((n, n))
         for i in range(n):
             for j in range(i + 1, n):
-                d[i, j] = d[j, i] = rng.uniform(0.1, 1.0)
+                d[i][j] = d[j][i] = rng.uniform(0.1, 1.0)
         return metric_closure(labels, d)
     # ultrametric-tree
-    d = np.zeros((n, n))
     clusters = [[i] for i in range(n)]
     height = 0.0
     while len(clusters) > 1:
@@ -131,7 +128,7 @@ def random_metric(n: int, seed: int, mode: str = "euclidean-points") -> FiniteMe
         a, b = clusters[i], clusters[j]
         for u in a:
             for v in b:
-                d[u, v] = d[v, u] = height
+                d[u][v] = d[v][u] = height
         merged = a + b
         clusters = [c for t, c in enumerate(clusters) if t not in (i, j)]
         clusters.append(merged)
@@ -181,8 +178,8 @@ def random_map(
     """
     rng = SplitMix64(seed)
     n, m = x.n, y.n
-    tol = rel_tol * max(float(x.dist.max()), float(y.dist.max()), 0.0)
-    xd, yd = x.dist, y.dist
+    tol = rel_tol * max(x.diameter(), y.diameter(), 0.0)
+    xd, yd = x._flat, y._flat
     raw = _count_assignments(n, m, require_injective)
     if raw == 0:
         return None
@@ -207,7 +204,7 @@ def random_map(
             out = []
             for i in range(n):
                 for j in range(i + 1, n):
-                    if yd[assign[i], assign[j]] > xd[i, j] + tol:
+                    if yd[assign[i] * m + assign[j]] > xd[i * n + j] + tol:
                         out.append((i, j))
             return out
 
@@ -270,7 +267,7 @@ def random_morphism(
         raise ValueError(f"unknown category {category!r}; expected one of {CATEGORIES}")
     n = x.n
     labels = list(x.labels)
-    d = np.array(x.dist)
+    d = x._rows()
     assignment = {lab: lab for lab in labels}
     y_labels = list(labels)
     if category == "met" and n >= 2:
@@ -288,28 +285,27 @@ def random_morphism(
     mode = rng.randint(3)
     if mode == 0:
         scale = rng.uniform(0.4, 1.0)
-        d = d * scale
+        d = [[v * scale for v in row] for row in d]
     elif mode == 1:
         m = len(y_labels)
         for i in range(m):
             for j in range(i + 1, m):
                 if rng.randint(2):
                     s = rng.uniform(0.3, 1.0)
-                    d[i, j] *= s
-                    d[j, i] = d[i, j]
+                    d[i][j] *= s
+                    d[j][i] = d[i][j]
     extensions = rng.randint(3)
     if extensions:
         taken = set(y_labels) | set(labels)
         extra = _fresh_labels(taken, extensions)
-        top = max(float(d.max()), 1.0)
+        top = max(max(map(max, d)), 1.0)
         m = len(y_labels)
-        grown = np.zeros((m + extensions, m + extensions))
-        grown[:m, :m] = d
+        d = [row + [0.0] * extensions for row in d]
+        d += [[0.0] * (m + extensions) for _ in range(extensions)]
         for t in range(extensions):
             for i in range(m + t):
                 v = rng.uniform(0.05, 1.2) * top
-                grown[m + t, i] = grown[i, m + t] = v
-        d = grown
+                d[m + t][i] = d[i][m + t] = v
         y_labels = y_labels + extra
     y = metric_closure(y_labels, d)
     f = MetricMap(x, y, assignment)
@@ -418,8 +414,8 @@ def check_sandwich(
 
 
 def _quotient(
-    labels: list[str], d: np.ndarray, groups: list[list[int]]
-) -> tuple[list[str], np.ndarray, dict[str, str]]:
+    labels: list[str], d: list[list[float]], groups: list[list[int]]
+) -> tuple[list[str], list[list[float]], dict[str, str]]:
     """Collapse each group of point indices onto its first member, with
     blockwise-minimum distances between the classes.
 
@@ -436,10 +432,10 @@ def _quotient(
     keys = sorted(set(rep))
     members = [[v for v in range(n) if rep[v] == k] for k in keys]
     m = len(keys)
-    qd = np.zeros((m, m))
+    qd = [[0.0] * m for _ in range(m)]
     for a in range(m):
         for b in range(a + 1, m):
-            qd[a, b] = qd[b, a] = min(d[u, v] for u in members[a] for v in members[b])
+            qd[a][b] = qd[b][a] = min(d[u][v] for u in members[a] for v in members[b])
     return [labels[k] for k in keys], qd, {labels[v]: labels[rep[v]] for v in range(n)}
 
 
@@ -536,7 +532,7 @@ def _search_counterexample(
                     fx_cache[mask] = evaluate_method(x_cache[mask], spec)
                 x = x_cache[mask]
                 fx = fx_cache[mask]
-                y_labels, qd, assignment = _quotient(labels, x.dist, pattern)
+                y_labels, qd, assignment = _quotient(labels, x._rows(), pattern)
                 y = FiniteMetricSpace(y_labels, qd)
                 fy = evaluate_method(y, spec)
                 if refines(fx, preimage_cover(assignment, fy)):

@@ -173,3 +173,48 @@ def test_assert_scan_catches_one():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_assert_statements(path):
     assert assert_statements(path.read_text(encoding="utf-8")) == []
+
+
+def top_level_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of the absolute imports that run when a module is
+    executed: every import statement outside a function body, at top level
+    or nested in an if, try or class body."""
+    found = []
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                found.append((node.lineno, node.module))
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def numpy_imports(source: str) -> list[str]:
+    return [
+        f"line {line}: {module}"
+        for line, module in top_level_imports(source)
+        if module.split(".")[0] == "numpy"
+    ]
+
+
+def test_top_level_numpy_scan_catches_one():
+    source = (
+        "import math\nimport numpy as np\n"
+        "try:\n    from numpy.linalg import norm\nexcept ImportError:\n    pass\n"
+        "def f():\n    import numpy\n    return numpy\n"
+        "g = lambda: __import__('numpy')\n"
+    )
+    assert numpy_imports(source) == ["line 2: numpy", "line 4: numpy.linalg"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_top_level_numpy_import(path):
+    """Small inputs run without numpy: a module imports it only inside the
+    function that needs it, so loading the module never does."""
+    assert numpy_imports(path.read_text(encoding="utf-8")) == []

@@ -21,9 +21,10 @@ from sievecluster import (
     sieve_consistent,
 )
 from sievecluster import sieves
+from sievecluster.covers import refines
 from sievecluster.metric import FiniteMetricSpace, space_from_points
 from sievecluster.rng import derive_seed
-from sievecluster.verify import METRIC_MODES, _dense_sieve, random_metric
+from sievecluster.verify import METRIC_MODES, _dense_sieve, random_flag_cover, random_metric
 
 
 def test_build_sieve_single_linkage_x3(x3):
@@ -109,6 +110,51 @@ def test_axiom_report_passes_genuine_profiles(x3, bowtie):
             sieve = build_sieve(x, spec)
             report = check_sieve_axioms(sieve)
             assert report.is_sieve, (x.labels, spec.label(), report.summary())
+
+
+def _all_pairs_refinement(s):
+    """The refinement check as it was: every block of each cover against
+    every block of the next, through covers.refines."""
+    return tuple(
+        (i, s.breakpoints[i + 1])
+        for i in range(len(s.covers) - 1)
+        if not refines(s.covers[i], s.covers[i + 1])
+    )
+
+
+@st.composite
+def hand_built_profiles(draw):
+    """Profiles of random covers (nested blocks allowed), some flag covers,
+    some pieces of a built sieve in a shuffled order: most break refinement."""
+    n = draw(st.integers(1, 6))
+    base = [f"p{i:02d}" for i in range(n)]  # the labels of the random generators
+    pool = [
+        Cover(base, [[x for i, x in enumerate(base) if m >> i & 1] for m in masks] + [[x] for x in base])
+        for masks in draw(st.lists(st.lists(st.integers(1, 2**n - 1), max_size=4),
+                                   min_size=1, max_size=6))
+    ]
+    pool += [random_flag_cover(n, draw(st.integers(0, 99))) for _ in range(3)]
+    built = build_sieve(random_metric(n, draw(st.integers(0, 99))), MethodSpec("ml"))
+    pool += list(built.covers)
+    covers = [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(1, 8)))]
+    covers = [c for i, c in enumerate(covers) if i == 0 or c != covers[i - 1]]
+    return Sieve(base, [float(i) for i in range(len(covers))], covers)
+
+
+@given(hand_built_profiles())
+@settings(max_examples=300)
+def test_dying_block_refinement_matches_all_pairs_on_hand_built_profiles(s):
+    assert check_sieve_axioms(s).refinement_violations == _all_pairs_refinement(s)
+
+
+@pytest.mark.parametrize("spec", [MethodSpec("ml"), MethodSpec("sl"), MethodSpec("vl", k=2)],
+                         ids=MethodSpec.label)
+def test_dying_block_refinement_matches_all_pairs_on_built_sieves(spec):
+    for seed in range(12):
+        s = build_sieve(random_metric(4 + seed % 9, seed, METRIC_MODES[seed % 3]), spec)
+        shuffled = Sieve(s.base, s.breakpoints, s.covers[::-1])
+        for profile in (s, shuffled):
+            assert check_sieve_axioms(profile).refinement_violations == _all_pairs_refinement(profile)
 
 
 def test_finite_budget_sweep_is_persistent_cover_not_sieve(x3):

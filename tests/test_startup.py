@@ -8,6 +8,7 @@ a fresh interpreter, so those checks run in a subprocess started in
 """
 
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -66,6 +67,80 @@ print("RESULT", json.dumps(seen))
     assert result == {key: [] for key in result}
 
 
+def _numpy_after_each(commands: list[list[str]]) -> list[tuple[int, bool]]:
+    """Run CLI commands in turn in one fresh interpreter started in src/,
+    output discarded; after each, its exit code and whether numpy is
+    loaded."""
+    code = f"""
+import contextlib
+import io
+import json
+import os
+import sys
+from sievecluster.cli import main
+
+seen = []
+for args in {commands!r}:
+    with open(os.devnull, "wb") as sink, contextlib.redirect_stdout(io.TextIOWrapper(sink)):
+        try:
+            main(args, prog_name="sievecluster")
+            code = 0
+        except SystemExit as exc:
+            code = exc.code or 0
+    seen.append((code, "numpy" in sys.modules))
+print("RESULT", json.dumps(seen))
+"""
+    out = _run_in_src(code)
+    return [tuple(r) for r in json.loads(out.splitlines()[-1].removeprefix("RESULT "))]
+
+
+def _cloud_csv(path: Path, n: int) -> str:
+    rng = random.Random(n)
+    lines = ["label,x,y"] + [f"q{i:03d},{rng.random()!r},{rng.random()!r}" for i in range(n)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_small_inputs_run_without_numpy(tmp_path):
+    small = _cloud_csv(tmp_path / "small.csv", 20)
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("label,a,b,c\na,0,1,2\nb,1,0,1\nc,2,1,0\n", encoding="utf-8")
+    trials = ["--trials", "600", "--seed", "7"]
+    commands = [
+        ["sieve", "--method", "ml", small],
+        ["sieve", "--method", "sl", small],
+        ["sieve", "--method", "vl", "--k", "2", small],
+        ["cluster", "--method", "ml", "--delta", "0.3", small],
+        ["cluster", "--method", "l", "--k", "2", "--K", "0.5", "--delta", "0.3", small],
+        ["cluster", "--method", "sl", "--delta", "1", str(matrix)],
+        ["verify", "functoriality", "--method", "ml", "--delta", "0.3", *trials],
+        ["verify", "functoriality", "--method", "vl", "--k", "3", "--delta", "0.3",
+         "--category", "metinj", *trials],
+        ["verify", "functoriality", "--method", "l", "--k", "2", "--K", "1.5",
+         "--delta", "0.3", *trials],
+        ["verify", "sandwich", "--method", "vl", "--k", "2", "--delta", "0.3", *trials],
+        *(
+            ["verify", "counterexample", "--method", family, *level, "--delta", "1.0",
+             "--max-points", "5"]
+            for family, level in (("ml", []), ("sl", []), ("vl", ["--k", "2"]),
+                                  ("el", ["--k", "2"]))
+        ),
+    ]
+    assert _numpy_after_each(commands) == [(0, False)] * len(commands)
+
+
+def test_inputs_at_the_threshold_load_numpy(tmp_path):
+    from sievecluster.metric import _NUMPY_MIN_POINTS
+
+    below = _cloud_csv(tmp_path / "below.csv", _NUMPY_MIN_POINTS - 1)
+    at = _cloud_csv(tmp_path / "at.csv", _NUMPY_MIN_POINTS)
+    seen = _numpy_after_each(
+        [["cluster", "--method", "sl", "--delta", "0.1", below],
+         ["cluster", "--method", "sl", "--delta", "0.1", at]]
+    )
+    assert seen == [(0, False), (0, True)]
+
+
 def test_command_loads_only_the_modules_it_runs():
     code = f"""
 import json
@@ -81,7 +156,7 @@ print("RESULT", json.dumps([m for m in {HEAVY!r} if m in sys.modules]))
 """
     out = _run_in_src(code)
     loaded = json.loads(out.splitlines()[-1].removeprefix("RESULT "))
-    assert loaded == ["numpy", "sievecluster.functors"]
+    assert loaded == ["sievecluster.functors"]
 
 
 def test_dir_lists_every_public_name():
