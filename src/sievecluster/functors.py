@@ -384,17 +384,33 @@ def _linked_relation(
     x: FiniteMetricSpace, spec: MethodSpec, delta: float, start: list[int] | None = None
 ) -> list[int]:
     """Adjacency masks of the relation whose maximal linked sets are the
-    cover of an l, bk or bkstar method at scale delta: the step relation,
-    or the strict or relaxed closure of the threshold graph.
+    cover of a threshold method at scale delta: the step relation (sl is
+    its k = K = inf case), the strict or relaxed closure of the threshold
+    graph, or the co-blocking relation of the vl or el cover. Every such
+    cover is a flag cover, the maximal cliques of its co-blocking relation,
+    so equal relations give equal covers and inclusion of relations is
+    refinement of covers. Each relation only gains pairs as delta grows:
+    both closure rules are monotone, and a vertex set that qualifies for vl
+    or el still qualifies after edges are added.
 
     ``start`` is this relation at a smaller scale. The closures resume
-    from it: both rules are monotone, so closing the threshold graph
-    joined with a smaller fixed point gives the closure of the threshold
-    graph itself. The step relation ignores it.
+    from it: closing the threshold graph joined with a smaller fixed point
+    gives the closure of the threshold graph itself. The other relations
+    ignore it.
     """
-    if spec.family == "l":
+    if spec.family in ("sl", "l"):
+        k = math.inf if spec.k is None else spec.k
         budget = math.inf if spec.budget is None else spec.budget
-        return _step_relation(x, delta, spec.k, budget).adj
+        return _step_relation(x, delta, k, budget).adj
+    if spec.family in ("vl", "el"):
+        # the flag completion keeps the co-blocking relation, so it is read
+        # off the blocks before the completion
+        g = threshold_graph(x, delta)
+        if spec.family == "vl":
+            return co_blocking(max_vertex_connected_subgraphs(g, spec.k)).adj
+        return co_blocking(
+            max_edge_connected_subgraphs(g, spec.k, clique_exception=spec.clique_exception)
+        ).adj
     adj = x._adjacency(delta)
     if start is not None:
         adj = [a | b for a, b in zip(adj, start)]

@@ -2,7 +2,7 @@
 
 A sieve assigns to every scale t >= 0 a flag cover of a fixed base set,
 constant on half-open intervals [b_i, b_{i+1}) between breakpoints, such
-that (1) the cover at a smaller scale refines the cover at a larger one,
+that (1) each cover is a refinement of every cover at a larger scale,
 (2) the assignment is right-continuous (structural here, by the half-open
 representation), and (3) the last cover is the one-block cover of the
 whole base. An object satisfying (1) and (2) but not (3) is a persistent
@@ -11,9 +11,10 @@ conditions hold.
 
 For the threshold families the cover can only change when the edge set of
 the threshold graph changes, so the breakpoints of a built sieve are a
-subset of {0} plus the pairwise distances of the space; build_sieve finds
-them by bisection over those candidates, and for the clique families it
-keeps the maximal cliques up to date as the relation gains pairs.
+subset of {0} plus the pairwise distances of the space. Each family's
+cover is a flag cover, the maximal cliques of its co-blocking relation,
+and that relation only gains pairs as the scale grows; build_sieve finds
+where it changes and keeps its maximal cliques up to date as it does.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from ._bitops import bits, cliques_containing
-from .covers import Cover, FlagCover, _string_lists, is_consistent_map, refines
+from .covers import Cover, FlagCover, _string_lists, is_consistent_map
 from .errors import MonotonicityViolation
-from .functors import MethodSpec, _linked_relation, evaluate_method
-from .metric import FiniteMetricSpace, _numpy
+from .functors import MethodSpec, _linked_relation
+from .metric import FiniteMetricSpace
 
 
 class Sieve:
@@ -161,32 +162,17 @@ def build_sieve(x: FiniteMetricSpace, spec: MethodSpec) -> Sieve:
 
     Candidate scales are 0 plus the distinct pairwise distances, ascending:
     the threshold graph, and so the cover, can only change at one of them.
-    Every family reads the threshold graph monotonically, so its cover only
-    grows coarser as the scale grows. There are two sweeps.
 
-    The ml, l, bk and bkstar covers are the maximal linked sets of a
-    relation that only gains pairs: the threshold graph, the step relation,
-    or a closure (both closure rules are monotone, so their least fixed
-    point only grows). Their sweep keeps the maximal cliques up to date as
-    the relation gains pairs, in ascending order of scale (_clique_sweep),
-    so no scale runs a full clique search. The threshold graph gains the
-    pairs at each distinct distance, read off the sorted distances. The
-    other relations are found by bisection (_bisect), which evaluates the
-    relation where its breakpoint search needs to, and each closure resumes
-    from the one at the nearest smaller evaluated scale.
-
-    The sl, vl and el covers are bisected directly. A vertex set that
-    qualifies for vl or el still qualifies after edges are added; each
-    maximal clique of a graph lies inside a maximal clique of any
-    supergraph, which carries this through the flag completion. Flag
-    covers are non-nested, and refinement between non-nested covers is
-    antisymmetric, so for a < b < c a cover at b that refines the one at c
-    and is refined by the one at a equals both when those two are equal.
-
-    Consecutive distinct covers are still checked for refinement; for l,
-    bk and bkstar, as inclusion of the relations, which is equivalent (the
-    ml sweep only ever adds pairs). A MonotonicityViolation flags a bug in
-    a family, since none can produce one.
+    Every threshold family outputs flag covers: the maximal cliques of their
+    co-blocking relation, which only gains pairs as the scale grows
+    (_linked_relation). _clique_sweep keeps those cliques up to date as the
+    pairs arrive, so no scale runs a full clique search. ml reads its pairs
+    off the sorted distances. The other relations are bisected (_bisect),
+    evaluated only where the breakpoint search needs them; each closure
+    resumes from the one at the nearest smaller evaluated scale.
+    Consecutive distinct relations are checked for inclusion, which is
+    refinement of the covers: a MonotonicityViolation flags a bug in a
+    family, since none can produce one.
     """
     if spec.family == "generated":
         raise ValueError(
@@ -196,15 +182,12 @@ def build_sieve(x: FiniteMetricSpace, spec: MethodSpec) -> Sieve:
     if spec.family == "ml":
         return _clique_sweep(x.labels, _threshold_batches(x))
     scales = _candidate_scales(x)
-    if spec.family in ("l", "bk", "bkstar"):
-        relations = _bisect(
-            len(scales), lambda i, below: _linked_relation(x, spec, scales[i], below)
-        )
-        return _clique_sweep(
-            x.labels, _relation_batches((scales[i], relations[i]) for i in sorted(relations))
-        )
-    covers = _bisect(len(scales), lambda i, below: evaluate_method(x, spec.with_delta(scales[i])))
-    return _profile(x.labels, ((scales[i], covers[i]) for i in sorted(covers)))
+    relations = _bisect(
+        len(scales), lambda i, below: _linked_relation(x, spec, scales[i], below)
+    )
+    return _clique_sweep(
+        x.labels, _relation_batches((scales[i], relations[i]) for i in sorted(relations))
+    )
 
 
 def _bisect(count: int, at) -> dict:
@@ -239,16 +222,9 @@ def _threshold_batches(x: FiniteMetricSpace) -> list[tuple[float, list[tuple[int
     each distinct pairwise distance, ascending: the pairs the threshold
     graph gains at each candidate scale."""
     n = x.n
-    np = _numpy(n)
-    if np is None:  # a stable sort keeps equal distances in row-major order
-        flat = x._flat
-        pairs = [(flat[u * n + v], u, v) for u in range(n) for v in range(u + 1, n)]
-        pairs.sort(key=itemgetter(0))
-    else:
-        rows, cols = np.triu_indices(n, 1)
-        dist = x.dist[rows, cols]
-        order = np.argsort(dist, kind="stable")
-        pairs = zip(dist[order].tolist(), rows[order].tolist(), cols[order].tolist())
+    flat = x._flat
+    pairs = [(flat[u * n + v], u, v) for u in range(n) for v in range(u + 1, n)]
+    pairs.sort(key=itemgetter(0))  # stable: equal distances stay in row-major order
     batches: list[tuple[float, list[tuple[int, int]]]] = [(0.0, [])]
     for d, u, v in pairs:
         if d != batches[-1][0]:
@@ -294,6 +270,10 @@ def _clique_sweep(base: tuple[str, ...], batches) -> Sieve:
     exactly when one of these is it plus u or plus v; every other clique
     lives on. Each clique is recorded once, as a lifetime over breakpoint
     indexes; one born and absorbed within one batch never shows.
+
+    When the common neighbourhood plus u or plus v is already a maximal
+    clique, the neighbourhood is complete and the one new clique is it
+    plus both ends, found without a search.
     """
     n = len(base)
     adj = [0] * n
@@ -304,33 +284,22 @@ def _clique_sweep(base: tuple[str, ...], batches) -> Sieve:
         j = len(bps)
         bps.append(scale)
         for u, v in pairs:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            for clique in cliques_containing(adj, (1 << u) | (1 << v), adj[u] & adj[v]):
+            bu, bv = 1 << u, 1 << v
+            adj[u] |= bv
+            adj[v] |= bu
+            common = adj[u] & adj[v]
+            if (common | bu) in alive or (common | bv) in alive:
+                created = [common | bu | bv]
+            else:
+                created = cliques_containing(adj, bu | bv, common)
+            for clique in created:
                 alive[clique] = j
-                for old in (clique ^ (1 << u), clique ^ (1 << v)):
+                for old in (clique ^ bu, clique ^ bv):
                     birth = alive.pop(old, j)
                     if birth < j:
                         lifetimes.append((old, birth, j))
     lifetimes += [(mask, birth, len(bps)) for mask, birth in alive.items()]
     return Sieve._from_lifetimes(base, bps, lifetimes)
-
-
-def _profile(base: tuple[str, ...], evaluated) -> Sieve:
-    """The sieve of (scale, cover) pairs in ascending scale order, keeping
-    the first of each run of equal covers. Raises MonotonicityViolation
-    (index of the earlier stored cover, scale of the later) when a cover
-    is not refined by the last distinct one before it."""
-    bps: list[float] = []
-    covers: list[FlagCover] = []
-    for scale, cover in evaluated:
-        if covers and cover == covers[-1]:
-            continue
-        if covers and not refines(covers[-1], cover):
-            raise MonotonicityViolation(len(covers) - 1, scale)
-        bps.append(scale)
-        covers.append(cover)
-    return Sieve(base, bps, covers)
 
 
 @dataclass(frozen=True)
@@ -376,7 +345,8 @@ def check_sieve_axioms(s: Sieve) -> SieveAxiomReport:
     one lacks: a block present in both is contained in a block of the
     next. Right continuity is structural in this representation, but the
     checker still exercises evaluate() at and just above each breakpoint
-    and compares against the stored cover.
+    and compares against the stored cover; above a breakpoint whose next
+    one is the adjacent float, no scale lies between to probe.
     """
     refinement = []
     for i, (fine, coarse) in enumerate(zip(s.covers, s.covers[1:])):
@@ -392,7 +362,10 @@ def check_sieve_axioms(s: Sieve) -> SieveAxiomReport:
             continuity.append(b)
             continue
         if i + 1 < len(s.breakpoints):
-            mid = b + (s.breakpoints[i + 1] - b) / 2.0
+            nxt = s.breakpoints[i + 1]
+            mid = b + (nxt - b) / 2.0
+            if not b < mid < nxt:  # adjacent floats: [b, nxt) holds only b
+                continue
         else:
             mid = b + max(1.0, abs(b))
         if s.evaluate(mid) != s.covers[i]:

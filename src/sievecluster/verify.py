@@ -30,7 +30,7 @@ from .covers import (
     preimage_cover,
     refines,
 )
-from .errors import TooLarge
+from .errors import MonotonicityViolation, TooLarge
 from .functors import (
     MethodSpec,
     clustering_parameter,
@@ -49,7 +49,7 @@ from .metric import (
     validate_metric,
 )
 from .rng import SplitMix64, derive_seed
-from .sieves import Sieve, _candidate_scales, _profile
+from .sieves import Sieve, _candidate_scales
 
 METRIC_MODES = (
     "euclidean-points",
@@ -654,13 +654,22 @@ def iterative_flagify_oracle(cover: Cover) -> FlagCover:
 
 def _dense_sieve(x: FiniteMetricSpace, spec: MethodSpec) -> Sieve:
     """The sieve of a threshold family by evaluating it at every candidate
-    scale (0 and each distinct distance), compressing equal neighbours.
+    scale (0 and each distinct distance), keeping the first of each run of
+    equal covers.
 
     Oracle for build_sieve, which evaluates only where its breakpoint search
-    needs to. Raises MonotonicityViolation when a cover at a larger scale is
+    needs to and shares no code with this walk. Raises MonotonicityViolation
+    (index of the earlier stored cover, scale of the later) when a cover is
     not refined by the last distinct one before it.
     """
-    return _profile(
-        x.labels,
-        ((s, evaluate_method(x, spec.with_delta(s))) for s in _candidate_scales(x)),
-    )
+    bps: list[float] = []
+    covers: list[FlagCover] = []
+    for scale in _candidate_scales(x):
+        cover = evaluate_method(x, spec.with_delta(scale))
+        if covers and cover == covers[-1]:
+            continue
+        if covers and not refines(covers[-1], cover):
+            raise MonotonicityViolation(len(covers) - 1, scale)
+        bps.append(scale)
+        covers.append(cover)
+    return Sieve(x.labels, bps, covers)

@@ -133,6 +133,17 @@ def test_sieve_profile(runner, tmp_path):
     assert data["covers"][2] == [["a", "b", "c"]]
 
 
+def test_sieve_with_adjacent_float_breakpoints_exits_zero(runner, tmp_path):
+    # the ml sieve of this cloud has breakpoints one float apart, where no
+    # scale lies between to probe right continuity
+    rows = [f"q{i:02d},{(0.37 * i) % 1!r},{(0.61 * i) % 1!r}" for i in range(20)]
+    path = tmp_path / "cloud.csv"
+    path.write_text("label,x0,x1\n" + "\n".join(rows) + "\n")
+    result = runner.invoke(main, ["sieve", "--method", "ml", str(path)])
+    assert result.exit_code == 0, result.output
+    assert "right continuity fails" not in result.output
+
+
 def test_sieve_rejects_generated(runner, tmp_path):
     result = runner.invoke(main, ["sieve", "--method", "generated", _x3(tmp_path)])
     assert result.exit_code == 2

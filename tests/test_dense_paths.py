@@ -5,7 +5,8 @@ the space's stdlib buffer; at or above it, numpy on a view of the same
 buffer. Each test runs a kernel with the constant raised out of reach
 (always Python) and at zero (always numpy), and requires the same result
 bytes, or the same error type and message. A few cases also cross the
-real constant.
+real constant. The sieve builder's threshold batches have one path, a
+Python sort, checked against a numpy argsort.
 """
 
 import math
@@ -250,19 +251,33 @@ def test_step_relation_keeps_the_step_limit():
         assert got[1][0] == reached
 
 
+def _argsort_batches(x):
+    """The threshold batches from a stable numpy argsort of the upper
+    triangle: the oracle for the builder's Python sort."""
+    rows, cols = np.triu_indices(x.n, 1)
+    dist = x.dist[rows, cols]
+    order = np.argsort(dist, kind="stable")
+    batches = [(0.0, [])]
+    for d, u, v in zip(dist[order].tolist(), rows[order].tolist(), cols[order].tolist()):
+        if d != batches[-1][0]:
+            batches.append((d, []))
+        batches[-1][1].append((u, v))
+    return batches
+
+
 @given(point_clouds(max_n=12), st.sampled_from(NORMS))
 def test_threshold_batches(points, norm):
     # coarse coordinates tie many distances: ties keep row-major order
     pts = [[round(c) % 3 for c in p] for p in points]
     x = space_from_points(pts, norm)
-    assert_same(lambda: sieves._threshold_batches(x), key=lambda b: b)
+    assert sieves._threshold_batches(x) == _argsort_batches(x)
 
 
 def test_threshold_batches_across_the_constant():
+    # 130 points, above the size where the dense kernels switch to numpy
     pts = [[i % 7, i // 7] for i in range(130)]
     x = space_from_points(pts, "manhattan")
-    expected = sieves._threshold_batches(x)
-    assert assert_same(lambda: sieves._threshold_batches(x), key=lambda b: b)[1] == expected
+    assert sieves._threshold_batches(x) == _argsort_batches(x)
 
 
 @given(

@@ -2,9 +2,11 @@
 
 The digests were recorded before the shared kernels (graph metrization,
 quotients, assignment enumeration, bridges, the min-plus product) were
-merged into one implementation each. Any change to an enumeration order, a random pick or
-a float in these outputs changes a digest, so a rewrite behind the public
-names that alters bytes fails here even when every structural test holds.
+merged into one implementation each; the sieve digests, before every
+threshold family was swept through one builder. Any change to an
+enumeration order, a random pick or a float in these outputs changes a
+digest, so a rewrite behind the public names that alters bytes fails here
+even when every structural test holds.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ import pytest
 from sievecluster import (
     FiniteMetricSpace,
     MethodSpec,
+    build_sieve,
     check_functoriality,
     cover_metric,
     find_counterexample,
@@ -86,7 +89,29 @@ def _cover_metric():
     return cover_metric(random_flag_cover(7, 3), 0.5).to_dict()
 
 
+def _sieve(spec):
+    return build_sieve(random_metric(20, 2013), spec).to_dict()
+
+
+SIEVE_GOLDEN = {
+    "sieve-sl": (MethodSpec("sl"), "6af76fe57d2c701741b153cfd931df70b1762b24d8e7b02e40a9e7a2404fa646"),
+    "sieve-ml": (MethodSpec("ml"), "cd6071821c4bd600655d56818af467680dca6bd3d639e59ec531dd9c79578a4e"),
+    "sieve-l2-budget": (
+        MethodSpec("l", k=2, budget=1.5),
+        "96e6767ee4846f5da3da2a2033571af925f85a33f8a1230621cd07101380bfb9",
+    ),
+    "sieve-vl2": (MethodSpec("vl", k=2), "02aab4599277244ebc3621bcfe27d29eab5c55b6a23c74c877a2e8f0b9b339d8"),
+    "sieve-el3": (MethodSpec("el", k=3), "545c3ce0946a8a981e4d6433b3b5c9ad348c8b59433db58dad043b55d30f9393"),
+    "sieve-bk2": (MethodSpec("bk", k=2), "550c0c28844cdbfb26acaa0093ae0bb820141e51e457a4f4d3ec7e862385f737"),
+    "sieve-bkstar2": (
+        MethodSpec("bkstar", k=2),
+        "68565f18a971d25f2c17f5342e851d3b5b4bf9414e3803aa241da9dea0fadfe5",
+    ),
+}
+
+
 GOLDEN = {
+    **{name: (lambda spec=spec: _sieve(spec), digest) for name, (spec, digest) in SIEVE_GOLDEN.items()},
     "counterexample-vl2": (
         lambda: _witness("vl"),
         "ee1ad710bf8615f6f768ab24d7de7e0d822b0cd9afc28ce10300ddf764b10a90",

@@ -21,6 +21,7 @@ from sievecluster import (
     sieve_consistent,
 )
 from sievecluster import sieves
+from sievecluster._bitops import bits, components, maximal_cliques
 from sievecluster.covers import refines
 from sievecluster.metric import FiniteMetricSpace, space_from_points
 from sievecluster.rng import derive_seed
@@ -288,6 +289,7 @@ SWEEP_SPECS = [
     MethodSpec(family="l", k=2, budget=math.inf),
     MethodSpec(family="l", k=3, budget=0.8),
     MethodSpec(family="l", k=math.inf, budget=0.8),
+    MethodSpec(family="l", k=math.inf),
     MethodSpec(family="vl", k=2),
     MethodSpec(family="vl", k=3),
     MethodSpec(family="el", k=2),
@@ -332,11 +334,11 @@ def test_breakpoint_search_matches_dense_sweep_with_tied_distances(spec, points,
     _assert_matches_dense(space_from_points(points, metric=norm), spec)
 
 
-# the families swept by keeping maximal cliques up to date
-CLIQUE_SPECS = [s for s in SWEEP_SPECS if s.family in ("ml", "l", "bk", "bkstar")]
+# the families whose dense sweep stays cheap at 20-30 points
+LARGE_SPACE_SPECS = [s for s in SWEEP_SPECS if s.family not in ("vl", "el")]
 
 
-@pytest.mark.parametrize("spec", CLIQUE_SPECS, ids=MethodSpec.label)
+@pytest.mark.parametrize("spec", LARGE_SPACE_SPECS, ids=MethodSpec.label)
 @settings(max_examples=25)
 @given(
     points=st.lists(
@@ -350,7 +352,7 @@ def test_clique_sweep_matches_dense_sweep_on_lattices(spec, points, norm):
     _assert_matches_dense(space_from_points(points, metric=norm), spec)
 
 
-@pytest.mark.parametrize("spec", CLIQUE_SPECS, ids=MethodSpec.label)
+@pytest.mark.parametrize("spec", LARGE_SPACE_SPECS, ids=MethodSpec.label)
 def test_clique_sweep_matches_dense_sweep_on_25_points(spec):
     for i, mode in enumerate(METRIC_MODES):
         _assert_matches_dense(random_metric(25, derive_seed(2501, i), mode), spec)
@@ -363,18 +365,6 @@ def test_maximal_linkage_sieve_at_60_points_is_fast():
     assert time.perf_counter() - start < 3.0
     assert len(data["breakpoints"]) == len(x.pairwise_distances()) + 1
     assert data["covers"][-1] == [list(x.labels)]
-
-
-def test_clique_sweep_keeps_the_monotonicity_guard(monkeypatch, x3):
-    complete = [0b110, 0b101, 0b011]
-
-    def complete_then_empty(x, spec, delta, start=None):
-        return complete if delta < 2.0 else [0, 0, 0]
-
-    monkeypatch.setattr(sieves, "_linked_relation", complete_then_empty)
-    with pytest.raises(MonotonicityViolation) as exc:
-        build_sieve(x3, MethodSpec(family="bk", k=2))
-    assert (exc.value.index, exc.value.scale) == (0, 2.0)
 
 
 def test_sieve_from_lifetimes_refuses_equal_neighbours():
@@ -395,17 +385,18 @@ def test_breakpoint_search_matches_dense_sweep_on_named_spaces(spec, x3, bowtie,
 
 def test_breakpoint_search_evaluates_each_scale_once_and_skips_constant_runs(monkeypatch):
     calls = []
-    real = sieves.evaluate_method
+    real = sieves._linked_relation
 
-    def counting(x, spec):
-        calls.append(spec.delta)
-        return real(x, spec)
+    def counting(x, spec, delta, start=None):
+        calls.append(delta)
+        return real(x, spec, delta, start)
 
-    monkeypatch.setattr(sieves, "evaluate_method", counting)
+    monkeypatch.setattr(sieves, "_linked_relation", counting)
     x = random_metric(40, 4242, "euclidean-points")
     sieve = build_sieve(x, MethodSpec(family="sl"))
     candidates = len(x.pairwise_distances()) + 1
     assert len(sieve.breakpoints) == 40
+    assert calls
     assert len(set(calls)) == len(calls)
     # each breakpoint lies in one split interval per bisection level
     assert len(calls) <= 2 + len(sieve.breakpoints) * math.ceil(math.log2(candidates))
@@ -413,13 +404,84 @@ def test_breakpoint_search_evaluates_each_scale_once_and_skips_constant_runs(mon
 
 
 def test_breakpoint_search_keeps_the_monotonicity_guard(monkeypatch, x3):
-    whole = FlagCover(x3.labels, [x3.labels])
-    singles = FlagCover(x3.labels, [(v,) for v in x3.labels])
+    complete = [0b110, 0b101, 0b011]
 
-    def coarse_then_fine(x, spec):
-        return whole if spec.delta < 2.0 else singles
+    def complete_then_empty(x, spec, delta, start=None):
+        return complete if delta < 2.0 else [0, 0, 0]
 
-    monkeypatch.setattr(sieves, "evaluate_method", coarse_then_fine)
+    monkeypatch.setattr(sieves, "_linked_relation", complete_then_empty)
+    for spec in (
+        MethodSpec(family="sl"),
+        MethodSpec(family="vl", k=2),
+        MethodSpec(family="el", k=3),
+    ):
+        with pytest.raises(MonotonicityViolation) as exc:
+            build_sieve(x3, spec)
+        assert (exc.value.index, exc.value.scale) == (0, 2.0), spec.label()
+
+
+def test_clique_sweep_keeps_the_monotonicity_guard(monkeypatch, x3):
+    complete = [0b110, 0b101, 0b011]
+
+    def complete_then_empty(x, spec, delta, start=None):
+        return complete if delta < 2.0 else [0, 0, 0]
+
+    monkeypatch.setattr(sieves, "_linked_relation", complete_then_empty)
     with pytest.raises(MonotonicityViolation) as exc:
-        build_sieve(x3, MethodSpec(family="sl"))
+        build_sieve(x3, MethodSpec(family="bk", k=2))
     assert (exc.value.index, exc.value.scale) == (0, 2.0)
+
+
+@st.composite
+def growing_graphs(draw):
+    """(n, batches): the pairs a graph on n vertices gains, batch by batch.
+    A batch is a random set of new pairs, or, as single linkage merges, every
+    missing pair within the union of two components; the first may be empty."""
+    n = draw(st.integers(1, 9))
+    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    adj = [0] * n
+    batches = []
+    for i in range(draw(st.integers(1, 9))):
+        comps = components(adj)
+        missing = [(u, v) for u, v in all_pairs if not adj[u] >> v & 1]
+        if len(comps) > 1 and draw(st.booleans()):
+            a, b = draw(st.lists(st.sampled_from(comps), min_size=2, max_size=2, unique=True))
+            merged = a | b
+            batch = draw(st.permutations([(u, v) for u, v in missing if merged >> u & merged >> v & 1]))
+        elif missing:
+            batch = draw(st.lists(st.sampled_from(missing), min_size=0 if i == 0 else 1, unique=True))
+        else:
+            break
+        for u, v in batch:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        batches.append(batch)
+    return n, batches or [[]]
+
+
+@given(growing_graphs())
+@settings(max_examples=300)
+def test_clique_sweep_matches_a_full_clique_search_at_every_breakpoint(graph):
+    n, batches = graph
+    base = tuple(f"v{i}" for i in range(n))
+    sieve = sieves._clique_sweep(base, ((float(i), b) for i, b in enumerate(batches)))
+    assert sieve.breakpoints == tuple(float(i) for i in range(len(batches)))
+    adj = [0] * n
+    for cover, batch in zip(sieve.covers, batches):
+        for u, v in batch:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        assert sorted(cover.masks()) == sorted(maximal_cliques(adj))
+
+
+def test_right_continuity_probe_skips_adjacent_float_breakpoints():
+    # the ml sieve of this cloud has breakpoints one float apart, where no
+    # scale lies between to probe
+    pts = [((0.37 * i) % 1, (0.61 * i) % 1) for i in range(20)]
+    x = space_from_points(pts, labels=[f"q{i:02d}" for i in range(20)])
+    sieve = build_sieve(x, MethodSpec(family="ml"))
+    adjacent = [b for b, c in zip(sieve.breakpoints, sieve.breakpoints[1:]) if math.nextafter(b, c) == c]
+    assert adjacent
+    report = check_sieve_axioms(sieve)
+    assert report.right_continuity_violations == ()
+    assert report.is_sieve, report.summary()
