@@ -22,7 +22,9 @@ neither numpy nor the kernels.
 from __future__ import annotations
 
 import math
+import os
 import sys
+from contextlib import nullcontext
 from typing import TYPE_CHECKING
 
 import click
@@ -145,17 +147,12 @@ def _ingest(path: str, fmt_matrix: bool, fmt_points: bool, norm: str) -> FiniteM
 def _build_method(kw: dict) -> MethodSpec:
     """The method named by a command's method options; commands without a
     --delta option (sieve) build a scale-free method."""
-    from .fileio import ingest_space
     from .functors import MethodSpec
 
     family = kw["family"]
     delta = kw.get("delta")
-    test_spaces = []
-    for p in kw["test_paths"]:
-        try:
-            test_spaces.append(ingest_space(p, norm=kw.get("norm", "euclidean")))
-        except SieveclusterError as exc:
-            _fail_input(str(exc))
+    norm = kw.get("norm", "euclidean")
+    test_spaces = [_ingest(p, False, False, norm) for p in kw["test_paths"]]
     if family != "generated" and "delta" in kw and delta is None:
         _fail_input(f"--method {family} requires --delta")
     try:
@@ -184,25 +181,31 @@ def _dot_graph(x: FiniteMetricSpace, delta: float, closure: str | None, k) -> Gr
     return g
 
 
-def _write_file(path: str, data: bytes) -> None:
-    """Write an output file; a path that cannot be written is a usage
-    error (exit 2), not a crash."""
+def _write_out(path: str | None, chunks) -> None:
+    """Write byte chunks to the file at path, or to stdout when path is
+    None. A destination that cannot be written is a usage error (exit 2),
+    not a crash; a reader that closes stdout early ends the output
+    quietly, and the command goes on to its exit code."""
     try:
-        with open(path, "wb") as fh:
-            fh.write(data)
+        with open(path, "wb") if path else nullcontext(sys.stdout.buffer) as out:
+            for chunk in chunks:
+                out.write(chunk)
+            out.flush()
     except OSError as exc:
-        _fail_input(f"cannot write {path}: {exc.strerror}")
+        if not path:
+            # what stays buffered goes nowhere, so exit writes no error
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            if isinstance(exc, BrokenPipeError):
+                return
+        _fail_input(f"cannot write {path or 'stdout'}: {exc.strerror}")
 
 
 def _emit_json(obj, output: str | None) -> None:
     from .fileio import canonical_json_bytes
 
-    data = canonical_json_bytes(obj)
-    if output:
-        _write_file(output, data)
-    else:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
+    _write_out(output, (canonical_json_bytes(obj),))
 
 
 def _read_cover(path: str) -> Cover:
@@ -251,7 +254,7 @@ def cluster(**kw) -> None:
         if spec.delta is None:
             _fail_input("--emit-dot needs a method with --delta")
         g = _dot_graph(x, spec.delta, spec.family, spec.k)
-        _write_file(kw["dot_path"], write_dot(g).encode("utf-8"))
+        _write_out(kw["dot_path"], (write_dot(g).encode("utf-8"),))
     _emit_json(cover.to_dict(), kw["output"])
 
 
@@ -268,6 +271,7 @@ def sieve(**kw) -> None:
     non-trivial cover (the profile is still written in the latter case)."""
     if kw["family"] == "generated":
         _fail_input("the generated family has no scale parameter to sweep")
+    from .fileio import _sieve_json
     from .sieves import build_sieve, check_sieve_axioms
 
     x = _ingest(kw["input_path"], kw["fmt_matrix"], kw["fmt_points"], kw["norm"])
@@ -279,7 +283,7 @@ def sieve(**kw) -> None:
         sys.exit(1)
     except SieveclusterError as exc:
         _fail_input(str(exc))
-    _emit_json(s.to_dict(), kw["output"])
+    _write_out(kw["output"], _sieve_json(s))
     report = check_sieve_axioms(s)
     if not report.is_sieve:
         click.echo(report.summary(), err=True)
@@ -532,11 +536,7 @@ def export_dot(**kw) -> None:
         g = _dot_graph(x, kw["delta"], closure, _parse_level(level, f"--{closure}"))
     except (TypeError, ValueError) as exc:
         _fail_input(str(exc))
-    text = write_dot(g)
-    if kw["output"]:
-        _write_file(kw["output"], text.encode("utf-8"))
-    else:
-        click.echo(text, nl=False)
+    _write_out(kw["output"], (write_dot(g).encode("utf-8"),))
 
 
 if __name__ == "__main__":

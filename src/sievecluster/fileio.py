@@ -11,14 +11,17 @@ rules, documented so files can be authored by hand:
   body in order, otherwise they name coordinates of a labeled point cloud;
 * non-numeric first column without a header: a labeled point cloud.
 
-All JSON output goes through one canonical writer (sorted keys, two-space
-indent, trailing newline, shortest round-trip float form), so equal
-objects serialize to byte-identical files.
+All JSON output is canonical (sorted keys, two-space indent, trailing
+newline, shortest round-trip float form), so equal objects serialize to
+byte-identical files. canonical_json_bytes encodes any object; a sieve,
+whose covers repeat most blocks of the one before, is streamed cover by
+cover to the same bytes by _sieve_json.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -26,7 +29,8 @@ import math
 import os
 from array import array
 from importlib import resources
-from typing import NamedTuple
+from json.encoder import encode_basestring
+from typing import Iterator, NamedTuple
 
 # metric's functions are looked up on the module at call time, so a
 # wrapper installed there later (a profiler, a tracer) sees these calls too
@@ -221,10 +225,20 @@ def _matrix_space(t: _Table, path: str, rel_tol: float) -> FiniteMetricSpace:
     return metric.validate_metric(labels, grid, rel_tol=rel_tol)
 
 
+def _point_space(coords, path: str, norm: str, labels=None) -> FiniteMetricSpace:
+    """The space of finite coordinate rows, whose distances must be finite
+    too: two points further apart than the largest float are refused."""
+    x = metric.space_from_points(coords, metric=norm, labels=labels)
+    if _all_finite(x.dist if metric._numpy(x.n) else [x._flat]):
+        return x
+    i = next(i for i, d in enumerate(x._flat) if not math.isfinite(d))
+    a, b = (x.labels[j] for j in divmod(i, x.n))
+    raise InputFormatError(f"{path}: the distance between {a!r} and {b!r} is not finite")
+
+
 def _points_space(t: _Table, path: str, norm: str) -> FiniteMetricSpace:
     if _is_number(t.head[0]):
-        coords = _numeric_grid(t, path)
-        return metric.space_from_points(coords, metric=norm)
+        return _point_space(_numeric_grid(t, path), path, norm)
     header = t.head[0].lower() == "label" or len(t.head) < 2 or not _is_number(t.head[1])
     labels = t.first[int(header):]
     if not labels:
@@ -233,7 +247,7 @@ def _points_space(t: _Table, path: str, norm: str) -> FiniteMetricSpace:
         raise InputFormatError(f"{path}: labeled points need at least one coordinate")
     _dedupe_labels(labels, path)
     coords = _numeric_grid(t, path, skip_row0=header, skip_col0=True)
-    return metric.space_from_points(coords, metric=norm, labels=labels)
+    return _point_space(coords, path, norm, labels)
 
 
 def ingest_space(
@@ -272,7 +286,7 @@ def ingest_space(
             )
         if _looks_like_matrix(grid):
             return _unlabeled_matrix(grid, rel_tol)
-        return metric.space_from_points(grid, metric=norm)
+        return _point_space(grid, path, norm)
     if t.head[0].lower() == "label" and len(t.first) > 1 and t.head[1:] == t.first[1:]:
         return _matrix_space(t, path, rel_tol)
     return _points_space(t, path, norm)
@@ -297,6 +311,53 @@ def canonical_json_bytes(obj) -> bytes:
     return (
         json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
     ).encode("utf-8")
+
+
+def _json_list(items: list[bytes], pad: bytes) -> bytes:
+    """A JSON array of encoded items as json.dumps(indent=2) lays it out
+    when the line of its opening bracket is indented by pad."""
+    if not items:
+        return b"[]"
+    inner = b"\n" + pad + b"  "
+    return b"".join((b"[", inner, (b"," + inner).join(items), b"\n", pad, b"]"))
+
+
+def _sieve_json(s) -> Iterator[bytes]:
+    """The bytes of canonical_json_bytes(s.to_dict()) for a Sieve s, in
+    chunks: the base and breakpoints, then one cover a chunk, so the
+    document is never held whole.
+
+    Each label is escaped once, by the encoder json.dumps uses under
+    ensure_ascii=False, and each block's text is made once, keyed by its
+    label tuple: a built sieve shares one tuple across every cover a
+    block lives in. Breakpoints are written by float.__repr__, as
+    json.dumps writes finite floats. A non-finite breakpoint raises
+    ValueError here, before any chunk is made.
+    """
+    for b in s.breakpoints:
+        if not math.isfinite(b):
+            raise ValueError(f"Out of range float values are not JSON compliant: {b!r}")
+    label = {x: encode_basestring(x).encode("utf-8") for x in s.base}
+    head = b"".join((
+        b'{\n  "base": ',
+        _json_list([label[x] for x in s.base], b"  "),
+        b',\n  "breakpoints": ',
+        _json_list([repr(float(b)).encode() for b in s.breakpoints], b"  "),
+        b',\n  "covers": ',
+    ))
+
+    @functools.cache
+    def block(blk: tuple[str, ...]) -> bytes:
+        return _json_list([label[x] for x in blk], b" " * 6)
+
+    def covers() -> Iterator[bytes]:
+        sep = head + b"[\n    "
+        for c in s.covers:
+            yield sep + _json_list(list(map(block, c.blocks)), b" " * 4)
+            sep = b",\n    "
+        yield b"\n  ]\n}\n"
+
+    return covers()
 
 
 def write_json(path: str, obj) -> None:

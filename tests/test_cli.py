@@ -3,8 +3,12 @@
 import importlib
 import importlib.metadata
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -181,6 +185,94 @@ def test_unwritable_dot_output_is_usage_error(runner, tmp_path):
     result = runner.invoke(main, ["export-dot", "--delta", "1", "-o", str(dot), _x3(tmp_path)])
     assert result.exit_code == 2
     assert f"cannot write {dot}" in result.output
+
+
+def _ml26(tmp_path) -> str:
+    """A 26-point matrix whose ml sieve JSON is 656 KB, well past a pipe's
+    buffer."""
+    from sievecluster.fileio import write_matrix_csv
+    from sievecluster.verify import random_metric
+
+    p = tmp_path / "rm26.csv"
+    write_matrix_csv(random_metric(26, 1), p)
+    return str(p)
+
+
+def test_sieve_stdout_and_output_file_are_the_same_bytes(runner, tmp_path):
+    from sievecluster import MethodSpec, build_sieve, ingest_space
+    from sievecluster.fileio import canonical_json_bytes
+
+    path = _ml26(tmp_path)
+    out = tmp_path / "s.json"
+    to_stdout = runner.invoke(main, ["sieve", "--method", "ml", path])
+    to_file = runner.invoke(main, ["sieve", "--method", "ml", "-o", str(out), path])
+    assert (to_stdout.exit_code, to_file.exit_code, to_file.stdout_bytes) == (0, 0, b"")
+    expected = canonical_json_bytes(build_sieve(ingest_space(path), MethodSpec("ml")).to_dict())
+    assert to_stdout.stdout_bytes == out.read_bytes() == expected
+
+
+def test_sieve_with_an_infinite_breakpoint_writes_nothing(runner, tmp_path, monkeypatch):
+    import sievecluster.sieves
+    from sievecluster import Cover, Sieve
+
+    def infinite_sieve(x, spec):
+        s = Sieve(x.labels, [0.0, 1.0], [Cover(x.labels, [[a] for a in x.labels]), Cover(x.labels, [x.labels])])
+        s.breakpoints = (0.0, float("inf"))
+        return s
+
+    monkeypatch.setattr(sievecluster.sieves, "build_sieve", infinite_sieve)
+    out = tmp_path / "s.json"
+    for args in ([], ["-o", str(out)]):
+        result = runner.invoke(main, ["sieve", "--method", "ml", *args, _x3(tmp_path)])
+        assert isinstance(result.exception, ValueError)
+        assert result.stdout_bytes == b""
+    assert not out.exists()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _cli(unbuffered: bool, *args: str, stdout) -> subprocess.Popen:
+    """The CLI in a subprocess, its stdout block-buffered, as by default,
+    or unbuffered, as under PYTHONUNBUFFERED."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen(
+        [sys.executable, "-m", "sievecluster.cli", *args],
+        cwd=SRC, env=env, stdout=stdout, stderr=subprocess.PIPE,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_full_stdout_is_usage_error(tmp_path, unbuffered):
+    path = _ml26(tmp_path)
+    for args in (["cluster", "--method", "ml", "--delta", "0.3"], ["sieve", "--method", "ml"]):
+        with open("/dev/full", "wb") as full:
+            proc = _cli(unbuffered, *args, path, stdout=full)
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 2
+        assert err == b"Error: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_reader_closing_stdout_early_is_silent(tmp_path, unbuffered):
+    proc = _cli(unbuffered, "sieve", "--method", "ml", _ml26(tmp_path), stdout=subprocess.PIPE)
+    assert proc.stdout.read(10) == b'{\n  "base"'
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_points_whose_distance_overflows_exit_two(runner, tmp_path):
+    p = tmp_path / "far.csv"
+    p.write_text("a,1e308\nb,-1e308\n")
+    for args in (["cluster", "--method", "ml", "--delta", "1"], ["sieve", "--method", "ml"]):
+        result = runner.invoke(main, [*args, str(p)])
+        assert result.exit_code == 2
+        assert "the distance between 'a' and 'b' is not finite" in result.output
 
 
 def test_flagify_command(runner, tmp_path):

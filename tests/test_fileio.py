@@ -11,13 +11,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sievecluster import (
+    Cover,
     FiniteMetricSpace,
     InputFormatError,
+    MethodSpec,
+    Sieve,
+    build_sieve,
     space_from_points,
     validate_metric,
 )
 from sievecluster import fileio
-from sievecluster.metric import REL_TOL
+from sievecluster.metric import _NUMPY_MIN_POINTS, REL_TOL
+from sievecluster.verify import random_metric
 from sievecluster.fileio import (
     FORMATS,
     POINT_NORMS,
@@ -430,3 +435,107 @@ def test_ingest_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * n * n * 8 + 2**20
+
+
+@pytest.mark.parametrize("n", [2, _NUMPY_MIN_POINTS])
+@pytest.mark.parametrize("labeled", [True, False])
+@pytest.mark.parametrize("fmt", ["auto", "points"])
+def test_points_whose_distance_overflows_are_refused(tmp_path, n, labeled, fmt):
+    # each coordinate is finite, but 1e308 - (-1e308) is not
+    coords = [1e308, -1e308] + [float(i) for i in range(n - 2)]
+    lines = [f"p{i:03d},{c!r}" if labeled else f"{c!r},0" for i, c in enumerate(coords)]
+    p = _write(tmp_path, "far.csv", "\n".join(lines) + "\n")
+    pair = "'p000' and 'p001'" if labeled else "'p0+' and 'p0*1'"
+    with pytest.raises(InputFormatError, match=f"far.csv: the distance between {pair} is not finite"):
+        ingest_space(p, fmt=fmt)
+
+
+# -- the streamed sieve writer against canonical_json_bytes -----------------
+
+
+def _streamed(s) -> bytes:
+    return b"".join(fileio._sieve_json(s))
+
+
+# labels that need escaping, in both encoders' sense, mixed with any text
+_ODD_LABELS = st.text(
+    st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "é", "€", "😀", "a"])
+    | st.characters(blacklist_categories=("Cs",)),
+    max_size=4,
+)
+# breakpoints after the first, which is 0.0 or -0.0
+_LATER_BREAKPOINTS = st.sampled_from([5e-324, 1e-300, 0.1, 1.0, 2.0, 3.0, 1e16, 1e22]) | st.floats(
+    min_value=5e-324, allow_infinity=False
+)
+
+
+@st.composite
+def hand_built_sieves(draw):
+    """Sieves of random covers, nested blocks allowed, on bases of odd
+    labels with breakpoints that json.dumps writes in each float form."""
+    base = sorted(draw(st.lists(_ODD_LABELS, min_size=1, max_size=4, unique=True)))
+    n = len(base)
+    covers = []
+    for _ in range(draw(st.integers(1, 5))):
+        masks = draw(st.lists(st.integers(1, 2**n - 1), max_size=3))
+        singles = draw(st.sets(st.integers(0, n - 1)))
+        blocks = [[x for i, x in enumerate(base) if m >> i & 1] for m in masks]
+        blocks += [[x] for i, x in enumerate(base) if i in singles or not any(m >> i & 1 for m in masks)]
+        cover = Cover(base, blocks)
+        if not covers or cover != covers[-1]:
+            covers.append(cover)
+    later = sorted(draw(st.sets(_LATER_BREAKPOINTS, min_size=len(covers) - 1, max_size=len(covers) - 1)))
+    return Sieve(base, [draw(st.sampled_from([0.0, -0.0])), *later], covers)
+
+
+@given(hand_built_sieves())
+@settings(max_examples=300)
+def test_sieve_writer_matches_canonical_json_on_hand_built_sieves(s):
+    assert _streamed(s) == canonical_json_bytes(s.to_dict())
+
+
+@pytest.mark.parametrize("label", ["a", '"', "\\", "\x00", "é", "😀"])
+def test_sieve_writer_on_one_point_bases(label):
+    s = Sieve([label], [0.0], [Cover([label], [[label]])])
+    assert _streamed(s) == canonical_json_bytes(s.to_dict())
+
+
+def test_sieve_writer_on_an_empty_base():
+    s = Sieve([], [0.0], [Cover([], [])])
+    assert _streamed(s) == canonical_json_bytes(s.to_dict())
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_sieve_writer_refuses_non_finite_breakpoints_before_any_chunk(value):
+    base = ["a", "b"]
+    covers = [Cover(base, [["a"], ["b"]]), Cover(base, [base])]
+    s = Sieve(base, [0.0, 1.0], covers)
+    s.breakpoints = (0.0, value)  # NaN would fail the constructor's order check
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        canonical_json_bytes(s.to_dict())
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        fileio._sieve_json(s)  # eagerly: the caller has opened nothing yet
+
+
+def test_sieve_writer_peak_memory():
+    # to_dict plus canonical_json_bytes peaked at 34.0 MB here, about 6.7
+    # times the 5.06 MB document: the dict, the string and its bytes; the
+    # writer holds one cover's text and each distinct block's
+    s = build_sieve(random_metric(40, 1), MethodSpec(family="ml"))
+
+    class Sink:
+        size = 0
+
+        def write(self, chunk):
+            self.size += len(chunk)
+
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        for chunk in fileio._sieve_json(s):
+            sink.write(chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 5_000_000
+    assert peak <= sink.size / 4

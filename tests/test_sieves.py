@@ -23,6 +23,7 @@ from sievecluster import (
 from sievecluster import sieves
 from sievecluster._bitops import bits, components, maximal_cliques
 from sievecluster.covers import refines
+from sievecluster.fileio import _sieve_json, canonical_json_bytes
 from sievecluster.metric import FiniteMetricSpace, space_from_points
 from sievecluster.rng import derive_seed
 from sievecluster.verify import METRIC_MODES, _dense_sieve, random_flag_cover, random_metric
@@ -320,6 +321,14 @@ def test_breakpoint_search_matches_dense_sweep_on_criterion_9_spaces(spec):
 )
 def test_breakpoint_search_matches_dense_sweep_on_random_spaces(spec, n, seed, mode):
     _assert_matches_dense(random_metric(n, seed, mode), spec)
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS, ids=MethodSpec.label)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(METRIC_MODES))
+@settings(max_examples=25)
+def test_streamed_json_matches_canonical_json_on_built_sieves(spec, n, seed, mode):
+    s = build_sieve(random_metric(n, seed, mode), spec)
+    assert b"".join(_sieve_json(s)) == canonical_json_bytes(s.to_dict())
 
 
 @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=MethodSpec.label)

@@ -20,7 +20,13 @@ import sievecluster.functors
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-HEAVY = ("numpy", "sievecluster.functors", "sievecluster.sieves", "sievecluster.verify")
+HEAVY = (
+    "numpy",
+    "sievecluster.fileio",
+    "sievecluster.functors",
+    "sievecluster.sieves",
+    "sievecluster.verify",
+)
 
 
 def _run_in_src(code: str) -> str:
