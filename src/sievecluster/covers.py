@@ -245,9 +245,7 @@ class Relation:
 
 def co_blocking(cover: Cover) -> Relation:
     """The relation holding for two labels iff they share a block."""
-    return Relation.from_masks(
-        cover.base, _co_blocking_masks(len(cover.base), cover.masks())
-    )
+    return Relation.from_masks(cover.base, _co_blocking_masks(len(cover.base), cover.masks()))
 
 
 def reduce_to_maximal(cover: Cover) -> Cover:
@@ -267,8 +265,8 @@ def is_flag(cover: Cover) -> bool:
     """Whether a non-nested cover satisfies the flag condition.
 
     Raises NestedCover when the input is nested (the notion is defined for
-    non-nested covers only). Decided by comparing the blocks against the
-    maximal cliques of the co-blocking graph.
+    non-nested covers only). Decided by comparing the blocks against its
+    flag completion, the maximal cliques of the co-blocking graph.
     """
     masks = cover.masks()
     if not cover.is_partition():
@@ -278,11 +276,7 @@ def is_flag(cover: Cover) -> bool:
             raise NestedCover(
                 f"block {cover.blocks[a]} is contained in {cover.blocks[b]}"
             )
-    cliques = _bitops.maximal_cliques(
-        _co_blocking_masks(len(cover.base), masks),
-        _bitops.full_mask(len(cover.base)),
-    )
-    return sorted(cliques) == sorted(masks)
+    return flagify(cover).blocks == cover.blocks
 
 
 def flagify(cover: Cover) -> FlagCover:
@@ -292,11 +286,7 @@ def flagify(cover: Cover) -> FlagCover:
     graph. Nested input is fine; nesting never changes the co-blocking
     relation beyond what the containing block already forces.
     """
-    cliques = _bitops.maximal_cliques(
-        _co_blocking_masks(len(cover.base), cover.masks()),
-        _bitops.full_mask(len(cover.base)),
-    )
-    return FlagCover._from_cliques(cover.base, cliques)
+    return maximal_linked_sets(co_blocking(cover))
 
 
 def refines(fine: Cover, coarse: Cover) -> bool:
@@ -357,7 +347,4 @@ def maximal_linked_sets(relation: Relation) -> FlagCover:
     These are the maximal cliques of the relation graph, which always form
     a flag cover, so the result is built without re-checking it.
     """
-    cliques = _bitops.maximal_cliques(
-        relation.adj, _bitops.full_mask(len(relation.base))
-    )
-    return FlagCover._from_cliques(relation.base, cliques)
+    return FlagCover._from_cliques(relation.base, _bitops.maximal_cliques(relation.adj))

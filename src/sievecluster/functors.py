@@ -1,27 +1,31 @@
 """The clustering families and the two-point scale probe.
 
 Every method maps a finite metric space to a flag cover of its points at a
-scale delta (thresholds are inclusive). Families:
+scale delta (thresholds are inclusive): the maximal linked sets of one
+relation on the points. Families, by that relation:
 
 * ``sl``   single linkage: connected components of the threshold graph.
 * ``ml``   maximal linkage: maximal sets with all pairwise distances <= delta.
 * ``l``    step linkage: relate points joined by at most k steps of length
-           <= delta each, with optional total length budget K; maximal
-           linked sets of that relation. k = 1 recovers ml, k = inf with
-           K = inf recovers sl, so both are thin wrappers over this one
-           code path.
+           <= delta each, with optional total length budget K. k = 1 is
+           ml and k = K = inf is sl.
 * ``vl``   vertex-connectivity linkage at level k of the threshold graph.
 * ``el``   edge-connectivity linkage at level k (a partition by default).
 * ``bk`` / ``bkstar``  maximal cliques after saturating the threshold graph
            under the strict / relaxed k-anchored edge rule.
 * ``generated``  relate x, y when some non-expansive probe from a small
-           test space lands on both; maximal linked sets of that relation.
+           test space lands on both.
+
+``_linked_relation`` is the one definition of each threshold family's
+relation. ``evaluate_method`` takes its maximal cliques, ``build_sieve``
+sweeps it over all scales, and each public per-family function is one
+call of ``evaluate_method``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from . import _bitops
@@ -30,19 +34,16 @@ from .covers import (
     Cover,
     FlagCover,
     Relation,
+    _co_blocking_masks,
     co_blocking,
-    flagify,
     maximal_linked_sets,
 )
 from .errors import SearchBudgetExceeded, TrivialFunctor
 from .graphs import (
     Graph,
     _check_level,
-    bk_closure,
-    bk_star_closure,
     max_edge_connected_subgraphs,
     max_vertex_connected_subgraphs,
-    relation_from_graph,
     space_from_graph,
     threshold_graph,
 )
@@ -103,14 +104,7 @@ class MethodSpec:
             raise ValueError("clique_exception applies to the el family only")
 
     def with_delta(self, delta: float) -> "MethodSpec":
-        return MethodSpec(
-            family=self.family,
-            delta=delta,
-            k=self.k,
-            budget=self.budget,
-            test_spaces=self.test_spaces,
-            clique_exception=self.clique_exception,
-        )
+        return replace(self, delta=delta)
 
     def label(self) -> str:
         bits = [self.family]
@@ -158,9 +152,7 @@ class MethodSpec:
         budget = data.get("K")
         if budget is not None:
             budget = float(num(budget, "K"))
-        tests = tuple(
-            FiniteMetricSpace.from_dict(t) for t in data.get("test_spaces", [])
-        )
+        tests = tuple(FiniteMetricSpace.from_dict(t) for t in data.get("test_spaces", []))
         return cls(
             family=data["family"],
             delta=data.get("delta"),
@@ -179,46 +171,34 @@ class ProbeResult:
     boundary_merged: bool
 
 
-def _step_relation(x: FiniteMetricSpace, delta: float, k, budget) -> Relation:
-    """Relate points joined by <= k steps of length <= delta, total <= budget.
+def _step_relation(x: FiniteMetricSpace, delta: float, k, budget) -> list[int]:
+    """Adjacency masks relating points joined by <= k steps of length
+    <= delta, total <= budget. The parameters are MethodSpec's, checked there.
 
     Steps may repeat points (a zero-length stay), so "within k steps" and
     "exactly k steps" coincide and the relation grows monotonically in all
     three parameters.
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    _check_level(k)
-    if not budget >= 0:
-        raise ValueError("budget K must be nonnegative")
     n = x.n
     if budget == math.inf:
         adj = x._adjacency(delta)
         if k == 1:
-            return Relation.from_masks(x.labels, adj)
-        if k == math.inf:
-            rel = [0] * n
-            for comp in _bitops.components(adj, _bitops.full_mask(n)):
-                for v in _bitops.bits(comp):
-                    rel[v] = comp & ~(1 << v)
-            return Relation.from_masks(x.labels, rel)
+            return adj
+        if k == math.inf:  # linked within one component
+            return _co_blocking_masks(n, _bitops.components(adj))
         rel = []
         for v in range(n):
-            reached = 1 << v
-            frontier = reached
+            reached = frontier = 1 << v
             for _ in range(k):
                 grow = 0
-                m = frontier
-                while m:
-                    u = (m & -m).bit_length() - 1
-                    m &= m - 1
+                for u in _bitops.bits(frontier):
                     grow |= adj[u]
                 frontier = grow & ~reached
                 if not frontier:
                     break
                 reached |= frontier
             rel.append(reached & ~(1 << v))
-        return Relation.from_masks(x.labels, rel)
+        return rel
     # finite budget: cheapest total length over <= k steps, then threshold
     steps = n - 1 if k == math.inf else min(k, n - 1)
     np = _numpy(n)
@@ -248,7 +228,7 @@ def _step_relation(x: FiniteMetricSpace, delta: float, k, budget) -> Relation:
                     best[j] = s
                 fell = lower
             rel.append(sum(1 << j for j, v in enumerate(best) if v <= budget and j != i))
-        return Relation.from_masks(x.labels, rel)
+        return rel
     w = np.where(x.dist <= delta, x.dist, np.inf)
     np.fill_diagonal(w, 0.0)
     dist = w.copy()
@@ -258,27 +238,22 @@ def _step_relation(x: FiniteMetricSpace, delta: float, k, budget) -> Relation:
         if np.array_equal(nxt, dist):
             break
         dist = nxt
-    return Relation.from_masks(x.labels, _bitops.adjacency_from_bool(dist <= budget))
+    return _bitops.adjacency_from_bool(dist <= budget)
 
 
-def k_linkage(
-    x: FiniteMetricSpace, delta: float, k, budget=math.inf
-) -> FlagCover:
+def k_linkage(x: FiniteMetricSpace, delta: float, k, budget=math.inf) -> FlagCover:
     """Maximal linked sets of the k-step relation at scale delta."""
-    return maximal_linked_sets(_step_relation(x, delta, k, budget))
+    return evaluate_method(x, MethodSpec("l", delta, k=k, budget=budget))
 
 
 def single_linkage(x: FiniteMetricSpace, delta: float) -> FlagCover:
     """Connected components of the threshold graph (k_linkage at k = inf)."""
-    out = k_linkage(x, delta, math.inf, math.inf)
-    if not out.is_partition():
-        raise AssertionError("single linkage must produce a partition")
-    return out
+    return evaluate_method(x, MethodSpec("sl", delta))
 
 
 def maximal_linkage(x: FiniteMetricSpace, delta: float) -> FlagCover:
     """Maximal cliques of the threshold graph (k_linkage at k = 1)."""
-    return k_linkage(x, delta, 1, math.inf)
+    return evaluate_method(x, MethodSpec("ml", delta))
 
 
 def vertex_linkage(x: FiniteMetricSpace, delta: float, k) -> FlagCover:
@@ -293,8 +268,7 @@ def vertex_linkage(x: FiniteMetricSpace, delta: float, k) -> FlagCover:
     refinement chain in k, both of its endpoints, and consistency under
     injective non-expansive maps.
     """
-    c = max_vertex_connected_subgraphs(threshold_graph(x, delta), k)
-    return flagify(c)
+    return evaluate_method(x, MethodSpec("vl", delta, k=k))
 
 
 def edge_linkage(
@@ -306,22 +280,17 @@ def edge_linkage(
     clique-exception variant can need the same flag completion as
     vertex_linkage, so both go through it.
     """
-    c = max_edge_connected_subgraphs(
-        threshold_graph(x, delta), k, clique_exception=clique_exception
-    )
-    return flagify(c)
+    return evaluate_method(x, MethodSpec("el", delta, k=k, clique_exception=clique_exception))
 
 
 def bk_clusters(x: FiniteMetricSpace, delta: float, k) -> FlagCover:
     """Maximal cliques after the strict k-anchored closure of the threshold graph."""
-    g = bk_closure(threshold_graph(x, delta), k)
-    return maximal_linked_sets(relation_from_graph(g))
+    return evaluate_method(x, MethodSpec("bk", delta, k=k))
 
 
 def bk_star_clusters(x: FiniteMetricSpace, delta: float, k) -> FlagCover:
     """Maximal cliques after the relaxed k-anchored closure."""
-    g = bk_star_closure(threshold_graph(x, delta), k)
-    return maximal_linked_sets(relation_from_graph(g))
+    return evaluate_method(x, MethodSpec("bkstar", delta, k=k))
 
 
 def probe_relation(
@@ -383,64 +352,63 @@ def generated_cluster(
 def _linked_relation(
     x: FiniteMetricSpace, spec: MethodSpec, delta: float, start: list[int] | None = None
 ) -> list[int]:
-    """Adjacency masks of the relation whose maximal linked sets are the
-    cover of a threshold method at scale delta: the step relation (sl is
-    its k = K = inf case), the strict or relaxed closure of the threshold
-    graph, or the co-blocking relation of the vl or el cover. Every such
-    cover is a flag cover, the maximal cliques of its co-blocking relation,
-    so equal relations give equal covers and inclusion of relations is
-    refinement of covers. Each relation only gains pairs as delta grows:
-    both closure rules are monotone, and a vertex set that qualifies for vl
-    or el still qualifies after edges are added.
+    """Adjacency masks of the relation that defines a threshold method at
+    scale delta: the method's cover is the maximal linked sets of it.
+
+    * sl, ml and l: the step relation, linking points joined by at most k
+      steps of length <= delta each with total length at most K. sl is
+      k = K = inf (the components of the threshold graph), ml is k = 1,
+      K = inf (the threshold graph itself).
+    * vl and el: the co-blocking relation of the maximal k-vertex- or
+      k-edge-connected subgraphs of the threshold graph. Its maximal
+      cliques are their flag completion, the least flag cover that they
+      refine, so the relation is read off the blocks before completion.
+    * bk and bkstar: the closure of the threshold graph under the strict
+      or relaxed k-anchored edge rule.
+
+    Every such cover is a flag cover, the maximal cliques of its
+    co-blocking relation, so equal relations give equal covers and
+    inclusion of relations is refinement of covers. Each relation only
+    gains pairs as delta grows: both closure rules are monotone, and a
+    vertex set that qualifies for vl or el still qualifies after edges are
+    added.
 
     ``start`` is this relation at a smaller scale. The closures resume
     from it: closing the threshold graph joined with a smaller fixed point
     gives the closure of the threshold graph itself. The other relations
     ignore it.
     """
-    if spec.family in ("sl", "l"):
-        k = math.inf if spec.k is None else spec.k
+    family = spec.family
+    if family in ("sl", "ml", "l"):
+        k = {"sl": math.inf, "ml": 1}.get(family, spec.k)
         budget = math.inf if spec.budget is None else spec.budget
-        return _step_relation(x, delta, k, budget).adj
-    if spec.family in ("vl", "el"):
-        # the flag completion keeps the co-blocking relation, so it is read
-        # off the blocks before the completion
+        return _step_relation(x, delta, k, budget)
+    if family in ("vl", "el"):
         g = threshold_graph(x, delta)
-        if spec.family == "vl":
-            return co_blocking(max_vertex_connected_subgraphs(g, spec.k)).adj
-        return co_blocking(
-            max_edge_connected_subgraphs(g, spec.k, clique_exception=spec.clique_exception)
-        ).adj
+        if family == "vl":
+            blocks = max_vertex_connected_subgraphs(g, spec.k)
+        else:
+            blocks = max_edge_connected_subgraphs(g, spec.k, clique_exception=spec.clique_exception)
+        return _co_blocking_masks(x.n, blocks.masks())
     adj = x._adjacency(delta)
     if start is not None:
         adj = [a | b for a, b in zip(adj, start)]
-    return _bitops.closure_bk(adj, spec.k, relaxed=spec.family == "bkstar")
+    return _bitops.closure_bk(adj, spec.k, relaxed=family == "bkstar")
 
 
 def evaluate_method(x: FiniteMetricSpace, spec: MethodSpec) -> FlagCover:
-    """Run one clustering method on one space."""
-    fam = spec.family
-    if fam == "generated":
+    """Run one clustering method on one space: the maximal linked sets of
+    its relation at its delta (_linked_relation), or of the probe relation
+    for the generated family."""
+    if spec.family == "generated":
         return generated_cluster(x, spec.test_spaces)
     if spec.delta is None:
         raise ValueError(f"method {spec.label()!r} needs delta for flat evaluation")
-    d = spec.delta
-    if fam == "sl":
-        return single_linkage(x, d)
-    if fam == "ml":
-        return maximal_linkage(x, d)
-    if fam == "l":
-        budget = math.inf if spec.budget is None else spec.budget
-        return k_linkage(x, d, spec.k, budget)
-    if fam == "vl":
-        return vertex_linkage(x, d, spec.k)
-    if fam == "el":
-        return edge_linkage(x, d, spec.k, clique_exception=spec.clique_exception)
-    if fam == "bk":
-        return bk_clusters(x, d, spec.k)
-    if fam == "bkstar":
-        return bk_star_clusters(x, d, spec.k)
-    raise AssertionError(f"unhandled family {fam!r}")
+    cliques = _bitops.maximal_cliques(_linked_relation(x, spec, spec.delta))
+    cover = FlagCover._from_cliques(x.labels, cliques)
+    if spec.family == "sl" and not cover.is_partition():
+        raise AssertionError("single linkage must produce a partition")
+    return cover
 
 
 def cover_metric(cover: Cover, delta: float) -> FiniteMetricSpace:

@@ -117,6 +117,22 @@ def _permute(np, d, order: list[int]) -> None:
         order[i] = -1
 
 
+def _mean(a: float, b: float) -> float:
+    """(a + b) / 2, or a / 2 + b / 2 where the sum overflows: never inf for finite a, b."""
+    s = a + b
+    return s / 2.0 if abs(s) != math.inf else a / 2.0 + b / 2.0
+
+
+def _mean_into(np, out, a, b) -> None:
+    """_mean of the arrays a and b, elementwise, into out, which overlaps neither."""
+    with np.errstate(over="ignore"):
+        np.add(a, b, out=out)
+    out /= 2.0
+    if out.max() == math.inf:
+        big = np.isinf(out)
+        out[big] = a[big] / 2.0 + b[big] / 2.0
+
+
 def _symmetrize(np, d) -> None:
     """Average the square array d with its transpose in place, one block of
     rows on and above the diagonal at a time: what is read there has not
@@ -125,7 +141,9 @@ def _symmetrize(np, d) -> None:
     step = _TILE_ENTRIES // n or 1
     for r0 in range(0, n, step):
         rows = slice(r0, r0 + step)
-        mean = (d[rows, r0:] + d[r0:, rows].T) / 2.0
+        upper, lower = d[rows, r0:], d[r0:, rows].T
+        mean = np.empty(upper.shape)
+        _mean_into(np, mean, upper, lower)
         d[rows, r0:] = mean
         d[r0:, rows] = mean.T
 
@@ -334,9 +352,10 @@ def _min_plus(out, left, right) -> None:
     import numpy as np
 
     buf = np.empty_like(out)
-    for k in range(left.shape[1]):
-        np.add(left[:, k, None], right[None, k, :], out=buf)
-        np.minimum(out, buf, out=out)
+    with np.errstate(over="ignore"):  # a sum above the largest float is inf, as in Python
+        for k in range(left.shape[1]):
+            np.add(left[:, k, None], right[None, k, :], out=buf)
+            np.minimum(out, buf, out=out)
 
 
 # entries of one row tile of the triangle check: its two work arrays of
@@ -376,17 +395,18 @@ def _check_triangle(labels: tuple[str, ...], flat: array, tol: float) -> None:
             (r0, d[r0 : r0 + step, r0:], d[r0 : r0 + step], d[:, r0:])
             for r0 in range(0, n, step)
         ]
-    for r0, tile, rows, cols in tiles:
-        best = tile.copy()
-        _min_plus(best, rows, cols)
-        bad = tile > best + tol
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
-            k = int(np.argmin(d[r0 + i] + d[:, r0 + j]))
-            raise TriangleViolation(
-                (labels[r0 + i], labels[k], labels[r0 + j]),
-                float(d[r0 + i, r0 + j] - best[i, j]),
-            )
+    with np.errstate(over="ignore"):  # a sum above the largest float is inf, as in Python
+        for r0, tile, rows, cols in tiles:
+            best = tile.copy()
+            _min_plus(best, rows, cols)
+            bad = tile > best + tol
+            if bad.any():
+                i, j = map(int, np.argwhere(bad)[0])
+                k = int(np.argmin(d[r0 + i] + d[:, r0 + j]))
+                raise TriangleViolation(
+                    (labels[r0 + i], labels[k], labels[r0 + j]),
+                    float(d[r0 + i, r0 + j] - best[i, j]),
+                )
 
 
 def _checked_matrix(
@@ -418,7 +438,7 @@ def _checked_matrix(
         raise AsymmetricMatrix(f"matrix differs from transpose by {asym:.3g}")
     for i, row in enumerate(rows):
         for j in range(i, n):
-            row[j] = rows[j][i] = (row[j] + rows[j][i]) / 2.0
+            row[j] = rows[j][i] = _mean(row[j], rows[j][i])
     if min(map(min, rows)) < -tol:
         i, j = next((i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v < -tol)
         raise NegativeDistance(f"d({labels[i]}, {labels[j]}) = {rows[i][j]:.6g} is negative")
@@ -449,13 +469,13 @@ def _checked_numpy(labels: tuple[str, ...], matrix, rel_tol: float) -> tuple[arr
     tol = rel_tol * abs(max(float(src.max()), -float(src.min())))
     flat = _zeros(n)
     d = _view(np, flat, n)
-    np.subtract(src, src.T, out=d)
+    with np.errstate(over="ignore"):  # a difference above the largest float is inf
+        np.subtract(src, src.T, out=d)
     np.abs(d, out=d)
     asym = float(d.max())
     if asym > tol:
         raise AsymmetricMatrix(f"matrix differs from transpose by {asym:.3g}")
-    np.add(src, src.T, out=d)
-    np.divide(d, 2.0, out=d)
+    _mean_into(np, d, src, src.T)
     if float(d.min()) < -tol:
         i, j = map(int, np.argwhere(d < -tol)[0])
         raise NegativeDistance(f"d({labels[i]}, {labels[j]}) = {d[i, j]:.6g} is negative")
@@ -511,14 +531,33 @@ def _sum(terms: list[list[float]]) -> list[float]:
     return reduce(_add, terms)
 
 
+# a distance whose sum of squares overflows is redone on the differences times
+# _DOWN, whose squares cannot overflow, and its root times _UP: exact scalings
+_DOWN, _UP = 2.0**-512, 2.0**512
+
+
+def _euclidean(diff: list[list[float]]) -> list[float]:
+    out = list(map(math.sqrt, _sum([[t * t for t in c] for c in diff])))
+    if math.inf in out:
+        down = _sum([[(t * _DOWN) * (t * _DOWN) for t in c] for c in diff])
+        out = [v if v != math.inf else math.sqrt(w) * _UP for v, w in zip(out, down)]
+    return out
+
+
+def _euclidean_np(np, diff):
+    out = np.sqrt((diff * diff).sum(axis=2))
+    big = np.isinf(out)
+    if big.any():
+        down = diff[big] * _DOWN
+        out[big] = np.sqrt((down * down).sum(axis=1)) * _UP
+    return out
+
+
 # each norm maps coordinate differences to distances, as a pair: in Python,
 # one list of differences per coordinate to the list of distances; in numpy,
 # a block of rows against every point, shape (rows, n, dim), to (rows, n)
 _POINT_NORMS = {
-    "euclidean": (
-        lambda diff: list(map(math.sqrt, _sum([[t * t for t in c] for c in diff]))),
-        lambda np, diff: np.sqrt((diff * diff).sum(axis=2)),
-    ),
+    "euclidean": (_euclidean, _euclidean_np),
     "manhattan": (
         lambda diff: _sum([list(map(abs, c)) for c in diff]),
         lambda np, diff: np.abs(diff).sum(axis=2),
@@ -583,12 +622,9 @@ def space_from_points(
         flat = _zeros(n)
         for i in range(n - 1):
             # point i against every later point, one coordinate at a time
-            v = norm[0]([list(map(c[i].__sub__, c[i + 1 :])) for c in cols])
-            # averaged with its mirror, as the numpy path does: equal unless
-            # above half the largest float, which overflows
-            mean = array("d", [(d + d) / 2.0 for d in v])
-            flat[i * n + i + 1 : (i + 1) * n] = mean
-            flat[(i + 1) * n + i :: n] = mean
+            v = array("d", norm[0]([list(map(c[i].__sub__, c[i + 1 :])) for c in cols]))
+            flat[i * n + i + 1 : (i + 1) * n] = v
+            flat[(i + 1) * n + i :: n] = v
     else:
         import numpy as np
 
@@ -604,10 +640,11 @@ def space_from_points(
         step = _TILE_ENTRIES // max(n * dim, 1) or 1
         flat = _zeros(n)
         d = _view(np, flat, n)
-        for r0 in range(0, n, step):
-            d[r0 : r0 + step] = norm[1](np, pts[r0 : r0 + step, None, :] - pts[None, :, :])
-        # an entry and its mirror are computed alike, so averaging changes
-        # only a distance above half the largest float, which overflows
+        with np.errstate(over="ignore"):  # points too far apart are at inf
+            for r0 in range(0, n, step):
+                d[r0 : r0 + step] = norm[1](np, pts[r0 : r0 + step, None, :] - pts[None, :, :])
+        # an entry and its mirror are computed alike, so the average, which
+        # never overflows, changes no entry: it only makes symmetry exact
         _symmetrize(np, d)
         np.fill_diagonal(d, 0.0)
     if labels is None:
@@ -650,7 +687,7 @@ def metric_closure(
         for i, row in enumerate(rows):
             row[i] = 0.0
             for j in range(i + 1, n):
-                row[j] = rows[j][i] = (row[j] + rows[j][i]) / 2.0
+                row[j] = rows[j][i] = _mean(row[j], rows[j][i])
         flat = array("d", chain.from_iterable(rows))
     else:
         d = _view(np, flat, n)

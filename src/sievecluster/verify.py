@@ -657,10 +657,12 @@ def _dense_sieve(x: FiniteMetricSpace, spec: MethodSpec) -> Sieve:
     scale (0 and each distinct distance), keeping the first of each run of
     equal covers.
 
-    Oracle for build_sieve, which evaluates only where its breakpoint search
-    needs to and shares no code with this walk. Raises MonotonicityViolation
-    (index of the earlier stored cover, scale of the later) when a cover is
-    not refined by the last distinct one before it.
+    Oracle for build_sieve. Both take each family's relation from
+    functors._linked_relation, but this walk evaluates every scale afresh,
+    so it checks independently what the builder adds: the bisection, the
+    incremental clique sweep, closure resumption and ml's batches. Raises
+    MonotonicityViolation (index of the earlier stored cover, scale of the
+    later) when a cover is not refined by the last distinct one before it.
     """
     bps: list[float] = []
     covers: list[FlagCover] = []

@@ -275,6 +275,34 @@ def test_points_whose_distance_overflows_exit_two(runner, tmp_path):
         assert "the distance between 'a' and 'b' is not finite" in result.output
 
 
+def test_distances_above_half_the_largest_float_stay_finite(runner, tmp_path):
+    # averaging with the transpose once overflowed these to inf
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("label,a,b\na,0,1e308\nb,1e308,0\n")
+    result = runner.invoke(main, ["sieve", "--method", "sl", str(matrix)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["breakpoints"] == [0.0, 1e308]
+    result = runner.invoke(main, ["cluster", "--method", "sl", "--delta", "1e308", str(matrix)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["clusters"] == [["a", "b"]]
+    cloud = tmp_path / "c.csv"
+    cloud.write_text("a,0\nb,1.5e308\n")
+    result = runner.invoke(main, ["cluster", "--method", "sl", "--delta", "1.5e308", str(cloud)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["clusters"] == [["a", "b"]]
+
+
+def test_points_whose_distance_overflows_print_only_the_error(tmp_path):
+    # 128 points take the numpy path, whose row blocks overflow
+    p = tmp_path / "far.csv"
+    coords = [1e308, -1e308] + [float(i) for i in range(126)]
+    p.write_text("".join(f"p{i:03d},{c!r}\n" for i, c in enumerate(coords)))
+    proc = _cli(False, "cluster", "--method", "ml", "--delta", "1", str(p), stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out) == (2, b"")
+    assert err == f"Error: {p}: the distance between 'p000' and 'p001' is not finite\n".encode()
+
+
 def test_flagify_command(runner, tmp_path):
     cover = tmp_path / "cover.json"
     cover.write_text(

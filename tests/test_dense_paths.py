@@ -237,7 +237,21 @@ def test_threshold_masks_of_a_space_holding_nan():
 )
 def test_step_relation(points, delta, k, budget):
     x = space_from_points([[c % 4 for c in p] for p in points], "manhattan")
-    assert_same(lambda: functors._step_relation(x, delta, k, budget).adj, key=lambda a: a)
+    assert_same(lambda: functors._step_relation(x, delta, k, budget), key=lambda a: a)
+
+
+@pytest.mark.parametrize("n", [2, 130])
+def test_distances_above_half_the_largest_float_stay_finite(n):
+    # averaging with the transpose once overflowed these to inf
+    labels = [f"p{i:03d}" for i in range(n)]
+    big = [[0.0 if i == j else 1e308 for j in range(n)] for i in range(n)]
+    for build in (metric.validate_metric, metric.metric_closure):
+        _, (_, flat) = assert_same(lambda: build(labels, big))
+        assert set(array("d", flat)) == {0.0, 1e308}
+    for far, expect in (([1.5e308], 1.5e308), ([1e200, 1e200], math.hypot(1e200, 1e200))):
+        points = [[0.0] * len(far)] * (n - 1) + [far]
+        _, (_, flat) = assert_same(lambda: space_from_points(points))
+        assert max(array("d", flat)) == pytest.approx(expect, rel=1e-15)
 
 
 def test_step_relation_keeps_the_step_limit():
@@ -247,7 +261,7 @@ def test_step_relation_keeps_the_step_limit():
     d = [[0, 1, 3, 9, 9], [1, 0, 1, 9, 9], [3, 1, 0, 1, 9], [9, 9, 1, 0, 9], [9, 9, 9, 9, 0]]
     x = FiniteMetricSpace("abcde", d)
     for k, reached in ((2, 0b0110), (3, 0b1110)):
-        got = assert_same(lambda: functors._step_relation(x, 3.0, k, 3.5).adj, key=lambda a: a)
+        got = assert_same(lambda: functors._step_relation(x, 3.0, k, 3.5), key=lambda a: a)
         assert got[1][0] == reached
 
 

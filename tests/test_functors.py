@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sievecluster import (
+    Cover,
     FlagCover,
+    Graph,
     MethodSpec,
     SearchBudgetExceeded,
     TrivialFunctor,
@@ -23,13 +25,22 @@ from sievecluster import (
     maximal_linkage,
     path_space,
     refines,
+    relation_from_graph,
     single_linkage,
+    space_from_graph,
     space_from_points,
     vertex_linkage,
 )
-from sievecluster.verify import random_metric
+from sievecluster.verify import brute_force_maximal_linked, iterative_flagify_oracle, random_metric
 
 from conftest import graph_space
+from test_graphs import (
+    _adjsets,
+    _randomized_order_closure,
+    brute_edge_decomposition,
+    brute_vertex_decomposition,
+    make_graph,
+)
 
 INF = math.inf
 
@@ -197,18 +208,129 @@ def test_method_spec_roundtrip_and_labels():
     assert MethodSpec.from_dict(spec.to_dict()) == spec
 
 
-def test_evaluate_method_dispatch(x3):
-    assert evaluate_method(x3, MethodSpec(family="sl", delta=1.0)) == single_linkage(
-        x3, 1.0
-    )
-    assert evaluate_method(
-        x3, MethodSpec(family="l", delta=1.0, k=2, budget=1.5)
-    ) == k_linkage(x3, 1.0, 2, 1.5)
-    assert evaluate_method(
-        x3, MethodSpec(family="el", delta=1.0, k=2)
-    ) == edge_linkage(x3, 1.0, 2)
+def test_evaluate_method_dispatch(x3, bowtie, four_cycle):
+    for x in (x3, bowtie, four_cycle):
+        for delta in (0.5, 1.0, 1.5):
+            cases = [
+                (MethodSpec("sl", delta), single_linkage(x, delta)),
+                (MethodSpec("ml", delta), maximal_linkage(x, delta)),
+                (MethodSpec("l", delta, k=2, budget=1.5), k_linkage(x, delta, 2, 1.5)),
+                (MethodSpec("l", delta, k=3), k_linkage(x, delta, 3)),
+            ]
+            for k in (1, 2, 3):
+                cases += [
+                    (MethodSpec("vl", delta, k=k), vertex_linkage(x, delta, k)),
+                    (MethodSpec("el", delta, k=k), edge_linkage(x, delta, k)),
+                    (
+                        MethodSpec("el", delta, k=k, clique_exception=True),
+                        edge_linkage(x, delta, k, clique_exception=True),
+                    ),
+                    (MethodSpec("bk", delta, k=k), bk_clusters(x, delta, k)),
+                    (MethodSpec("bkstar", delta, k=k), bk_star_clusters(x, delta, k)),
+                ]
+            for spec, got in cases:
+                assert evaluate_method(x, spec) == got, spec.label()
+        probe = path_space(1, 1.0)
+        assert evaluate_method(x, MethodSpec("generated", test_spaces=(probe,))) == (
+            generated_cluster(x, [probe])
+        )
     with pytest.raises(ValueError):
         evaluate_method(x3, MethodSpec(family="sl"))  # no delta
+
+
+@pytest.mark.parametrize(
+    "flat", [lambda x: maximal_linkage(x, math.nan), lambda x: vertex_linkage(x, math.nan, 2)]
+)
+def test_flat_functions_refuse_nan_delta(x3, flat):
+    with pytest.raises(ValueError, match="delta must be nonnegative"):
+        flat(x3)
+
+
+def _all_graphs(max_n):
+    """Every graph on v0..v{n-1} for n up to max_n."""
+    for n in range(1, max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield make_graph(n, [p for e, p in enumerate(pairs) if mask >> e & 1])
+
+
+def _clique_sets(g, k):
+    """The vertex sets of at most k vertices that are complete in g."""
+    adj = _adjsets(g)
+    return [
+        s
+        for r in range(1, k + 1)
+        for s in itertools.combinations(g.vertices, r)
+        if all(b in adj[a] for a, b in itertools.combinations(s, 2))
+    ]
+
+
+def _sl_oracle(g, k):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges)
+    return Cover(g.vertices, [sorted(c) for c in nx.connected_components(h)])
+
+
+def _el_oracle(g, k, clique_exception):
+    blocks = list(brute_edge_decomposition(g, k).blocks)
+    if clique_exception:
+        blocks += _clique_sets(g, k)
+    return iterative_flagify_oracle(Cover(g.vertices, blocks))
+
+
+def _closure_oracle(g, k, relaxed):
+    pairs = _randomized_order_closure(g, k, relaxed, seed=len(g.edges))
+    closed = Graph(g.vertices, [tuple(p) for p in pairs])
+    return brute_force_maximal_linked(relation_from_graph(closed))
+
+
+# each family's cover on a graph space at scale 1, from test-side code
+# only: its definition, not the relation the library sweeps
+FLAT_ORACLES = {
+    "sl": (lambda k: MethodSpec("sl", 1.0), _sl_oracle),
+    "ml": (
+        lambda k: MethodSpec("ml", 1.0),
+        lambda g, k: brute_force_maximal_linked(relation_from_graph(g)),
+    ),
+    "vl": (
+        lambda k: MethodSpec("vl", 1.0, k=k),
+        lambda g, k: iterative_flagify_oracle(brute_vertex_decomposition(g, k)),
+    ),
+    "el": (lambda k: MethodSpec("el", 1.0, k=k), lambda g, k: _el_oracle(g, k, False)),
+    "el-clique-exception": (
+        lambda k: MethodSpec("el", 1.0, k=k, clique_exception=True),
+        lambda g, k: _el_oracle(g, k, True),
+    ),
+    "bk": (lambda k: MethodSpec("bk", 1.0, k=k), lambda g, k: _closure_oracle(g, k, False)),
+    "bkstar": (
+        lambda k: MethodSpec("bkstar", 1.0, k=k),
+        lambda g, k: _closure_oracle(g, k, True),
+    ),
+}
+
+
+# from 6 points the raw vl and el (clique exception) blocks at k = 3 can
+# fail the flag condition, as on these graphs, so the completion shows
+_UNFLAGGED = [
+    make_graph(6, [(0, 2), (0, 3), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (4, 5)]),
+    make_graph(
+        7,
+        [(0, 2), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4), (1, 6)]
+        + [(2, 3), (2, 4), (3, 4), (3, 6), (4, 5), (4, 6)],
+    ),
+]
+
+
+@pytest.mark.parametrize("family", sorted(FLAT_ORACLES))
+def test_flat_families_match_their_definitions(family):
+    spec_at, oracle = FLAT_ORACLES[family]
+    levels = (None,) if family in ("sl", "ml") else (1, 2, 3)
+    for g in [*_all_graphs(5), *_UNFLAGGED]:
+        x = space_from_graph(g, 1.0)
+        for k in levels:
+            assert evaluate_method(x, spec_at(k)) == oracle(g, k), (g.edges, k)
 
 
 def test_cover_metric_recovers_cover():

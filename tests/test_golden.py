@@ -3,10 +3,11 @@
 The digests were recorded before the shared kernels (graph metrization,
 quotients, assignment enumeration, bridges, the min-plus product) were
 merged into one implementation each; the sieve digests, before every
-threshold family was swept through one builder. Any change to an
-enumeration order, a random pick or a float in these outputs changes a
-digest, so a rewrite behind the public names that alters bytes fails here
-even when every structural test holds.
+threshold family was swept through one builder; the flat cover digests,
+before every family was evaluated as the maximal cliques of one relation.
+Any change to an enumeration order, a random pick or a float in these
+outputs changes a digest, so a rewrite behind the public names that
+alters bytes fails here even when every structural test holds.
 """
 
 import hashlib
@@ -19,6 +20,7 @@ from sievecluster import (
     build_sieve,
     check_functoriality,
     cover_metric,
+    evaluate_method,
     find_counterexample,
     generated_cluster,
     path_space,
@@ -110,8 +112,57 @@ SIEVE_GOLDEN = {
 }
 
 
+def _flat(spec):
+    # three of the space's distances, so every threshold is met with
+    # equality, at scales where the families give different covers
+    x = random_metric(20, 2013)
+    scales = x.pairwise_distances()
+    return [evaluate_method(x, spec.with_delta(scales[i])).to_dict() for i in (10, 20, 40)]
+
+
+FLAT_GOLDEN = {
+    "flat-sl": (
+        MethodSpec("sl"),
+        "b5912fc73e79376f874b0c801ee2e65c93fd4a768b9a3ae1ddabac504892481d",
+    ),
+    "flat-ml": (
+        MethodSpec("ml"),
+        "c7be8bcad4bd76dafb02f8b7f738b94ddeb13bee3aff02d5a474dd0a52efce07",
+    ),
+    "flat-l2-budget": (
+        MethodSpec("l", k=2, budget=1.5),
+        "248be861bcfa4b77be43017a22bd61b9c89b5d62ffbb5f4e6ef4bdee55ddc032",
+    ),
+    "flat-vl2": (
+        MethodSpec("vl", k=2),
+        "04d832cc1e3c174065fec141b8e636cf055f9662829d24a23b59f0a431db5d3c",
+    ),
+    "flat-vl3": (
+        MethodSpec("vl", k=3),
+        "00f00eb11c3af07635534376084a0c0076702ac19275c2ec2df6e09a5512dc7f",
+    ),
+    "flat-el3": (
+        MethodSpec("el", k=3),
+        "4b2f0a9e937ef2cec3109bba7da880f081e3081122efadc1a024c27904cc1361",
+    ),
+    "flat-el3-clique-exception": (
+        MethodSpec("el", k=3, clique_exception=True),
+        "00f00eb11c3af07635534376084a0c0076702ac19275c2ec2df6e09a5512dc7f",
+    ),
+    "flat-bk2": (
+        MethodSpec("bk", k=2),
+        "04d832cc1e3c174065fec141b8e636cf055f9662829d24a23b59f0a431db5d3c",
+    ),
+    "flat-bkstar2": (
+        MethodSpec("bkstar", k=2),
+        "04d832cc1e3c174065fec141b8e636cf055f9662829d24a23b59f0a431db5d3c",
+    ),
+}
+
+
 GOLDEN = {
     **{name: (lambda spec=spec: _sieve(spec), digest) for name, (spec, digest) in SIEVE_GOLDEN.items()},
+    **{name: (lambda spec=spec: _flat(spec), digest) for name, (spec, digest) in FLAT_GOLDEN.items()},
     "counterexample-vl2": (
         lambda: _witness("vl"),
         "ee1ad710bf8615f6f768ab24d7de7e0d822b0cd9afc28ce10300ddf764b10a90",

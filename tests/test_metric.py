@@ -236,14 +236,16 @@ def test_space_from_points_matches_full_broadcast(norm, dim):
 
 
 def test_space_from_points_averages_like_full_broadcast_near_overflow():
-    # a distance above half the largest float overflows when averaged with
-    # its transpose, in the blocks as in the full broadcast
+    # a distance above half the largest float stays finite when averaged
+    # with its transpose, and one above the largest float is inf; in one
+    # dimension every norm is the absolute difference
     pts = np.array([[0.0], [1.5e308], [-1e308], [1.0]])
+    with np.errstate(over="ignore"):
+        want = np.abs(pts - pts.T)
     for norm in ("euclidean", "manhattan", "chebyshev"):
-        with np.errstate(over="ignore"):
-            got = space_from_points(pts, norm).dist
-            assert got.tobytes() == _full_broadcast_distances(pts, norm).tobytes()
-        assert math.isinf(got[0, 1])
+        got = space_from_points(pts, norm).dist
+        assert got.tobytes() == want.tobytes()
+    assert got[0, 1] == 1.5e308 and math.isinf(got[1, 2])
 
 
 def test_space_from_points_peak_memory():
