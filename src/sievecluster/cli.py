@@ -214,10 +214,11 @@ def _read_cover(path: str) -> Cover:
 
     try:
         data = read_json(path)
+    except SieveclusterError as exc:  # the message names the file
+        _fail_input(str(exc))
+    try:
         return Cover.from_dict(data)
-    except SieveclusterError as exc:
-        _fail_input(f"{path}: {exc}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (SieveclusterError, KeyError, TypeError, ValueError) as exc:
         _fail_input(f"{path}: {exc}")
 
 

@@ -375,6 +375,8 @@ def read_json(path: str):
         raise InputFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
         ) from exc
+    except RecursionError as exc:
+        raise InputFormatError(f"{path}: JSON nested too deeply to read") from exc
 
 
 def load_schema(name: str) -> dict:

@@ -16,10 +16,10 @@ relation on the points. Families, by that relation:
 * ``generated``  relate x, y when some non-expansive probe from a small
            test space lands on both.
 
-``_linked_relation`` is the one definition of each threshold family's
-relation. ``evaluate_method`` takes its maximal cliques, ``build_sieve``
-sweeps it over all scales, and each public per-family function is one
-call of ``evaluate_method``.
+``_linked_relation`` is the one definition of each family's relation.
+``evaluate_method`` takes its maximal cliques, ``build_sieve`` sweeps it
+over all scales, the verify harness compares it directly, and each public
+per-family function is one call of ``evaluate_method``.
 """
 
 from __future__ import annotations
@@ -39,14 +39,7 @@ from .covers import (
     maximal_linked_sets,
 )
 from .errors import SearchBudgetExceeded, TrivialFunctor
-from .graphs import (
-    Graph,
-    _check_level,
-    max_edge_connected_subgraphs,
-    max_vertex_connected_subgraphs,
-    space_from_graph,
-    threshold_graph,
-)
+from .graphs import Graph, _check_level, _edge_blocks, _vertex_blocks, space_from_graph
 from .metric import (
     REL_TOL,
     FiniteMetricSpace,
@@ -352,8 +345,8 @@ def generated_cluster(
 def _linked_relation(
     x: FiniteMetricSpace, spec: MethodSpec, delta: float, start: list[int] | None = None
 ) -> list[int]:
-    """Adjacency masks of the relation that defines a threshold method at
-    scale delta: the method's cover is the maximal linked sets of it.
+    """Adjacency masks of the relation that defines a method at scale
+    delta: the method's cover is the maximal linked sets of it.
 
     * sl, ml and l: the step relation, linking points joined by at most k
       steps of length <= delta each with total length at most K. sl is
@@ -362,9 +355,13 @@ def _linked_relation(
     * vl and el: the co-blocking relation of the maximal k-vertex- or
       k-edge-connected subgraphs of the threshold graph. Its maximal
       cliques are their flag completion, the least flag cover that they
-      refine, so the relation is read off the blocks before completion.
+      refine, so the relation is read off the blocks before completion,
+      straight from the block masks of graphs._vertex_blocks and
+      graphs._edge_blocks (a block nested in another adds no pair).
     * bk and bkstar: the closure of the threshold graph under the strict
       or relaxed k-anchored edge rule.
+    * generated: the probe relation of the test spaces (probe_relation),
+      which has no scale and ignores delta.
 
     Every such cover is a flag cover, the maximal cliques of its
     co-blocking relation, so equal relations give equal covers and
@@ -379,32 +376,34 @@ def _linked_relation(
     ignore it.
     """
     family = spec.family
+    if family == "generated":
+        return probe_relation(x, spec.test_spaces).adj
     if family in ("sl", "ml", "l"):
         k = {"sl": math.inf, "ml": 1}.get(family, spec.k)
         budget = math.inf if spec.budget is None else spec.budget
         return _step_relation(x, delta, k, budget)
-    if family in ("vl", "el"):
-        g = threshold_graph(x, delta)
-        if family == "vl":
-            blocks = max_vertex_connected_subgraphs(g, spec.k)
-        else:
-            blocks = max_edge_connected_subgraphs(g, spec.k, clique_exception=spec.clique_exception)
-        return _co_blocking_masks(x.n, blocks.masks())
     adj = x._adjacency(delta)
+    if family == "vl":
+        return _co_blocking_masks(x.n, _vertex_blocks(adj, spec.k))
+    if family == "el":
+        return _co_blocking_masks(x.n, _edge_blocks(adj, spec.k, spec.clique_exception))
     if start is not None:
         adj = [a | b for a, b in zip(adj, start)]
     return _bitops.closure_bk(adj, spec.k, relaxed=family == "bkstar")
 
 
+def _method_relation(x: FiniteMetricSpace, spec: MethodSpec) -> list[int]:
+    """The relation of one flat evaluation: _linked_relation at the
+    method's own delta (which the generated family does not read)."""
+    if spec.family != "generated" and spec.delta is None:
+        raise ValueError(f"method {spec.label()!r} needs delta for flat evaluation")
+    return _linked_relation(x, spec, spec.delta)
+
+
 def evaluate_method(x: FiniteMetricSpace, spec: MethodSpec) -> FlagCover:
     """Run one clustering method on one space: the maximal linked sets of
-    its relation at its delta (_linked_relation), or of the probe relation
-    for the generated family."""
-    if spec.family == "generated":
-        return generated_cluster(x, spec.test_spaces)
-    if spec.delta is None:
-        raise ValueError(f"method {spec.label()!r} needs delta for flat evaluation")
-    cliques = _bitops.maximal_cliques(_linked_relation(x, spec, spec.delta))
+    its relation (_method_relation)."""
+    cliques = _bitops.maximal_cliques(_method_relation(x, spec))
     cover = FlagCover._from_cliques(x.labels, cliques)
     if spec.family == "sl" and not cover.is_partition():
         raise AssertionError("single linkage must produce a partition")

@@ -18,6 +18,14 @@ Connectivity conventions, fixed here and relied on throughout:
   a 2-point block needs 2 edge-disjoint paths, which a single edge cannot
   provide, so at k >= 2 the decomposition is a partition (checked on
   every call). The clique exception can be opted into per call.
+
+The two connectivity decompositions each have a mask kernel,
+``_vertex_blocks`` and ``_edge_blocks``, which take adjacency masks and
+return block masks that may include nested blocks. The clustering
+families read their relations straight off those masks (nesting does not
+change which points share a block); ``max_vertex_connected_subgraphs``
+and ``max_edge_connected_subgraphs`` wrap them into covers of maximal
+blocks.
 """
 
 from __future__ import annotations
@@ -138,31 +146,28 @@ def connected_components(g: Graph) -> Cover:
     return Cover.from_masks(g.vertices, comps)
 
 
-def max_vertex_connected_subgraphs(g: Graph, k) -> Cover:
-    """Maximal vertex sets qualifying at vertex-connectivity level k.
+def _vertex_blocks(adj: list[int], k) -> list[int]:
+    """Block masks whose maximal members are the maximal vertex sets of
+    the graph ``adj`` qualifying at vertex-connectivity level k; some
+    blocks may be nested in others.
 
-    Blocks may overlap (in fewer than k vertices). Level 1 is the component
-    partition, level 2 comes from biconnected components, and higher levels
-    recurse: a cutset smaller than k splits the candidate, and every
-    qualifying subset survives into (component + cutset) of the split.
+    Level 1 is the component partition, level 2 comes from biconnected
+    components, and higher levels recurse: a cutset smaller than k splits
+    the candidate, and every qualifying subset survives into (component +
+    cutset) of the split.
     """
-    _check_level(k)
-    adj = g._adj
-    n = len(g.vertices)
+    n = len(adj)
     everything = _bitops.full_mask(n)
     if k == 1:
-        return connected_components(g)
+        return _bitops.components(adj, everything)
     if k == math.inf:
-        return Cover.from_masks(g.vertices, _bitops.maximal_cliques(adj, everything))
+        return _bitops.maximal_cliques(adj, everything)
     if k == 2:
         blocks = _bitops.biconnected_vertex_sets(adj, everything)
         in_blocks = 0
         for b in blocks:
             in_blocks |= b
-        for v in range(n):
-            if not in_blocks >> v & 1:
-                blocks.append(1 << v)
-        return reduce_to_maximal(Cover.from_masks(g.vertices, blocks))
+        return blocks + [1 << v for v in range(n) if not in_blocks >> v & 1]
     found: set[int] = set()
     seen: set[int] = set()
     stack = _bitops.components(adj, everything)
@@ -180,7 +185,17 @@ def max_vertex_connected_subgraphs(g: Graph, k) -> Cover:
             continue
         for comp in _bitops.components(adj, s & ~cut):
             stack.append(comp | cut)
-    return reduce_to_maximal(Cover.from_masks(g.vertices, sorted(found)))
+    return list(found)
+
+
+def max_vertex_connected_subgraphs(g: Graph, k) -> Cover:
+    """Maximal vertex sets qualifying at vertex-connectivity level k: the
+    maximal blocks of _vertex_blocks.
+
+    Blocks may overlap (in fewer than k vertices).
+    """
+    _check_level(k)
+    return reduce_to_maximal(Cover.from_masks(g.vertices, _vertex_blocks(g._adj, k)))
 
 
 def _el_partition(adj: list[int], within: int, k) -> list[int]:
@@ -220,8 +235,31 @@ def _el_partition(adj: list[int], within: int, k) -> list[int]:
     return out
 
 
+def _edge_blocks(adj: list[int], k, clique_exception: bool = False) -> list[int]:
+    """Block masks whose maximal members are the maximal vertex sets of
+    the graph ``adj`` qualifying at edge-connectivity level k (see
+    max_edge_connected_subgraphs); with the clique exception some blocks
+    may be nested in others.
+
+    Without the exception the blocks partition the vertices, and a result
+    that does not is an error in the kernel, so it raises.
+    """
+    n = len(adj)
+    everything = _bitops.full_mask(n)
+    parts = _el_partition(adj, everything, k)
+    if clique_exception:
+        return list(set(parts).union(_bitops.maximal_cliques(adj, everything)))
+    union = 0
+    for m in parts:
+        union |= m
+    if union != everything or sum(m.bit_count() for m in parts) != n:
+        raise AssertionError("edge-connectivity blocks must partition the vertices")
+    return parts
+
+
 def max_edge_connected_subgraphs(g: Graph, k, clique_exception: bool = False) -> Cover:
-    """Maximal vertex sets qualifying at edge-connectivity level k.
+    """Maximal vertex sets qualifying at edge-connectivity level k: the
+    maximal blocks of _edge_blocks.
 
     Standard convention (default): qualifying means the induced subgraph
     has no edge cut of weight below k (singletons qualify trivially). The
@@ -236,17 +274,9 @@ def max_edge_connected_subgraphs(g: Graph, k, clique_exception: bool = False) ->
     blocks may overlap.
     """
     _check_level(k)
-    adj = g._adj
-    everything = _bitops.full_mask(len(g.vertices))
-    parts = _el_partition(adj, everything, k)
-    if clique_exception:
-        merged = set(parts)
-        merged.update(_bitops.maximal_cliques(adj, everything))
-        return reduce_to_maximal(Cover.from_masks(g.vertices, sorted(merged)))
-    cover = Cover.from_masks(g.vertices, parts)
-    if not cover.is_partition():
-        raise AssertionError("edge-connectivity blocks must partition the vertices")
-    return cover
+    return reduce_to_maximal(
+        Cover.from_masks(g.vertices, _edge_blocks(g._adj, k, clique_exception))
+    )
 
 
 def bk_closure(g: Graph, k) -> Graph:

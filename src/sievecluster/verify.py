@@ -7,6 +7,17 @@ probe, exhaustive small-space counterexample searches for the families that
 are only consistent under injective maps, and independent exponential
 oracles for the clique and flagification kernels.
 
+The three checks decide on relations, not covers. Every method's output
+is a flag cover, the maximal cliques of its relation (functors'
+_linked_relation), and for flag covers refinement is inclusion of the
+co-blocking relations: a set of pairwise co-blocked points lies in one
+block. So a map f is consistent when every pair related in X maps to one
+point or to a pair related in Y, and the sandwich holds when the maximal
+linkage relation lies inside the method's, which lies inside single
+linkage's. Covers are built only for a trial that fails, to write its
+violation entry and to confirm it with the cover check (refines);
+verify_witness replays a witness through covers alone.
+
 All randomness flows through the SplitMix64 generator in .rng with seeds
 derived per trial, so any report is reproducible byte for byte from its
 seed. Wall-clock time is kept on the report object but excluded from its
@@ -20,6 +31,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
+from . import _bitops
 from ._names import CATEGORIES
 from .covers import (
     Cover,
@@ -33,6 +45,7 @@ from .covers import (
 from .errors import MonotonicityViolation, TooLarge
 from .functors import (
     MethodSpec,
+    _method_relation,
     clustering_parameter,
     evaluate_method,
     maximal_linkage,
@@ -322,6 +335,49 @@ def _require_finite_delta(spec: MethodSpec, check: str) -> None:
         raise ValueError(f"{check} needs a finite delta, got {spec.delta!r}")
 
 
+def _pulls_back(rx: list[int], ry: list[int], image: list[int]) -> bool:
+    """Whether relation rx lies inside the pullback of ry along the map
+    sending point i to point image[i]: every related pair maps to one
+    point or to a related pair.
+
+    For the flag covers of rx and ry this is is_consistent_map: the image
+    of a block of X is then pairwise co-blocked in Y, so it lies in one
+    block of Y.
+    """
+    fibre = [0] * len(ry)
+    for i, a in enumerate(image):
+        fibre[a] |= 1 << i
+    for i, row in enumerate(rx):
+        a = image[i]
+        allowed = fibre[a]
+        for b in _bitops.bits(ry[a]):
+            allowed |= fibre[b]
+        if row & ~allowed:
+            return False
+    return True
+
+
+def _within(inner: list[int], outer: list[int]) -> bool:
+    """Whether relation inner lies inside relation outer, row by row. For
+    the flag covers of the two relations this is refines."""
+    return not any(a & ~b for a, b in zip(inner, outer))
+
+
+def _inconsistent_covers(
+    x: FiniteMetricSpace, y: FiniteMetricSpace, f, spec: MethodSpec
+) -> tuple[FlagCover, FlagCover]:
+    """The method's covers of x and y, for a map f (a MetricMap or a label
+    assignment) that the relation check found inconsistent. The cover
+    check must agree; a disagreement is a bug, so it raises."""
+    fx = evaluate_method(x, spec)
+    fy = evaluate_method(y, spec)
+    if refines(fx, preimage_cover(f, fy)):
+        raise AssertionError(
+            "the relation check and the cover check disagree on a map; this is a bug"
+        )
+    return fx, fy
+
+
 def check_functoriality(
     spec: MethodSpec,
     trials: int,
@@ -332,8 +388,11 @@ def check_functoriality(
     """Evaluate the method on sampled maps and test consistency each time.
 
     For every trial (X, f : X -> Y) the check is that the clustering of X
-    refines the preimage of the clustering of Y. Violation entries carry
-    everything needed to replay the trial.
+    refines the preimage of the clustering of Y. It is decided on the
+    method's relations (every pair related in X maps to one point or to a
+    related pair in Y), which is the same for flag covers; the covers are
+    built only for a violation. Violation entries carry everything needed
+    to replay the trial.
     """
     _require_finite_delta(spec, "functoriality check")
     start = time.perf_counter()
@@ -345,9 +404,9 @@ def check_functoriality(
         mode = METRIC_MODES[t % len(METRIC_MODES)]
         x = random_metric(n, derive_seed(seed, 202, t), mode)
         y, f = random_morphism(x, rng, category)
-        fx = evaluate_method(x, spec)
-        fy = evaluate_method(y, spec)
-        if not is_consistent_map(f, fx, fy):
+        image = [y.index(f.assignment[p]) for p in x.labels]
+        if not _pulls_back(_method_relation(x, spec), _method_relation(y, spec), image):
+            fx, fy = _inconsistent_covers(x, y, f, spec)
             violations.append(
                 {
                     "trial": t,
@@ -377,10 +436,17 @@ def check_sandwich(
 ) -> TrialReport:
     """Probe the method's scale, then check the two-sided bracketing:
     maximal linkage at the probed scale refines the method's output, which
-    refines single linkage at the probed scale."""
+    refines single linkage at the probed scale.
+
+    Decided on relations: row by row, the maximal linkage relation lies
+    inside the method's, which lies inside the single linkage relation.
+    For flag covers that is the two refinements; the covers are built only
+    for a violation."""
     _require_finite_delta(spec, "sandwich check")
     start = time.perf_counter()
     probe = clustering_parameter(spec)
+    ml_spec = MethodSpec("ml", probe.delta_f)
+    sl_spec = MethodSpec("sl", probe.delta_f)
     lo, hi = sizes
     violations: list[dict] = []
     for t in range(trials):
@@ -388,10 +454,19 @@ def check_sandwich(
         n = lo + rng.randint(hi - lo + 1)
         mode = METRIC_MODES[t % len(METRIC_MODES)]
         x = random_metric(n, derive_seed(seed, 404, t), mode)
-        fx = evaluate_method(x, spec)
-        fine = maximal_linkage(x, probe.delta_f)
-        coarse = single_linkage(x, probe.delta_f)
-        if not (refines(fine, fx) and refines(fx, coarse)):
+        rf = _method_relation(x, spec)
+        if not (
+            _within(_method_relation(x, ml_spec), rf)
+            and _within(rf, _method_relation(x, sl_spec))
+        ):
+            fx = evaluate_method(x, spec)
+            fine = maximal_linkage(x, probe.delta_f)
+            coarse = single_linkage(x, probe.delta_f)
+            if refines(fine, fx) and refines(fx, coarse):
+                raise AssertionError(
+                    "the relation check and the cover check disagree on the "
+                    "sandwich; this is a bug"
+                )
             violations.append(
                 {
                     "trial": t,
@@ -514,29 +589,27 @@ def _search_counterexample(
         pairs = list(itertools.combinations(range(n), 2))
         reps = _graph_orbit_reps(n)
         patterns = _collapse_patterns(n)
-        fx_cache: dict[int, FlagCover] = {}
-        x_cache: dict[int, FiniteMetricSpace] = {}
+        x_cache: dict[int, tuple[FiniteMetricSpace, list[int]]] = {}
         for pattern in patterns:
             for mask in reps:
                 if tried >= budget:
                     return None, tried
                 tried += 1
-                if mask not in fx_cache:
+                if mask not in x_cache:
                     adj = [0] * n
                     for e, (i, j) in enumerate(pairs):
                         if mask >> e & 1:
                             adj[i] |= 1 << j
                             adj[j] |= 1 << i
-                    g = Graph.from_masks(labels, adj)
-                    x_cache[mask] = space_from_graph(g, delta)
-                    fx_cache[mask] = evaluate_method(x_cache[mask], spec)
-                x = x_cache[mask]
-                fx = fx_cache[mask]
+                    x = space_from_graph(Graph.from_masks(labels, adj), delta)
+                    x_cache[mask] = x, _method_relation(x, spec)
+                x, rx = x_cache[mask]
                 y_labels, qd, assignment = _quotient(labels, x._rows(), pattern)
                 y = FiniteMetricSpace(y_labels, qd)
-                fy = evaluate_method(y, spec)
-                if refines(fx, preimage_cover(assignment, fy)):
+                image = [y.index(assignment[p]) for p in x.labels]
+                if _pulls_back(rx, _method_relation(y, spec), image):
                     continue
+                fx, fy = _inconsistent_covers(x, y, assignment, spec)
                 witness = {
                     "method": spec.to_dict(),
                     "x": x.to_dict(),

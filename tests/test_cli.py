@@ -321,6 +321,26 @@ def test_flagify_rejects_cover_json_off_schema(runner, tmp_path):
     assert "'base' must be a list of strings" in result.output
 
 
+def _deeply_nested(depth):
+    return "[" * depth + "]" * depth
+
+
+def test_flagify_on_deeply_nested_json_exits_two(runner, tmp_path):
+    cover = tmp_path / "cover.json"
+    cover.write_text('{"base": ' + _deeply_nested(3000) + ', "clusters": []}')
+    result = runner.invoke(main, ["flagify", str(cover)])
+    assert result.exit_code == 2
+    assert result.output == f"Error: {cover}: JSON nested too deeply to read\n"
+
+
+def test_cluster_on_deeply_nested_space_json_exits_two(runner, tmp_path):
+    space = tmp_path / "space.json"
+    space.write_text('{"points": ["a"], "distances": ' + _deeply_nested(3000) + "}")
+    result = runner.invoke(main, ["cluster", "--method", "ml", "--delta", "1", str(space)])
+    assert result.exit_code == 2
+    assert result.output == f"Error: {space}: JSON nested too deeply to read\n"
+
+
 def test_refines_command(runner, tmp_path):
     fine = tmp_path / "fine.json"
     coarse = tmp_path / "coarse.json"
@@ -374,6 +394,21 @@ def test_verify_sandwich(runner):
     )
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["extra"]["delta_f"] == 1.0
+
+
+@pytest.mark.parametrize("check", ["functoriality", "sandwich"])
+def test_verify_generated_with_a_test_space(runner, tmp_path, check):
+    test = tmp_path / "pair.json"
+    test.write_text(json.dumps({"points": ["s", "t"], "distances": [[0, 0.3], [0.3, 0]]}))
+    result = runner.invoke(
+        main,
+        ["verify", check, "--method", "generated", "--test-space", str(test),
+         "--trials", "20", "--seed", "7"],
+    )
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert report["violations"] == [] and report["trials"] == 20
+    assert report["method"]["family"] == "generated"
 
 
 def test_verify_sandwich_rejects_trivial_method(runner):

@@ -4,7 +4,9 @@ The digests were recorded before the shared kernels (graph metrization,
 quotients, assignment enumeration, bridges, the min-plus product) were
 merged into one implementation each; the sieve digests, before every
 threshold family was swept through one builder; the flat cover digests,
-before every family was evaluated as the maximal cliques of one relation.
+before every family was evaluated as the maximal cliques of one relation;
+the violation report digests, before the harness decided its checks on
+relations and built covers only for the trials that fail.
 Any change to an enumeration order, a random pick or a float in these
 outputs changes a digest, so a rewrite behind the public names that
 alters bytes fails here even when every structural test holds.
@@ -19,6 +21,7 @@ from sievecluster import (
     MethodSpec,
     build_sieve,
     check_functoriality,
+    check_sandwich,
     cover_metric,
     evaluate_method,
     find_counterexample,
@@ -75,6 +78,17 @@ def _functoriality_l():
     # the l family with a finite budget K runs the min-plus step relation
     spec = MethodSpec(family="l", delta=0.3, k=2, budget=1.5)
     return check_functoriality(spec, 50, "met", seed=0).to_dict()
+
+
+def _functoriality_violations(spec, trials):
+    # seed 7 gives el[k=2] three violations in 60 trials and vl[k=3] one,
+    # at trial 459: these pin the entries, the one path that builds covers
+    return check_functoriality(spec, trials, "met", seed=7).to_dict()
+
+
+def _sandwich_generated():
+    spec = MethodSpec("generated", test_spaces=(path_space(1, 0.3),))
+    return check_sandwich(spec, 100, seed=7).to_dict()
 
 
 def _morphisms():
@@ -186,6 +200,18 @@ GOLDEN = {
     "functoriality-l-budget": (
         _functoriality_l,
         "f3dfe8a43db2bc3ea1aa4296dc949e88614a4d1df3c1533c17b4d6a095ea1da0",
+    ),
+    "functoriality-el2-violations": (
+        lambda: _functoriality_violations(MethodSpec("el", 0.3, k=2), 60),
+        "d69b0c563095ecb3fe88cd33fe604816fb9527348ba5dfa0aa634b71cde0b915",
+    ),
+    "functoriality-vl3-violation": (
+        lambda: _functoriality_violations(MethodSpec("vl", 0.3, k=3), 460),
+        "7ba22a4b6d74f186f3b1c05e3de4db26cea19a557f64450817a928682ec44857",
+    ),
+    "sandwich-generated": (
+        _sandwich_generated,
+        "b796ef12bf5110cc91146b60c5fb1610afca668fd297c9bc24d8ede3fe51446f",
     ),
     "random-morphisms": (
         _morphisms,
