@@ -9,7 +9,11 @@ chains — as randomized and exhaustive checks.
 Modules load on first use: ``import sievecluster`` binds no public name
 until one is read, and the command line imports only what a command runs.
 No module imports numpy when it loads; the dense kernels import it only
-for inputs of at least ``metric._NUMPY_MIN_POINTS`` points.
+for inputs of at least ``metric._NUMPY_MIN_POINTS`` points. A point cloud
+of that size in 1 to 7 coordinates imports it only when its distances are
+read: its threshold graphs come from a cell grid of the coordinates, so
+``cluster`` for the families that read only that graph needs neither
+numpy nor the n x n matrix.
 """
 
 import importlib

@@ -242,8 +242,9 @@ def main() -> None:
 @_space_options
 def cluster(**kw) -> None:
     """Evaluate a flat method at one scale; write the cover as JSON."""
+    from .covers import co_blocking
     from .functors import evaluate_method
-    from .graphs import write_dot
+    from .graphs import Graph, threshold_graph, write_dot
 
     x = _ingest(kw["input_path"], kw["fmt_matrix"], kw["fmt_points"], kw["norm"])
     spec = _build_method(kw)
@@ -254,7 +255,12 @@ def cluster(**kw) -> None:
     if kw["dot_path"]:
         if spec.delta is None:
             _fail_input("--emit-dot needs a method with --delta")
-        g = _dot_graph(x, spec.delta, spec.family, spec.k)
+        if spec.family in ("bk", "bkstar"):
+            # the cover's blocks are the maximal cliques of the closed
+            # graph, so their co-blocking relation is that graph
+            g = Graph.from_masks(x.labels, co_blocking(cover).adj)
+        else:
+            g = threshold_graph(x, spec.delta)
         _write_out(kw["dot_path"], (write_dot(g).encode("utf-8"),))
     _emit_json(cover.to_dict(), kw["output"])
 

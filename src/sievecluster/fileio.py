@@ -110,14 +110,14 @@ def _read_table(path: str) -> _Table:
     return _Table(head, first, grid)
 
 
-def _cells(t: _Table, skip_row0: bool = False, skip_col0: bool = False):
+def _cells(t: _Table, skip_row0: bool = False, skip_col0: bool = False, points: bool = False):
     """The grid below the first row when ``skip_row0`` and right of the
     first column when ``skip_col0``: as a list of float arrays, one a row,
-    when it has fewer rows than ``metric._NUMPY_MIN_POINTS``, else as a
-    zero-copy numpy view."""
+    for a point cloud (``points``) or when it has fewer rows than
+    ``metric._NUMPY_MIN_POINTS``, else as a zero-copy numpy view."""
     width = len(t.head)
     r0, c0 = int(skip_row0), int(skip_col0)
-    np = metric._numpy(len(t.first) - r0)
+    np = None if points else metric._numpy(len(t.first) - r0)
     if np is None:
         return [t.grid[r * width + c0 : (r + 1) * width] for r in range(r0, len(t.first))]
     return np.frombuffer(t.grid, dtype=np.float64).reshape(-1, width)[r0:, c0:]
@@ -145,11 +145,13 @@ def _is_number(cell: str) -> bool:
     return math.isfinite(_value(cell))
 
 
-def _numeric_grid(table: _Table, path: str, skip_row0: bool = False, skip_col0: bool = False):
+def _numeric_grid(
+    table: _Table, path: str, skip_row0: bool = False, skip_col0: bool = False, points: bool = False
+):
     """The cells below the first row when ``skip_row0`` and right of the
     first column when ``skip_col0``, as _cells gives them, which must all
     be finite numbers."""
-    grid = _cells(table, skip_row0, skip_col0)
+    grid = _cells(table, skip_row0, skip_col0, points)
     if not _all_finite(grid):
         # only the first row and column were kept as text: read the file
         # again to name the first offending cell in row-major order
@@ -227,9 +229,15 @@ def _matrix_space(t: _Table, path: str, rel_tol: float) -> FiniteMetricSpace:
 
 def _point_space(coords, path: str, norm: str, labels=None) -> FiniteMetricSpace:
     """The space of finite coordinate rows, whose distances must be finite
-    too: two points further apart than the largest float are refused."""
+    too: two points further apart than the largest float are refused.
+
+    A finite norm of the coordinates' extents proves every distance
+    finite without reading one, so a large cloud's buffer stays unbuilt;
+    otherwise every distance is checked."""
     x = metric.space_from_points(coords, metric=norm, labels=labels)
-    if _all_finite(x.dist if metric._numpy(x.n) else [x._flat]):
+    if math.isfinite(metric._extent_norm(coords, norm)) or _all_finite(
+        x.dist if metric._numpy(x.n) else [x._flat]
+    ):
         return x
     i = next(i for i, d in enumerate(x._flat) if not math.isfinite(d))
     a, b = (x.labels[j] for j in divmod(i, x.n))
@@ -238,7 +246,7 @@ def _point_space(coords, path: str, norm: str, labels=None) -> FiniteMetricSpace
 
 def _points_space(t: _Table, path: str, norm: str) -> FiniteMetricSpace:
     if _is_number(t.head[0]):
-        return _point_space(_numeric_grid(t, path), path, norm)
+        return _point_space(_numeric_grid(t, path, points=True), path, norm)
     header = t.head[0].lower() == "label" or len(t.head) < 2 or not _is_number(t.head[1])
     labels = t.first[int(header):]
     if not labels:
@@ -246,7 +254,7 @@ def _points_space(t: _Table, path: str, norm: str) -> FiniteMetricSpace:
     if len(t.head) < 2:
         raise InputFormatError(f"{path}: labeled points need at least one coordinate")
     _dedupe_labels(labels, path)
-    coords = _numeric_grid(t, path, skip_row0=header, skip_col0=True)
+    coords = _numeric_grid(t, path, skip_row0=header, skip_col0=True, points=True)
     return _point_space(coords, path, norm, labels)
 
 
@@ -279,7 +287,8 @@ def ingest_space(
     if fmt == "points":
         return _points_space(t, path, norm)
     if _is_number(t.head[0]):
-        grid = _cells(t)
+        # only a square grid can be a matrix; any other is a point cloud
+        grid = _cells(t, points=len(t.first) != len(t.head))
         if not _all_finite(grid):
             raise InputFormatError(
                 f"{path}: mixed numeric and non-numeric cells without a label column"

@@ -13,6 +13,13 @@ numpy; at or above it they import numpy and run on a zero-copy view of the
 same buffer. The two paths give the same bytes, and the same error type and
 message, for every input.
 
+A point cloud of at least ``_NUMPY_MIN_POINTS`` points in one to seven
+coordinates keeps its coordinates and builds its buffer (with numpy) only
+when something reads a distance. Until then its threshold masks come from
+a cell grid of the coordinates (``_Cloud``), which compares only nearby
+pairs, so a command that reads nothing but those masks runs without numpy
+and without the n x n buffer.
+
 Numeric policy: axiom checks use a relative tolerance scaled by the largest
 matrix entry; after validation the matrix is exactly symmetric with an
 exactly zero diagonal. Threshold comparisons elsewhere in the package are
@@ -25,7 +32,7 @@ import math
 from array import array
 from bisect import bisect_right
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from operator import add, le
 from typing import Iterable, Mapping
 
@@ -45,7 +52,8 @@ REL_TOL = 1e-9
 # loops cost less than that up to about 118 points for the cubic closure
 # (96 ms at 100 points, against 3 ms in numpy) and 150 for the cubic
 # triangle check (72 ms at 128, against 5 ms), and far beyond for the
-# quadratic kernels (point distances: 18 ms at 128, against 1.3 ms).
+# quadratic kernels (point distances: 18 ms at 128, against 1.3 ms). From
+# here a point cloud in 1-7 coordinates builds its buffer only when read.
 _NUMPY_MIN_POINTS = 128
 
 _PLUS_ZERO = (0.0).__add__  # 0.0 + v turns -0.0 into +0.0 and keeps every other v
@@ -165,9 +173,12 @@ class FiniteMetricSpace:
     The constructor canonicalizes label order but does not re-check the
     metric axioms; use :func:`validate_metric` when the matrix comes from
     outside the library.
+
+    A space built from a large point cloud holds its coordinates instead
+    (``_cloud``) until its buffer is first read; see :func:`space_from_points`.
     """
 
-    __slots__ = ("labels", "_flat", "_dist", "_index", "_sorted_rows")
+    __slots__ = ("labels", "_buf", "_cloud", "_dist", "_index", "_sorted_rows")
 
     def __init__(self, labels: Iterable[str], dist):
         labels = _canonical_labels(labels)
@@ -195,6 +206,20 @@ class FiniteMetricSpace:
         space._adopt(_canonical_labels(labels), flat)
         return space
 
+    @classmethod
+    def _of_cloud(cls, labels: Iterable[str], rows: list[list[float]], metric: str):
+        """The space on ``labels`` (any order) of the coordinate rows under
+        the named norm, whose buffer is built when first read."""
+        labels = _canonical_labels(labels)
+        n = len(rows)
+        if len(labels) != n:
+            raise ValueError(f"distance matrix shape {(n, n)} does not match {len(labels)} labels")
+        order = sorted(range(n), key=labels.__getitem__)
+        space = cls.__new__(cls)
+        cols = [list(c) for c in zip(*(rows[i] for i in order))]
+        space._keep(labels, order, None, _Cloud(cols, metric))
+        return space
+
     def _adopt(self, labels: tuple[str, ...], flat: array) -> None:
         """Sort the labels, permute the buffer to match (in place on the
         numpy path) and make every zero +0.0."""
@@ -213,11 +238,24 @@ class FiniteMetricSpace:
             if order != list(range(n)):
                 _permute(np, d, list(order))
             np.add(d, 0.0, out=d)
+        self._keep(labels, order, flat, None)
+
+    def _keep(self, labels, order: list[int], flat: array | None, cloud) -> None:
         self.labels = tuple(labels[i] for i in order)
-        self._flat = flat
+        self._buf = flat
+        self._cloud = cloud
         self._dist = None
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._sorted_rows = None
+
+    @property
+    def _flat(self) -> array:
+        """The distances as a row-major stdlib buffer, built from the
+        coordinates the first time a space of a large cloud is read."""
+        if self._buf is None:
+            self._buf = self._cloud.buffer()
+            self._cloud = None
+        return self._buf
 
     @property
     def dist(self):
@@ -248,11 +286,18 @@ class FiniteMetricSpace:
     def _adjacency(self, bound: float) -> list[int]:
         """Adjacency masks of the pairs at distance <= bound (no self-bits).
 
+        A space of a large cloud whose buffer is not built yet answers from
+        its cell grid (``_Cloud.adjacency``), with the same masks, unless
+        the grid cannot; then the buffer is built.
         Below ``_NUMPY_MIN_POINTS`` points, the second call sorts each row
         once and keeps the masks of its prefixes; it and every later call
         (a sieve asks at each scale it visits) is then one bisection a row.
         NaN, which sorts nowhere, always takes the direct comparison.
         """
+        if self._buf is None:
+            adj = self._cloud.adjacency(bound)
+            if adj is not None:
+                return adj
         table = self._sorted_rows
         if table is None:
             self._sorted_rows = ()  # asked once
@@ -570,13 +615,13 @@ _POINT_NORMS = {
 
 
 def _point_rows(points) -> list[list[float]] | None:
-    """The coordinates as lists of floats when there are fewer than
-    ``_NUMPY_MIN_POINTS`` points, at least one, each of one to 7 finite
-    real coordinates (a flat sequence of numbers is one coordinate a
-    point); None otherwise. From 8 coordinates numpy sums in interleaved
-    partial sums, so those points take its path."""
+    """The coordinates as lists of floats when there is at least one
+    point, each of one to 7 finite real coordinates (a flat sequence of
+    numbers is one coordinate a point); None otherwise. From 8
+    coordinates numpy sums in interleaved partial sums, so those points
+    take its path."""
     try:
-        if not 0 < len(points) < _NUMPY_MIN_POINTS:
+        if not len(points):
             return None
     except TypeError:
         return None
@@ -597,6 +642,133 @@ def _point_rows(points) -> list[list[float]] | None:
     return out
 
 
+def _point_buffer(np, pts, norm) -> array:
+    """The row-major buffer of the distances between the rows of the
+    (n, dim) array ``pts`` under a norm's numpy kernel. It is filled one
+    block of rows at a time; a block holds about ``_TILE_ENTRIES``
+    coordinate differences (at least one row of them), so beside the
+    n x n result only one block is held."""
+    n, dim = pts.shape
+    step = _TILE_ENTRIES // max(n * dim, 1) or 1
+    flat = _zeros(n)
+    d = _view(np, flat, n)
+    with np.errstate(over="ignore"):  # points too far apart are at inf
+        for r0 in range(0, n, step):
+            d[r0 : r0 + step] = norm(np, pts[r0 : r0 + step, None, :] - pts[None, :, :])
+    # an entry and its mirror are computed alike, so the average, which
+    # never overflows, changes no entry: it only makes symmetry exact
+    _symmetrize(np, d)
+    np.fill_diagonal(d, 0.0)
+    return flat
+
+
+# a cell grid indexes coordinates at most this many cell sides from the
+# smallest, where rounding moves an index by less than 2**-23 of a cell
+_MAX_CELLS = 2.0**28
+
+
+class _Cloud:
+    """The coordinates of a point cloud, one list per coordinate in label
+    order, and the name of its norm: a space keeps these in place of its
+    distance buffer until the buffer is read."""
+
+    __slots__ = ("cols", "metric")
+
+    def __init__(self, cols: list[list[float]], metric: str):
+        self.cols = cols
+        self.metric = metric
+
+    def buffer(self) -> array:
+        """The distance buffer, built by numpy as for any large cloud."""
+        import numpy as np
+
+        pts = np.ascontiguousarray(np.array(self.cols, dtype=np.float64).T)
+        return _point_buffer(np, pts, _POINT_NORMS[self.metric][1])
+
+    def adjacency(self, bound: float) -> list[int] | None:
+        """The masks of the pairs at distance <= bound, found on a grid of
+        cells of side ``s = bound * (1 + 2**-20) + 2**-499`` over the (at
+        most) three coordinates of widest extent. None for a bound that is
+        not positive and finite, when the grid would span more than
+        ``_MAX_CELLS`` cells along a coordinate (or an infinite number),
+        and when it would compare so many pairs that building the buffer
+        costs less.
+
+        Only the pairs in the same or adjacent cells are compared, with
+        the Python kernel of the norm, which gives the buffer's bytes
+        (1 to 7 coordinates); a pair is related iff that distance is <=
+        bound, so the masks are those of the buffer.
+
+        The grid misses no related pair. Each norm bounds every
+        coordinate difference by the distance, and so do the computed
+        values: with t the rounded difference, chebyshev's maximum and
+        manhattan's sum are at least |t|, and euclidean's root is at least
+        |t| * (1 - 2**-52) unless t * t underflows, where |t| < 2**-511.
+        A related pair thus differs by at most ``D = bound * (1 + 2**-50)
+        + 2**-500`` along each coordinate, and ``D / s < 1 - 2**-21``. A
+        cell index, the floor of ``(x - low) / s`` computed with two
+        roundings, is then within ``2**-23`` of the exact quotient, which
+        is at most ``_MAX_CELLS``; so the two computed quotients differ by
+        less than 1, and their floors, the cells, by at most 1.
+        """
+        if not 0.0 < bound < math.inf:
+            return None
+        side = bound * (1.0 + 2.0**-20) + 2.0**-499
+        cols = self.cols
+        lows = [min(c) for c in cols]
+        spans = [(max(c) - low) / side for c, low in zip(cols, lows)]
+        if not all(span <= _MAX_CELLS for span in spans):
+            return None
+        axes = sorted(range(len(cols)), key=spans.__getitem__)[-3:]
+        keys = zip(*([int((v - lows[k]) / side) for v in cols[k]] for k in axes))
+        cells: dict[tuple[int, ...], list[int]] = {}
+        for i, key in enumerate(keys):
+            cells.setdefault(key, []).append(i)
+        # each pair of adjacent cells once: a cell and those after it; a
+        # cell's k-th member is compared with the candidates after it
+        ahead = [o for o in product((-1, 0, 1), repeat=len(axes)) if o > (0,) * len(axes)]
+        groups = [
+            (members, members + [j for o in ahead for j in cells.get(tuple(map(add, key, o)), ())])
+            for key, members in cells.items()
+        ]
+        # on a 2-vCPU Xeon VM the grid compares a pair in 0.7-1.6 us (2 to 7
+        # coordinates), and numpy builds and thresholds the buffer in 50-100
+        # ns an entry after a 0.15 s import: past this many pairs the buffer
+        # costs about as little
+        n = len(cols[0])
+        if sum(len(m) * (2 * len(c) - len(m) - 1) for m, c in groups) // 2 > n * n // 16 + 100_000:
+            return None
+        distances = _POINT_NORMS[self.metric][0]
+        near: list[list[int]] = [[] for _ in range(n)]
+        for members, cand in groups:
+            cand_cols = [[c[j] for j in cand] for c in cols]
+            for pos, i in enumerate(members, 1):
+                if pos == len(cand):
+                    break
+                diff = [list(map(c[i].__sub__, cc[pos:])) for c, cc in zip(cols, cand_cols)]
+                for j, d in zip(cand[pos:], distances(diff)):
+                    if d <= bound:
+                        near[i].append(j)
+                        near[j].append(i)
+        # each related pair was found once, so adding its bits sets them
+        return [sum(map((1).__lshift__, js)) for js in near]
+
+
+def _extent_norm(rows, metric: str) -> float:
+    """The norm of the coordinates' extents (largest minus smallest) of
+    the rows, one sequence of numbers a point, by the Python kernel that
+    ``space_from_points`` uses in 1 to 7 coordinates; inf from 8, where
+    numpy sums in another order. When it is finite, so is every distance
+    between the rows: each rounded coordinate difference is at most the
+    rounded extent, and each step of the kernel (abs, squares, sums,
+    maximum, root, and the exact rescaling of a sum that overflows) is
+    monotone."""
+    if len(rows[0]) >= 8:
+        return math.inf
+    extents = [max(c) - min(c) for c in zip(*rows)]
+    return _POINT_NORMS[metric][0]([[e] for e in extents])[0]
+
+
 def space_from_points(
     points, metric: str = "euclidean", labels: Iterable[str] | None = None
 ) -> FiniteMetricSpace:
@@ -607,25 +779,14 @@ def space_from_points(
 
     Below ``_NUMPY_MIN_POINTS`` points of fewer than 8 coordinates, Python
     lists take each point against every later one, summing left to right
-    as numpy does. Otherwise numpy fills the matrix one block of rows at a
-    time; a block holds about ``_TILE_ENTRIES`` coordinate differences (at
-    least one row of them), so beside the n x n result only one block is
-    held.
+    as numpy does. From that many such points, the space keeps the
+    coordinates and builds its buffer with numpy (``_point_buffer``) only
+    when something first reads a distance; until then its threshold masks
+    come from a cell grid (``_Cloud.adjacency``), so no n x n buffer is
+    made for them. Any other input builds its buffer with numpy at once.
     """
     rows = _point_rows(points)
-    if rows is not None:
-        norm = _POINT_NORMS.get(metric)
-        if norm is None:
-            raise ValueError(f"unknown point metric {metric!r}")
-        n = len(rows)
-        cols = [list(c) for c in zip(*rows)]
-        flat = _zeros(n)
-        for i in range(n - 1):
-            # point i against every later point, one coordinate at a time
-            v = array("d", norm[0]([list(map(c[i].__sub__, c[i + 1 :])) for c in cols]))
-            flat[i * n + i + 1 : (i + 1) * n] = v
-            flat[(i + 1) * n + i :: n] = v
-    else:
+    if rows is None:
         import numpy as np
 
         pts = np.asarray(points, dtype=np.float64)
@@ -633,23 +794,24 @@ def space_from_points(
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("expected a non-empty 2d array of coordinates")
-        norm = _POINT_NORMS.get(metric)
-        if norm is None:
-            raise ValueError(f"unknown point metric {metric!r}")
-        n, dim = pts.shape
-        step = _TILE_ENTRIES // max(n * dim, 1) or 1
-        flat = _zeros(n)
-        d = _view(np, flat, n)
-        with np.errstate(over="ignore"):  # points too far apart are at inf
-            for r0 in range(0, n, step):
-                d[r0 : r0 + step] = norm[1](np, pts[r0 : r0 + step, None, :] - pts[None, :, :])
-        # an entry and its mirror are computed alike, so the average, which
-        # never overflows, changes no entry: it only makes symmetry exact
-        _symmetrize(np, d)
-        np.fill_diagonal(d, 0.0)
+    norm = _POINT_NORMS.get(metric)
+    if norm is None:
+        raise ValueError(f"unknown point metric {metric!r}")
+    n = len(pts) if rows is None else len(rows)
     if labels is None:
         width = len(str(n - 1))
         labels = [f"p{i:0{width}d}" for i in range(n)]
+    if rows is None:
+        return FiniteMetricSpace._of(labels, _point_buffer(np, pts, norm[1]))
+    if n >= _NUMPY_MIN_POINTS:
+        return FiniteMetricSpace._of_cloud(labels, rows, metric)
+    cols = [list(c) for c in zip(*rows)]
+    flat = _zeros(n)
+    for i in range(n - 1):
+        # point i against every later point, one coordinate at a time
+        v = array("d", norm[0]([list(map(c[i].__sub__, c[i + 1 :])) for c in cols]))
+        flat[i * n + i + 1 : (i + 1) * n] = v
+        flat[(i + 1) * n + i :: n] = v
     return FiniteMetricSpace._of(labels, flat)
 
 

@@ -366,13 +366,14 @@ def _traced_peak(fn) -> int:
 
 
 def test_label_order_costs_no_matrix_copy():
-    # the permutation to sorted labels runs in place on the numpy path, one
-    # row at a time, so reversed labels cost no extra matrix at the peak
+    # a large cloud sorts its coordinates by label and builds its matrix
+    # when read; a matrix is permuted in place on the numpy path, one row
+    # at a time: so reversed labels cost no extra matrix at the peak
     n = 900
     pts = np.random.default_rng(0).random((n, 2))
     names = [f"p{i:03d}" for i in range(n)]
     reverse = names[::-1]
-    build = lambda labels: space_from_points(pts, labels=labels)
+    build = lambda labels: space_from_points(pts, labels=labels)._flat
     build(reverse)  # first-call allocations are not the permutation's
     assert _traced_peak(lambda: build(reverse)) <= _traced_peak(lambda: build(names))
     # the constructor copies its input once; the permutation adds a few rows
@@ -413,3 +414,5 @@ def test_fileio_grid_takes_the_path_of_its_row_count(tmp_path):
         mp.setattr(metric, "_NUMPY_MIN_POINTS", 5)
         assert isinstance(fileio._cells(t, True, True), np.ndarray)
         assert isinstance(fileio._cells(t, False, True), np.ndarray)
+        # a point cloud's cells stay Python rows at every size
+        assert isinstance(fileio._cells(t, True, True, points=True), list)

@@ -17,6 +17,8 @@ import pytest
 
 import sievecluster
 import sievecluster.functors
+from sievecluster.fileio import ingest_space, write_matrix_csv
+from test_point_grid import _cloud_text
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -136,15 +138,37 @@ def test_small_inputs_run_without_numpy(tmp_path):
 
 
 def test_inputs_at_the_threshold_load_numpy(tmp_path):
+    # a dense kernel loads numpy from 128 points on: here the triangle check
+    # of a matrix and the distances a sieve sweeps. Each side of the
+    # threshold runs in a fresh interpreter, as numpy stays loaded.
     from sievecluster.metric import _NUMPY_MIN_POINTS
 
-    below = _cloud_csv(tmp_path / "below.csv", _NUMPY_MIN_POINTS - 1)
-    at = _cloud_csv(tmp_path / "at.csv", _NUMPY_MIN_POINTS)
-    seen = _numpy_after_each(
-        [["cluster", "--method", "sl", "--delta", "0.1", below],
-         ["cluster", "--method", "sl", "--delta", "0.1", at]]
-    )
-    assert seen == [(0, False), (0, True)]
+    def commands(n):
+        cloud = _cloud_csv(tmp_path / f"cloud{n}.csv", n)
+        matrix = tmp_path / f"matrix{n}.csv"
+        write_matrix_csv(ingest_space(cloud), matrix)
+        return [["cluster", "--method", "sl", "--delta", "0.1", str(matrix)],
+                ["sieve", "--method", "sl", cloud]]
+
+    below, at = commands(_NUMPY_MIN_POINTS - 1), commands(_NUMPY_MIN_POINTS)
+    assert _numpy_after_each(below) == [(0, False), (0, False)]
+    assert [_numpy_after_each([args]) for args in at] == [[(0, True)], [(0, True)]]
+
+
+def test_threshold_families_on_a_large_cloud_run_without_numpy(tmp_path):
+    # the families that read only the threshold graph answer from a cell
+    # grid of the coordinates; l with a finite budget K reads distances
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text(_cloud_text(900, 2), encoding="utf-8")
+    dot = str(tmp_path / "g.dot")
+    families = [["sl"], ["ml"], ["l", "--k", "2"], ["vl", "--k", "2"], ["el", "--k", "2"],
+                ["bk", "--k", "2"], ["bkstar", "--k", "2"]]
+    graph_only = [
+        ["cluster", "--method", *family, "--delta", "1", "--emit-dot", dot, str(cloud)]
+        for family in families
+    ] + [["export-dot", "--delta", "1", "--bkstar", "2", str(cloud)]]
+    budget = ["cluster", "--method", "l", "--k", "2", "--K", "1.5", "--delta", "1", str(cloud)]
+    assert _numpy_after_each(graph_only + [budget]) == [(0, False)] * len(graph_only) + [(0, True)]
 
 
 def test_command_loads_only_the_modules_it_runs():
