@@ -9,25 +9,29 @@ verify       randomized/exhaustive consistency checks, emit report JSON
 export-dot   threshold or closure graph of a space as DOT
 
 Exit codes: 0 success (including expected check outcomes), 1 a check found
-violations it should not have (or a sieve sweep broke monotonicity), 2
+violations it should not have (or a sweep broke monotonicity), 2
 malformed input or usage. All randomness is seeded; --seed defaults to the
 SIEVECLUSTER_SEED environment variable, then 0. JSON output is canonical,
 so identical inputs and seeds give byte-identical files.
 
-Each command imports the library functions it calls inside its body, so
-building the options, ``--help``, ``--version`` and usage errors load
-neither numpy nor the kernels.
+The parser is the standard library's argparse, built anew on each call of
+:func:`main`; the same parser writes ``--help``. Options are spelled out in
+full (no prefixes), an option that takes a value takes the next argument
+whatever it looks like (``--delta -inf``), and a usage or input error is
+one ``Error: <message>`` line on stderr with exit code 2. Each command
+imports the library functions it calls inside its body, so building the
+parser, ``--help``, ``--version`` and usage errors load neither numpy nor
+the kernels, and no command loads a third-party module of its own.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 import os
 import sys
 from contextlib import nullcontext
 from typing import TYPE_CHECKING
-
-import click
 
 from . import __version__
 from ._names import CATEGORIES, FAMILIES
@@ -47,8 +51,8 @@ if TYPE_CHECKING:
 _INJECTIVE_ONLY = ("vl", "el", "bk", "bkstar")
 
 
-class _InputError(click.ClickException):
-    exit_code = 2
+class _InputError(Exception):
+    """Malformed input or usage that a command found: exit 2."""
 
 
 def _fail_input(message: str) -> None:
@@ -75,61 +79,6 @@ def _parse_budget(value: str | None):
         return float(value)
     except ValueError:
         _fail_input(f"--K must be a positive real or 'inf', got {value!r}")
-
-
-def _space_options(fn):
-    fn = click.option(
-        "--as-matrix",
-        "fmt_matrix",
-        is_flag=True,
-        help="Force CSV interpretation as a distance matrix.",
-    )(fn)
-    fn = click.option(
-        "--as-points",
-        "fmt_points",
-        is_flag=True,
-        help="Force CSV interpretation as a point cloud.",
-    )(fn)
-    fn = click.option(
-        "--norm",
-        type=click.Choice(["euclidean", "manhattan", "chebyshev"]),
-        default="euclidean",
-        show_default=True,
-        help="Norm used to turn a point cloud into distances.",
-    )(fn)
-    return fn
-
-
-def _method_options(fn, with_delta=True):
-    if with_delta:
-        fn = click.option("--delta", type=float, help="Scale parameter.")(fn)
-    fn = click.option(
-        "--method",
-        "family",
-        type=click.Choice(list(FAMILIES)),
-        required=True,
-        help="Clustering family.",
-    )(fn)
-    fn = click.option("--k", "k_raw", metavar="K", help="Level: positive integer or 'inf'.")(fn)
-    fn = click.option(
-        "--K",
-        "budget_raw",
-        metavar="BUDGET",
-        help="Total step budget (family 'l' only): positive real or 'inf'.",
-    )(fn)
-    fn = click.option(
-        "--clique-exception",
-        is_flag=True,
-        help="Family 'el' only: adjoin maximal cliques and re-maximalize.",
-    )(fn)
-    fn = click.option(
-        "--test-space",
-        "test_paths",
-        multiple=True,
-        type=click.Path(exists=False),
-        help="Family 'generated' only: test space file (repeatable).",
-    )(fn)
-    return fn
 
 
 def _ingest(path: str, fmt_matrix: bool, fmt_points: bool, norm: str) -> FiniteMetricSpace:
@@ -202,6 +151,14 @@ def _write_out(path: str | None, chunks) -> None:
         _fail_input(f"cannot write {path or 'stdout'}: {exc.strerror}")
 
 
+def _print(line: str) -> None:
+    _write_out(None, (f"{line}\n".encode("utf-8"),))
+
+
+def _warn(line: str) -> None:
+    print(line, file=sys.stderr)
+
+
 def _emit_json(obj, output: str | None) -> None:
     from .fileio import canonical_json_bytes
 
@@ -222,25 +179,7 @@ def _read_cover(path: str) -> Cover:
         _fail_input(f"{path}: {exc}")
 
 
-@click.group()
-@click.version_option(version=__version__)
-def main() -> None:
-    """Overlapping clustering methods on finite metric spaces, their scale
-    profiles, and a verification harness for their structural guarantees."""
-
-
-@main.command()
-@click.argument("input_path", type=click.Path(exists=False))
-@click.option("-o", "--output", type=click.Path(), help="Write JSON here instead of stdout.")
-@click.option(
-    "--emit-dot",
-    "dot_path",
-    type=click.Path(),
-    help="Also write the graph the clusters came from (threshold graph, "
-    "closed for the closure families) as DOT.",
-)
-@_space_options
-def cluster(**kw) -> None:
+def cluster(kw: dict) -> None:
     """Evaluate a flat method at one scale; write the cover as JSON."""
     from .covers import co_blocking
     from .functors import evaluate_method
@@ -265,16 +204,10 @@ def cluster(**kw) -> None:
     _emit_json(cover.to_dict(), kw["output"])
 
 
-cluster = _method_options(cluster)
+def sieve(kw: dict) -> None:
+    """Sweep a method over every scale of the input; write the profile as JSON.
 
-
-@main.command()
-@click.argument("input_path", type=click.Path(exists=False))
-@click.option("-o", "--output", type=click.Path(), help="Write JSON here instead of stdout.")
-@_space_options
-def sieve(**kw) -> None:
-    """Sweep a method over every scale of the input; write the profile as
-    JSON. Exit 1 if the sweep violates refinement monotonicity or ends in a
+    Exit 1 if the sweep violates refinement monotonicity or ends in a
     non-trivial cover (the profile is still written in the latter case)."""
     if kw["family"] == "generated":
         _fail_input("the generated family has no scale parameter to sweep")
@@ -286,53 +219,43 @@ def sieve(**kw) -> None:
     try:
         s = build_sieve(x, spec)
     except MonotonicityViolation as exc:
-        click.echo(f"monotonicity violation: {exc}", err=True)
+        _warn(f"monotonicity violation: {exc}")
         sys.exit(1)
     except SieveclusterError as exc:
         _fail_input(str(exc))
     _write_out(kw["output"], _sieve_json(s))
     report = check_sieve_axioms(s)
     if not report.is_sieve:
-        click.echo(report.summary(), err=True)
+        _warn(report.summary())
         sys.exit(1)
 
 
-sieve = _method_options(sieve, with_delta=False)
-
-
-@main.command(name="flagify")
-@click.argument("cover_path", type=click.Path(exists=False))
-@click.option("-o", "--output", type=click.Path(), help="Write JSON here instead of stdout.")
-def flagify_cmd(cover_path: str, output: str | None) -> None:
+def flagify_cmd(kw: dict) -> None:
     """Complete a cover (JSON) to the nearest flag cover."""
     from .covers import flagify
 
-    cover = _read_cover(cover_path)
+    cover = _read_cover(kw["cover_path"])
     try:
         result = flagify(cover)
     except SieveclusterError as exc:
         _fail_input(str(exc))
-    _emit_json(result.to_dict(), output)
+    _emit_json(result.to_dict(), kw["output"])
 
 
-@main.command(name="refines")
-@click.argument("fine_path", type=click.Path(exists=False))
-@click.argument("coarse_path", type=click.Path(exists=False))
-def refines_cmd(fine_path: str, coarse_path: str) -> None:
+def refines_cmd(kw: dict) -> None:
     """Print "true" if the first cover refines the second, else "false"."""
     from .covers import refines
 
-    fine = _read_cover(fine_path)
-    coarse = _read_cover(coarse_path)
+    fine = _read_cover(kw["fine_path"])
+    coarse = _read_cover(kw["coarse_path"])
     try:
         result = refines(fine, coarse)
     except SieveclusterError as exc:
         _fail_input(str(exc))
-    click.echo("true" if result else "false")
+    _print("true" if result else "false")
 
 
-@main.command(name="param-probe")
-def param_probe(**kw) -> None:
+def param_probe(kw: dict) -> None:
     """Probe the scale at which a method first merges a two-point space.
 
     Prints the probed scale; for methods that never merge or never split it
@@ -345,62 +268,21 @@ def param_probe(**kw) -> None:
     try:
         probe = clustering_parameter(spec)
     except TrivialFunctor as exc:
-        click.echo(f"trivial: {exc}")
+        _print(f"trivial: {exc}")
         return
     except (ValueError, SieveclusterError) as exc:
         _fail_input(str(exc))
-    click.echo(repr(probe.delta_f))
-
-
-param_probe = _method_options(param_probe)
-
-
-@main.group()
-def verify() -> None:
-    """Randomized and exhaustive consistency checks; reports are JSON."""
-
-
-def _seed_option(fn):
-    return click.option(
-        "--seed",
-        type=int,
-        default=0,
-        show_default=True,
-        envvar="SIEVECLUSTER_SEED",
-        show_envvar=True,
-        help="Seed for the deterministic generator.",
-    )(fn)
+    _print(repr(probe.delta_f))
 
 
 def _finish_report(report: TrialReport, output: str | None, expect_zero: bool) -> None:
     _emit_json(report.to_dict(), output)
     if expect_zero and report.violations:
-        click.echo(
-            f"{len(report.violations)} unexpected violation(s) in {report.trials} trials",
-            err=True,
-        )
+        _warn(f"{len(report.violations)} unexpected violation(s) in {report.trials} trials")
         sys.exit(1)
 
 
-@verify.command(name="functoriality")
-@click.option("--trials", type=int, default=100, show_default=True)
-@click.option(
-    "--category",
-    type=click.Choice(list(CATEGORIES)),
-    default="met",
-    show_default=True,
-    help="Sample arbitrary non-expansive maps (met) or injective ones (metinj).",
-)
-@click.option(
-    "--expect",
-    type=click.Choice(["auto", "zero", "any"]),
-    default="auto",
-    show_default=True,
-    help="Whether violations fail the exit code; auto derives it from the method/category.",
-)
-@_seed_option
-@click.option("-o", "--output", type=click.Path(), help="Write report JSON here.")
-def verify_functoriality(**kw) -> None:
+def verify_functoriality(kw: dict) -> None:
     """Check consistency of the method under sampled maps."""
     from .verify import check_functoriality
 
@@ -423,16 +305,10 @@ def verify_functoriality(**kw) -> None:
     _finish_report(report, kw["output"], expect_zero=expect == "zero")
 
 
-verify_functoriality = _method_options(verify_functoriality)
+def verify_sandwich(kw: dict) -> None:
+    """Check the two-sided bracketing at the probed scale.
 
-
-@verify.command(name="sandwich")
-@click.option("--trials", type=int, default=100, show_default=True)
-@_seed_option
-@click.option("-o", "--output", type=click.Path(), help="Write report JSON here.")
-def verify_sandwich(**kw) -> None:
-    """Check the two-sided bracketing at the probed scale (always expected
-    to hold; violations exit 1)."""
+    It is always expected to hold; violations exit 1."""
     from .verify import check_sandwich
 
     spec = _build_method(kw)
@@ -447,22 +323,7 @@ def verify_sandwich(**kw) -> None:
     _finish_report(report, kw["output"], expect_zero=True)
 
 
-verify_sandwich = _method_options(verify_sandwich)
-
-
-@verify.command(name="counterexample")
-@click.option("--max-points", type=int, default=6, show_default=True)
-@click.option("--budget", type=int, default=10**6, show_default=True)
-@click.option(
-    "--expect",
-    type=click.Choice(["auto", "found", "notfound", "any"]),
-    default="auto",
-    show_default=True,
-    help="Polarity of the exit code; auto expects witnesses exactly for the "
-    "families that are only consistent under injective maps.",
-)
-@click.option("-o", "--output", type=click.Path(), help="Write report JSON here.")
-def verify_counterexample(**kw) -> None:
+def verify_counterexample(kw: dict) -> None:
     """Search small spaces for consistency violations of the method."""
     from .verify import TrialReport, _search_counterexample
 
@@ -502,30 +363,14 @@ def verify_counterexample(**kw) -> None:
         )
     found = witness is not None
     if expect == "found" and not found:
-        click.echo("expected a witness but the search found none", err=True)
+        _warn("expected a witness but the search found none")
         sys.exit(1)
     if expect == "notfound" and found:
-        click.echo("expected no witness but the search found one", err=True)
+        _warn("expected no witness but the search found one")
         sys.exit(1)
 
 
-verify_counterexample = _method_options(verify_counterexample)
-
-
-@main.command(name="export-dot")
-@click.argument("input_path", type=click.Path(exists=False))
-@click.option("--delta", type=float, required=True, help="Threshold scale.")
-@click.option("--bk", "bk_level", metavar="K", default=None, help="Export the edge-closure graph at this level.")
-@click.option(
-    "--bkstar",
-    "bkstar_level",
-    metavar="K",
-    default=None,
-    help="Export the relaxed edge-closure graph at this level.",
-)
-@click.option("-o", "--output", type=click.Path(), help="Write DOT here instead of stdout.")
-@_space_options
-def export_dot(**kw) -> None:
+def export_dot(kw: dict) -> None:
     """Write the threshold graph of a space (optionally after closure) as DOT."""
     from .graphs import write_dot
 
@@ -545,6 +390,261 @@ def export_dot(**kw) -> None:
         _fail_input(str(exc))
     _write_out(kw["output"], (write_dot(g).encode("utf-8"),))
 
+
+class _Formatter(argparse.HelpFormatter):
+    def add_usage(self, usage, actions, groups, prefix=None):
+        super().add_usage(usage, actions, groups, "Usage: " if prefix is None else prefix)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose help starts with ``Usage:``, whose only help flag is
+    ``--help``, which takes no option prefixes, and whose errors exit 2
+    after an ``Error:`` line."""
+
+    def __init__(self, **kw):
+        self._takes_value: set[str] = set()
+        super().__init__(add_help=False, allow_abbrev=False, formatter_class=_Formatter, **kw)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def add_argument(self, *args, **kw):
+        action = super().add_argument(*args, **kw)
+        if action.option_strings and action.nargs is None:
+            self._takes_value.update(action.option_strings)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse would read a value that starts with '-', such as -inf,
+        # as an option; an option and its value joined by '=' cannot be
+        args = iter(sys.argv[1:] if args is None else args)
+        joined = []
+        for arg in args:
+            if arg == "--":
+                joined += [arg, *args]
+            elif arg in self._takes_value:
+                value = next(args, None)
+                joined.append(arg if value is None else f"{arg}={value}")
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"Try '{self.prog} --help' for help.\n\nError: {message}\n")
+
+
+def _command(commands, name: str, run, *paths: str) -> _Parser:
+    """The parser of one command, which ``run`` runs, with a positional
+    argument for each of ``paths``."""
+    doc = run.__doc__ or ""  # python -OO strips docstrings
+    usage = " ".join(["%(prog)s [OPTIONS]", *(p.upper() for p in paths)])
+    parser = commands.add_parser(name, help=doc.split("\n")[0], description=doc, usage=usage)
+    for path in paths:
+        parser.add_argument(path, metavar=path.upper())
+    parser.set_defaults(run=run)
+    return parser
+
+
+def _commands(parser: _Parser):
+    return parser.add_subparsers(
+        title="commands", metavar="COMMAND", required=True, prog=parser.prog
+    )
+
+
+def _output_option(parser: _Parser, help: str) -> None:
+    parser.add_argument("-o", "--output", metavar="PATH", help=help)
+
+
+def _space_options(parser: _Parser) -> None:
+    parser.add_argument(
+        "--as-matrix",
+        dest="fmt_matrix",
+        action="store_true",
+        help="Force CSV interpretation as a distance matrix.",
+    )
+    parser.add_argument(
+        "--as-points",
+        dest="fmt_points",
+        action="store_true",
+        help="Force CSV interpretation as a point cloud.",
+    )
+    parser.add_argument(
+        "--norm",
+        choices=("euclidean", "manhattan", "chebyshev"),
+        default="euclidean",
+        help="Norm used to turn a point cloud into distances. [default: %(default)s]",
+    )
+
+
+def _method_options(parser: _Parser, with_delta: bool = True) -> None:
+    if with_delta:
+        parser.add_argument("--delta", type=float, metavar="FLOAT", help="Scale parameter.")
+    parser.add_argument(
+        "--method", dest="family", choices=FAMILIES, required=True, help="Clustering family."
+    )
+    parser.add_argument(
+        "--k", dest="k_raw", metavar="K", help="Level: positive integer or 'inf'."
+    )
+    parser.add_argument(
+        "--K",
+        dest="budget_raw",
+        metavar="BUDGET",
+        help="Total step budget (family 'l' only): positive real or 'inf'.",
+    )
+    parser.add_argument(
+        "--clique-exception",
+        action="store_true",
+        help="Family 'el' only: adjoin maximal cliques and re-maximalize.",
+    )
+    parser.add_argument(
+        "--test-space",
+        dest="test_paths",
+        action="append",
+        default=[],
+        metavar="PATH",
+        help="Family 'generated' only: test space file (repeatable).",
+    )
+
+
+def _count_option(parser: _Parser, flag: str, default: int) -> None:
+    parser.add_argument(
+        flag, type=int, default=default, metavar="INTEGER", help="[default: %(default)s]"
+    )
+
+
+def _seed_option(parser: _Parser) -> None:
+    parser.add_argument(
+        "--seed",
+        type=int,
+        # a string default is parsed as a given --seed would be
+        default=os.environ.get("SIEVECLUSTER_SEED") or 0,
+        metavar="INTEGER",
+        help="Seed for the deterministic generator. [env var: SIEVECLUSTER_SEED; default: 0]",
+    )
+
+
+def _parser(prog: str) -> _Parser:
+    """The whole command line; each command's parser sets ``run``, the
+    function that runs it on the dict of its parsed options."""
+    root = _Parser(
+        prog=prog,
+        usage="%(prog)s [OPTIONS] COMMAND [ARGS]...",
+        description="Overlapping clustering methods on finite metric spaces, their scale "
+        "profiles, and a verification harness for their structural guarantees.",
+    )
+    root.add_argument(
+        "--version",
+        action="version",
+        version=f"%(prog)s, version {__version__}",
+        help="Show the version and exit.",
+    )
+    commands = _commands(root)
+
+    p = _command(commands, "cluster", cluster, "input_path")
+    _output_option(p, "Write JSON here instead of stdout.")
+    p.add_argument(
+        "--emit-dot",
+        dest="dot_path",
+        metavar="PATH",
+        help="Also write the graph the clusters came from (threshold graph, "
+        "closed for the closure families) as DOT.",
+    )
+    _space_options(p)
+    _method_options(p)
+
+    p = _command(commands, "sieve", sieve, "input_path")
+    _output_option(p, "Write JSON here instead of stdout.")
+    _space_options(p)
+    _method_options(p, with_delta=False)
+
+    p = _command(commands, "flagify", flagify_cmd, "cover_path")
+    _output_option(p, "Write JSON here instead of stdout.")
+
+    _command(commands, "refines", refines_cmd, "fine_path", "coarse_path")
+    _method_options(_command(commands, "param-probe", param_probe))
+
+    about = "Randomized and exhaustive consistency checks; reports are JSON."
+    verify = commands.add_parser(
+        "verify", help=about, description=about, usage="%(prog)s [OPTIONS] COMMAND [ARGS]..."
+    )
+    checks = _commands(verify)
+
+    p = _command(checks, "functoriality", verify_functoriality)
+    _count_option(p, "--trials", 100)
+    p.add_argument(
+        "--category",
+        choices=CATEGORIES,
+        default="met",
+        help="Sample arbitrary non-expansive maps (met) or injective ones (metinj). "
+        "[default: %(default)s]",
+    )
+    p.add_argument(
+        "--expect",
+        choices=("auto", "zero", "any"),
+        default="auto",
+        help="Whether violations fail the exit code; auto derives it from the "
+        "method/category. [default: %(default)s]",
+    )
+    _seed_option(p)
+    _output_option(p, "Write report JSON here.")
+    _method_options(p)
+
+    p = _command(checks, "sandwich", verify_sandwich)
+    _count_option(p, "--trials", 100)
+    _seed_option(p)
+    _output_option(p, "Write report JSON here.")
+    _method_options(p)
+
+    p = _command(checks, "counterexample", verify_counterexample)
+    _count_option(p, "--max-points", 6)
+    _count_option(p, "--budget", 10**6)
+    p.add_argument(
+        "--expect",
+        choices=("auto", "found", "notfound", "any"),
+        default="auto",
+        help="Polarity of the exit code; auto expects witnesses exactly for the "
+        "families that are only consistent under injective maps. [default: %(default)s]",
+    )
+    _output_option(p, "Write report JSON here.")
+    _method_options(p)
+
+    p = _command(commands, "export-dot", export_dot, "input_path")
+    p.add_argument("--delta", type=float, required=True, metavar="FLOAT", help="Threshold scale.")
+    p.add_argument(
+        "--bk", dest="bk_level", metavar="K", help="Export the edge-closure graph at this level."
+    )
+    p.add_argument(
+        "--bkstar",
+        dest="bkstar_level",
+        metavar="K",
+        help="Export the relaxed edge-closure graph at this level.",
+    )
+    _output_option(p, "Write DOT here instead of stdout.")
+    _space_options(p)
+    return root
+
+
+def _prog_name() -> str:
+    """``python -m sievecluster.cli`` when run as a module, else the name of
+    the script that was run."""
+    spec = getattr(sys.modules["__main__"], "__spec__", None)
+    return f"python -m {spec.name}" if spec else os.path.basename(sys.argv[0])
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Run the command in ``args`` (default: ``sys.argv[1:]``). Always ends
+    in SystemExit with the command's exit code."""
+    kw = vars(_parser(prog_name or _prog_name()).parse_args(args))
+    try:
+        kw.pop("run")(kw)
+    except _InputError as exc:
+        _warn(f"Error: {exc}")
+        sys.exit(2)
+    sys.exit(0)
+
+
+# bench/tracer.py runs a command through ``main.main``, the name click's
+# command group gave its entry point
+main.main = main
 
 if __name__ == "__main__":
     main()

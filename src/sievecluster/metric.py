@@ -278,7 +278,12 @@ class FiniteMetricSpace:
         return self._index[label]
 
     def distance(self, a: str, b: str) -> float:
-        return self._flat[self._index[a] * self.n + self._index[b]]
+        """The distance from a to b; a space of a large cloud whose buffer
+        is not built yet computes that one entry."""
+        i, j = self._index[a], self._index[b]
+        if self._buf is None:
+            return self._cloud.distance(i, j)
+        return self._flat[i * self.n + j]
 
     def diameter(self) -> float:
         return max(self._flat)
@@ -684,6 +689,12 @@ class _Cloud:
 
         pts = np.ascontiguousarray(np.array(self.cols, dtype=np.float64).T)
         return _point_buffer(np, pts, _POINT_NORMS[self.metric][1])
+
+    def distance(self, i: int, j: int) -> float:
+        """The buffer's entry for points i and j, by the Python kernel of
+        the norm, which gives the same bytes (1 to 7 coordinates; on the
+        diagonal every difference is 0.0, and so is the distance)."""
+        return _POINT_NORMS[self.metric][0]([[c[i] - c[j]] for c in self.cols])[0]
 
     def adjacency(self, bound: float) -> list[int] | None:
         """The masks of the pairs at distance <= bound, found on a grid of

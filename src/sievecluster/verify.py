@@ -30,6 +30,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from . import _bitops
 from ._names import CATEGORIES
@@ -62,7 +63,9 @@ from .metric import (
     validate_metric,
 )
 from .rng import SplitMix64, derive_seed
-from .sieves import Sieve, _candidate_scales
+
+if TYPE_CHECKING:
+    from .sieves import Sieve
 
 METRIC_MODES = (
     "euclidean-points",
@@ -736,7 +739,10 @@ def _dense_sieve(x: FiniteMetricSpace, spec: MethodSpec) -> Sieve:
     incremental clique sweep, closure resumption and ml's batches. Raises
     MonotonicityViolation (index of the earlier stored cover, scale of the
     later) when a cover is not refined by the last distinct one before it.
+    The sieve module is imported here, so the checks never load it.
     """
+    from .sieves import Sieve, _candidate_scales
+
     bps: list[float] = []
     covers: list[FlagCover] = []
     for scale in _candidate_scales(x):

@@ -1,7 +1,12 @@
-"""Shared fixtures: small named spaces, a graph-to-space builder, and the
-acceptance-criteria summary lines."""
+"""Shared fixtures: small named spaces, a graph-to-space builder, an
+in-process CLI runner, and the acceptance-criteria summary lines."""
 
+import io
+import os
 import re
+import sys
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,6 +58,41 @@ def graph_space(n, edges, delta=1.0, labels=None):
     for i, j in edges:
         d[i, j] = d[j, i] = delta
     return FiniteMetricSpace(labels, d)
+
+
+class CliRunner:
+    """Runs a CLI entry point in this process with stdout and stderr
+    captured and the environment patched for the call."""
+
+    def invoke(self, cli, args, env=None):
+        streams = sys.stdout, sys.stderr
+        out = sys.stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        err = sys.stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        code, exception = 0, None
+        try:
+            with mock.patch.dict(os.environ, env or {}):
+                cli(args, prog_name="sievecluster")
+        except SystemExit as exc:
+            code = exc.code or 0
+            exception = exc if code else None
+        except Exception as exc:
+            code, exception = 1, exc
+        finally:
+            sys.stdout, sys.stderr = streams
+        out.flush()
+        err.flush()
+        stdout = out.buffer.getvalue()
+        return SimpleNamespace(
+            exit_code=code,
+            output=(stdout + err.buffer.getvalue()).decode("utf-8"),
+            stdout_bytes=stdout,
+            exception=exception,
+        )
+
+
+@pytest.fixture
+def runner():
+    return CliRunner()
 
 
 @pytest.fixture

@@ -4,6 +4,8 @@ import importlib
 import importlib.metadata
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -11,7 +13,6 @@ import warnings
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import sievecluster
 import sievecluster.cli
@@ -25,11 +26,6 @@ C4_CSV = (
     "c,2,1,0,1\n"
     "d,1,2,1,0\n"
 )
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 def _x3(tmp_path):
@@ -254,6 +250,17 @@ def test_full_stdout_is_usage_error(tmp_path, unbuffered):
             _, err = proc.communicate(timeout=120)
         assert proc.returncode == 2
         assert err == b"Error: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_text_to_a_full_stdout_is_usage_error():
+    # the line of text that param-probe and refines print once died here
+    # with a traceback, exit 1
+    with open("/dev/full", "wb") as full:
+        proc = _cli(False, "param-probe", "--method", "sl", "--delta", "1", stdout=full)
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err == b"Error: cannot write stdout: No space left on device\n"
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
@@ -599,3 +606,53 @@ def test_version_flag_without_package_metadata(runner, monkeypatch):
     result = runner.invoke(fresh.main, ["--version"])
     assert result.exit_code == 0, result.output
     assert sievecluster.__version__ in result.output
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# flags the README's command-line section names only in its prose, each on
+# a command line that uses it
+PROSE_FLAGS = {
+    "--clique-exception": ["cluster", "d.csv", "--method", "el", "--k", "2", "--delta", "1",
+                           "--clique-exception"],
+    "--test-space": ["verify", "functoriality", "--method", "generated", "--test-space", "a.csv",
+                     "--test-space", "b.csv"],
+}
+
+
+def test_every_readme_flag_parses_on_its_subcommand():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Command line") : text.index("### Exit codes")]
+    examples = [
+        shlex.split(line, comments=True)[1:]
+        for line in section.splitlines()
+        if line.startswith("sievecluster ")
+    ]
+    flags = set(re.findall(r"(?<![\w-])(--[A-Za-z][\w-]*|-o)(?![\w-])", section))
+    covered = {arg for args in examples for arg in args if arg in flags} | set(PROSE_FLAGS)
+    assert len(examples) >= 10 and flags - covered == set()
+    parser = sievecluster.cli._parser("sievecluster")
+    parsed = [vars(parser.parse_args(args)) for args in [*examples, *PROSE_FLAGS.values()]]
+    assert all(callable(p["run"]) for p in parsed)
+    assert parsed[-1]["test_paths"] == ["a.csv", "b.csv"]
+
+
+def test_flag_prefixes_are_refused(runner, tmp_path):
+    for args in (["--meth", "ml", "--delta", "1"], ["--method", "ml", "--del", "0.5"]):
+        result = runner.invoke(main, ["cluster", *args, _x3(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "Error: " in result.output
+
+
+def test_a_seed_from_the_environment_that_is_no_integer_is_a_usage_error(runner):
+    args = ["verify", "functoriality", "--method", "ml", "--delta", "1", "--trials", "2"]
+    result = runner.invoke(main, args, env={"SIEVECLUSTER_SEED": "abc"})
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error: ")]
+    assert len(errors) == 1 and "--seed" in errors[0]
+
+
+@pytest.mark.parametrize("args", [[], ["bogus"], ["verify"], ["verify", "bogus"]])
+def test_a_missing_or_unknown_command_is_a_usage_error(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout_bytes == b"" and "Error: " in result.output

@@ -218,3 +218,32 @@ def test_no_top_level_numpy_import(path):
     """Small inputs run without numpy: a module imports it only inside the
     function that needs it, so loading the module never does."""
     assert numpy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def click_imports(source: str) -> list[str]:
+    """Imports of click anywhere in a module, function bodies included: the
+    command line is built on argparse, so no command loads click."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules if m.split(".")[0] == "click"]
+    return [f"line {line}: {module}" for line, module in sorted(found)]
+
+
+def test_click_import_scan_catches_one():
+    source = (
+        "import clickhouse\nfrom . import click\n"
+        "def main():\n    import click.testing\n    return click\n"
+        "from click import echo\n"
+    )
+    assert click_imports(source) == ["line 4: click.testing", "line 6: click"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_click_import(path):
+    assert click_imports(path.read_text(encoding="utf-8")) == []

@@ -15,12 +15,13 @@ import random
 import tracemalloc
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from sievecluster import MethodSpec, evaluate_method, ingest_space, space_from_points
 from sievecluster import metric
 from sievecluster.cli import main
+
+from conftest import CliRunner
 
 NORMS = ("euclidean", "manhattan", "chebyshev")
 PYTHON = 10**9  # a _NUMPY_MIN_POINTS no input reaches: every space is built eagerly
@@ -100,6 +101,25 @@ def test_grid_masks_equal_the_buffer_threshold(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metric, "_NUMPY_MIN_POINTS", 8)
         _check_grid(points, norm, labels, bounds)
+
+
+def _check_distances(x):
+    """Each distance of a space kept as coordinates, read one at a time,
+    leaves the buffer unbuilt and has the bytes of the buffer's entry."""
+    assert x._buf is None
+    got = [x.distance(a, b).hex() for a in x.labels for b in x.labels]
+    assert x._buf is None
+    assert got == [v.hex() for v in x._flat]
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@given(case=grid_cases())
+def test_distance_of_an_unbuilt_cloud_is_the_buffer_entry(norm, case):
+    points, _, labels, _ = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric, "_NUMPY_MIN_POINTS", 8)
+        x = space_from_points(points, norm, labels=labels)
+    _check_distances(x)
 
 
 @pytest.mark.parametrize("norm", NORMS)
@@ -248,6 +268,12 @@ def test_cluster_bytes_on_clouds(tmp_path, key):
     n, norm, dim = key
     methods = _METHODS + (_DENSE_METHODS if n == 128 else [])
     assert _cluster_digest(tmp_path, _cloud_text(n, dim), norm, methods) == CLOUD_GOLDEN[key]
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_distance_of_an_unbuilt_cloud_when_squares_overflow(norm):
+    rows = [[float(v) for v in line.split(",")[1:]] for line in _far_text(norm).splitlines()[1:]]
+    _check_distances(space_from_points(rows, norm))
 
 
 FAR_GOLDEN = {

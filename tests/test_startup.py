@@ -189,6 +189,63 @@ print("RESULT", json.dumps([m for m in {HEAVY!r} if m in sys.modules]))
     assert loaded == ["sievecluster.functors"]
 
 
+def _fresh_run(args: list[str]) -> tuple[int, str, list[str]]:
+    """Run one CLI command in a fresh interpreter started in src/; its exit
+    code, its stdout, and the modules loaded when it ended."""
+    code = f"""
+import contextlib
+import io
+import json
+import sys
+from sievecluster.cli import main
+
+out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+with contextlib.redirect_stdout(out):
+    try:
+        main({args!r}, prog_name="sievecluster")
+    except SystemExit as exc:
+        status = exc.code or 0
+out.flush()
+print("RESULT", json.dumps([status, out.buffer.getvalue().decode(), sorted(sys.modules)]))
+"""
+    out = _run_in_src(code)
+    return tuple(json.loads(out.splitlines()[-1].removeprefix("RESULT ")))
+
+
+_VERIFY = [
+    ["verify", "functoriality", "--method", "ml", "--delta", "0.3", "--trials", "20"],
+    ["verify", "sandwich", "--method", "vl", "--k", "2", "--delta", "0.3", "--trials", "20"],
+    ["verify", "counterexample", "--method", "sl", "--delta", "1", "--max-points", "4"],
+]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--help"], ["--version"], ["cluster", "--method", "ml", "--delta", "0.3", "{csv}"],
+     ["sieve", "--method", "vl", "--k", "2", "{csv}"], *_VERIFY],
+    ids=lambda args: " ".join(a for a in args[:2] if a != "{csv}"),
+)
+def test_no_command_loads_click(tmp_path, args):
+    csv = _cloud_csv(tmp_path / "small.csv", 20)
+    status, _, loaded = _fresh_run([a.format(csv=csv) for a in args])
+    assert status == 0 and "click" not in loaded
+
+
+@pytest.mark.parametrize("args", _VERIFY, ids=lambda args: args[1])
+def test_verify_checks_leave_the_sieve_builder_unloaded(args):
+    status, _, loaded = _fresh_run(args)
+    assert status == 0 and "sievecluster.sieves" not in loaded
+
+
+def test_help_is_usage_for_every_command():
+    commands = ["cluster", "sieve", "flagify", "refines", "param-probe", "export-dot", "verify"]
+    status, root, _ = _fresh_run(["--help"])
+    assert status == 0 and root.startswith("Usage:")
+    for args in [*([c] for c in commands), *(a[:2] for a in _VERIFY)]:
+        status, text, _ = _fresh_run([*args, "--help"])
+        assert status == 0 and text.startswith("Usage: sievecluster " + " ".join(args)), args
+
+
 def test_dir_lists_every_public_name():
     assert set(sievecluster.__all__) <= set(dir(sievecluster))
     assert "__version__" in dir(sievecluster)
