@@ -15,7 +15,10 @@ SIEVECLUSTER_SEED environment variable, then 0. JSON output is canonical,
 so identical inputs and seeds give byte-identical files.
 
 The parser is the standard library's argparse, built anew on each call of
-:func:`main`; the same parser writes ``--help``. Options are spelled out in
+:func:`main` for the one command that its arguments name; the same parser
+writes ``--help``. Every command and check is registered with its one-line
+help, which is all that the root's help and its usage errors need, and
+only the command that runs gets its options. Options are spelled out in
 full (no prefixes), an option that takes a value takes the next argument
 whatever it looks like (``--delta -inf``), and a usage or input error is
 one ``Error: <message>`` line on stderr with exit code 2. Each command
@@ -181,9 +184,7 @@ def _read_cover(path: str) -> Cover:
 
 def cluster(kw: dict) -> None:
     """Evaluate a flat method at one scale; write the cover as JSON."""
-    from .covers import co_blocking
     from .functors import evaluate_method
-    from .graphs import Graph, threshold_graph, write_dot
 
     x = _ingest(kw["input_path"], kw["fmt_matrix"], kw["fmt_points"], kw["norm"])
     spec = _build_method(kw)
@@ -194,6 +195,9 @@ def cluster(kw: dict) -> None:
     if kw["dot_path"]:
         if spec.delta is None:
             _fail_input("--emit-dot needs a method with --delta")
+        from .covers import co_blocking
+        from .graphs import Graph, threshold_graph, write_dot
+
         if spec.family in ("bk", "bkstar"):
             # the cover's blocks are the maximal cliques of the closed
             # graph, so their co-blocking relation is that graph
@@ -432,18 +436,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"Try '{self.prog} --help' for help.\n\nError: {message}\n")
 
 
-def _command(commands, name: str, run, *paths: str) -> _Parser:
-    """The parser of one command, which ``run`` runs, with a positional
-    argument for each of ``paths``."""
-    doc = run.__doc__ or ""  # python -OO strips docstrings
-    usage = " ".join(["%(prog)s [OPTIONS]", *(p.upper() for p in paths)])
-    parser = commands.add_parser(name, help=doc.split("\n")[0], description=doc, usage=usage)
-    for path in paths:
-        parser.add_argument(path, metavar=path.upper())
-    parser.set_defaults(run=run)
-    return parser
-
-
 def _commands(parser: _Parser):
     return parser.add_subparsers(
         title="commands", metavar="COMMAND", required=True, prog=parser.prog
@@ -522,9 +514,110 @@ def _seed_option(parser: _Parser) -> None:
     )
 
 
-def _parser(prog: str) -> _Parser:
-    """The whole command line; each command's parser sets ``run``, the
-    function that runs it on the dict of its parsed options."""
+def _cluster_options(parser: _Parser) -> None:
+    _output_option(parser, "Write JSON here instead of stdout.")
+    parser.add_argument(
+        "--emit-dot",
+        dest="dot_path",
+        metavar="PATH",
+        help="Also write the graph the clusters came from (threshold graph, "
+        "closed for the closure families) as DOT.",
+    )
+    _space_options(parser)
+    _method_options(parser)
+
+
+def _sieve_options(parser: _Parser) -> None:
+    _output_option(parser, "Write JSON here instead of stdout.")
+    _space_options(parser)
+    _method_options(parser, with_delta=False)
+
+
+def _flagify_options(parser: _Parser) -> None:
+    _output_option(parser, "Write JSON here instead of stdout.")
+
+
+def _functoriality_options(parser: _Parser) -> None:
+    _count_option(parser, "--trials", 100)
+    parser.add_argument(
+        "--category",
+        choices=CATEGORIES,
+        default="met",
+        help="Sample arbitrary non-expansive maps (met) or injective ones (metinj). "
+        "[default: %(default)s]",
+    )
+    parser.add_argument(
+        "--expect",
+        choices=("auto", "zero", "any"),
+        default="auto",
+        help="Whether violations fail the exit code; auto derives it from the "
+        "method/category. [default: %(default)s]",
+    )
+    _seed_option(parser)
+    _output_option(parser, "Write report JSON here.")
+    _method_options(parser)
+
+
+def _sandwich_options(parser: _Parser) -> None:
+    _count_option(parser, "--trials", 100)
+    _seed_option(parser)
+    _output_option(parser, "Write report JSON here.")
+    _method_options(parser)
+
+
+def _counterexample_options(parser: _Parser) -> None:
+    _count_option(parser, "--max-points", 6)
+    _count_option(parser, "--budget", 10**6)
+    parser.add_argument(
+        "--expect",
+        choices=("auto", "found", "notfound", "any"),
+        default="auto",
+        help="Polarity of the exit code; auto expects witnesses exactly for the "
+        "families that are only consistent under injective maps. [default: %(default)s]",
+    )
+    _output_option(parser, "Write report JSON here.")
+    _method_options(parser)
+
+
+def _export_dot_options(parser: _Parser) -> None:
+    parser.add_argument(
+        "--delta", type=float, required=True, metavar="FLOAT", help="Threshold scale."
+    )
+    parser.add_argument(
+        "--bk", dest="bk_level", metavar="K", help="Export the edge-closure graph at this level."
+    )
+    parser.add_argument(
+        "--bkstar",
+        dest="bkstar_level",
+        metavar="K",
+        help="Export the relaxed edge-closure graph at this level.",
+    )
+    _output_option(parser, "Write DOT here instead of stdout.")
+    _space_options(parser)
+
+
+# every command, in the order of the help: its path, the function that runs
+# it on the dict of its parsed options, the function that adds its options,
+# and its positional arguments. A path of two words is a check of verify.
+_COMMANDS = (
+    ("cluster", cluster, _cluster_options, "input_path"),
+    ("sieve", sieve, _sieve_options, "input_path"),
+    ("flagify", flagify_cmd, _flagify_options, "cover_path"),
+    ("refines", refines_cmd, None, "fine_path", "coarse_path"),
+    ("param-probe", param_probe, _method_options),
+    ("verify functoriality", verify_functoriality, _functoriality_options),
+    ("verify sandwich", verify_sandwich, _sandwich_options),
+    ("verify counterexample", verify_counterexample, _counterexample_options),
+    ("export-dot", export_dot, _export_dot_options, "input_path"),
+)
+
+
+def _parser(prog: str, command: str | None = None) -> _Parser:
+    """The command line. Every command and check is registered with its
+    one-line help, which is all that the root's and verify's help and
+    their usage errors show. Arguments are added only to the parser of
+    ``command``, a path of ``_COMMANDS`` ("" for none), or to every
+    command's when it is None. Each command's parser sets ``run``."""
     root = _Parser(
         prog=prog,
         usage="%(prog)s [OPTIONS] COMMAND [ARGS]...",
@@ -537,90 +630,44 @@ def _parser(prog: str) -> _Parser:
         version=f"%(prog)s, version {__version__}",
         help="Show the version and exit.",
     )
-    commands = _commands(root)
-
-    p = _command(commands, "cluster", cluster, "input_path")
-    _output_option(p, "Write JSON here instead of stdout.")
-    p.add_argument(
-        "--emit-dot",
-        dest="dot_path",
-        metavar="PATH",
-        help="Also write the graph the clusters came from (threshold graph, "
-        "closed for the closure families) as DOT.",
-    )
-    _space_options(p)
-    _method_options(p)
-
-    p = _command(commands, "sieve", sieve, "input_path")
-    _output_option(p, "Write JSON here instead of stdout.")
-    _space_options(p)
-    _method_options(p, with_delta=False)
-
-    p = _command(commands, "flagify", flagify_cmd, "cover_path")
-    _output_option(p, "Write JSON here instead of stdout.")
-
-    _command(commands, "refines", refines_cmd, "fine_path", "coarse_path")
-    _method_options(_command(commands, "param-probe", param_probe))
-
-    about = "Randomized and exhaustive consistency checks; reports are JSON."
-    verify = commands.add_parser(
-        "verify", help=about, description=about, usage="%(prog)s [OPTIONS] COMMAND [ARGS]..."
-    )
-    checks = _commands(verify)
-
-    p = _command(checks, "functoriality", verify_functoriality)
-    _count_option(p, "--trials", 100)
-    p.add_argument(
-        "--category",
-        choices=CATEGORIES,
-        default="met",
-        help="Sample arbitrary non-expansive maps (met) or injective ones (metinj). "
-        "[default: %(default)s]",
-    )
-    p.add_argument(
-        "--expect",
-        choices=("auto", "zero", "any"),
-        default="auto",
-        help="Whether violations fail the exit code; auto derives it from the "
-        "method/category. [default: %(default)s]",
-    )
-    _seed_option(p)
-    _output_option(p, "Write report JSON here.")
-    _method_options(p)
-
-    p = _command(checks, "sandwich", verify_sandwich)
-    _count_option(p, "--trials", 100)
-    _seed_option(p)
-    _output_option(p, "Write report JSON here.")
-    _method_options(p)
-
-    p = _command(checks, "counterexample", verify_counterexample)
-    _count_option(p, "--max-points", 6)
-    _count_option(p, "--budget", 10**6)
-    p.add_argument(
-        "--expect",
-        choices=("auto", "found", "notfound", "any"),
-        default="auto",
-        help="Polarity of the exit code; auto expects witnesses exactly for the "
-        "families that are only consistent under injective maps. [default: %(default)s]",
-    )
-    _output_option(p, "Write report JSON here.")
-    _method_options(p)
-
-    p = _command(commands, "export-dot", export_dot, "input_path")
-    p.add_argument("--delta", type=float, required=True, metavar="FLOAT", help="Threshold scale.")
-    p.add_argument(
-        "--bk", dest="bk_level", metavar="K", help="Export the edge-closure graph at this level."
-    )
-    p.add_argument(
-        "--bkstar",
-        dest="bkstar_level",
-        metavar="K",
-        help="Export the relaxed edge-closure graph at this level.",
-    )
-    _output_option(p, "Write DOT here instead of stdout.")
-    _space_options(p)
+    groups = {"": _commands(root)}
+    for path, run, options, *positionals in _COMMANDS:
+        group, _, name = path.rpartition(" ")
+        if group not in groups:  # verify
+            about = "Randomized and exhaustive consistency checks; reports are JSON."
+            parser = groups[""].add_parser(
+                group, help=about, description=about, usage="%(prog)s [OPTIONS] COMMAND [ARGS]..."
+            )
+            groups[group] = _commands(parser)
+        doc = run.__doc__ or ""  # python -OO strips docstrings
+        parser = groups[group].add_parser(
+            name,
+            help=doc.split("\n")[0],
+            description=doc,
+            usage=" ".join(["%(prog)s [OPTIONS]", *(p.upper() for p in positionals)]),
+        )
+        parser.set_defaults(run=run)
+        if command is None or command == path:
+            for positional in positionals:
+                parser.add_argument(positional, metavar=positional.upper())
+            if options:
+                options(parser)
     return root
+
+
+def _command_path(args: list[str]) -> str:
+    """The path in ``_COMMANDS`` of the command that ``args`` run: the
+    first command name among them, then for verify the first check name
+    after it; "" when they name none. Neither the root nor verify has an
+    option that takes a value, so argparse reads the command from their
+    first positional argument: that is this name, or no command name, and
+    then parsing fails before any command's options are read."""
+    path = ""
+    for word in args:
+        longer = f"{path} {word}" if path else word
+        if any(p == longer or p.startswith(f"{longer} ") for p, *_ in _COMMANDS):
+            path = longer
+    return path
 
 
 def _prog_name() -> str:
@@ -633,7 +680,9 @@ def _prog_name() -> str:
 def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
     """Run the command in ``args`` (default: ``sys.argv[1:]``). Always ends
     in SystemExit with the command's exit code."""
-    kw = vars(_parser(prog_name or _prog_name()).parse_args(args))
+    if args is None:
+        args = sys.argv[1:]
+    kw = vars(_parser(prog_name or _prog_name(), _command_path(args)).parse_args(args))
     try:
         kw.pop("run")(kw)
     except _InputError as exc:

@@ -28,7 +28,6 @@ import json
 import math
 import os
 from array import array
-from importlib import resources
 from json.encoder import encode_basestring
 from typing import Iterator, NamedTuple
 
@@ -390,5 +389,7 @@ def read_json(path: str):
 
 def load_schema(name: str) -> dict:
     """One of the shipped JSON schemas: cover, sieve, or trial_report."""
+    from importlib import resources  # no command reads a schema
+
     ref = resources.files("sievecluster").joinpath(f"schemas/{name}.schema.json")
     return json.loads(ref.read_text(encoding="utf-8"))

@@ -25,11 +25,10 @@ per-family function is one call of ``evaluate_method``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from . import _bitops
-from ._names import FAMILIES
+from ._names import FAMILIES, _FrozenRecord, _check_level
 from .covers import (
     Cover,
     FlagCover,
@@ -39,7 +38,6 @@ from .covers import (
     maximal_linked_sets,
 )
 from .errors import SearchBudgetExceeded, TrivialFunctor
-from .graphs import Graph, _check_level, _edge_blocks, _vertex_blocks, space_from_graph
 from .metric import (
     REL_TOL,
     FiniteMetricSpace,
@@ -54,8 +52,7 @@ _GENERATED_POINT_CAP = 6
 _GENERATED_LEAF_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class MethodSpec:
+class MethodSpec(_FrozenRecord):
     """A clustering method: family plus parameters.
 
     ``delta`` may be left None when the record parameterizes a scale sweep
@@ -64,40 +61,51 @@ class MethodSpec:
     "K"). ``test_spaces`` parameterizes the generated family.
     """
 
-    family: str
-    delta: float | None = None
-    k: int | float | None = None
-    budget: float | None = None
-    test_spaces: tuple[FiniteMetricSpace, ...] = field(default=())
-    clique_exception: bool = False
+    __slots__ = ("family", "delta", "k", "budget", "test_spaces", "clique_exception")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.delta is not None and not self.delta >= 0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta!r}")
-        if self.family in _NEEDS_K:
-            if self.k is None:
-                raise ValueError(f"family {self.family!r} requires k")
-            _check_level(self.k)
-        elif self.k is not None:
-            raise ValueError(f"family {self.family!r} takes no k")
-        if self.family == "l":
-            if self.budget is not None and not self.budget >= 0:
+    def __init__(
+        self,
+        family: str,
+        delta: float | None = None,
+        k: int | float | None = None,
+        budget: float | None = None,
+        test_spaces: tuple[FiniteMetricSpace, ...] = (),
+        clique_exception: bool = False,
+    ):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        if delta is not None and not delta >= 0:
+            raise ValueError(f"delta must be nonnegative, got {delta!r}")
+        if family in _NEEDS_K:
+            if k is None:
+                raise ValueError(f"family {family!r} requires k")
+            _check_level(k)
+        elif k is not None:
+            raise ValueError(f"family {family!r} takes no k")
+        if family == "l":
+            if budget is not None and not budget >= 0:
                 raise ValueError("budget K must be nonnegative")
-        elif self.budget is not None:
-            raise ValueError(f"family {self.family!r} takes no budget")
-        if self.family == "generated":
-            if not self.test_spaces:
+        elif budget is not None:
+            raise ValueError(f"family {family!r} takes no budget")
+        if family == "generated":
+            if not test_spaces:
                 raise ValueError("generated family requires at least one test space")
-            object.__setattr__(self, "test_spaces", tuple(self.test_spaces))
-        elif self.test_spaces:
-            raise ValueError(f"family {self.family!r} takes no test spaces")
-        if self.clique_exception and self.family != "el":
+            test_spaces = tuple(test_spaces)
+        elif test_spaces:
+            raise ValueError(f"family {family!r} takes no test spaces")
+        if clique_exception and family != "el":
             raise ValueError("clique_exception applies to the el family only")
+        self._set("family", family)
+        self._set("delta", delta)
+        self._set("k", k)
+        self._set("budget", budget)
+        self._set("test_spaces", test_spaces)
+        self._set("clique_exception", clique_exception)
 
     def with_delta(self, delta: float) -> "MethodSpec":
-        return replace(self, delta=delta)
+        return type(self)(
+            self.family, delta, self.k, self.budget, self.test_spaces, self.clique_exception
+        )
 
     def label(self) -> str:
         bits = [self.family]
@@ -156,12 +164,14 @@ class MethodSpec:
         )
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(_FrozenRecord):
     """Outcome of the two-point scale probe."""
 
-    delta_f: float
-    boundary_merged: bool
+    __slots__ = ("delta_f", "boundary_merged")
+
+    def __init__(self, delta_f: float, boundary_merged: bool):
+        self._set("delta_f", delta_f)
+        self._set("boundary_merged", boundary_merged)
 
 
 def _step_relation(x: FiniteMetricSpace, delta: float, k, budget) -> list[int]:
@@ -384,8 +394,12 @@ def _linked_relation(
         return _step_relation(x, delta, k, budget)
     adj = x._adjacency(delta)
     if family == "vl":
+        from .graphs import _vertex_blocks
+
         return _co_blocking_masks(x.n, _vertex_blocks(adj, spec.k))
     if family == "el":
+        from .graphs import _edge_blocks
+
         return _co_blocking_masks(x.n, _edge_blocks(adj, spec.k, spec.clique_exception))
     if start is not None:
         adj = [a | b for a, b in zip(adj, start)]
@@ -420,6 +434,8 @@ def cover_metric(cover: Cover, delta: float) -> FiniteMetricSpace:
     """
     if not delta > 0:
         raise ValueError("cover metrization needs delta > 0")
+    from .graphs import Graph, space_from_graph
+
     return space_from_graph(Graph.from_masks(cover.base, co_blocking(cover).adj), delta)
 
 

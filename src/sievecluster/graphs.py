@@ -35,16 +35,10 @@ from array import array
 from typing import Iterable
 
 from . import _bitops
+from ._names import _check_level
 from .covers import Cover, Relation, reduce_to_maximal
 from .errors import InputFormatError
 from .metric import FiniteMetricSpace
-
-
-def _check_level(k) -> None:
-    if k == math.inf:
-        return
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive integer or inf, got {k!r}")
 
 
 class Graph:

@@ -20,10 +20,10 @@ where it changes and keeps its maximal cliques up to date as it does.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
 
 from ._bitops import bits, cliques_containing
+from ._names import _FrozenRecord
 from .covers import Cover, FlagCover, _string_lists, is_consistent_map
 from .errors import MonotonicityViolation
 from .functors import MethodSpec, _linked_relation
@@ -302,13 +302,20 @@ def _clique_sweep(base: tuple[str, ...], batches) -> Sieve:
     return Sieve._from_lifetimes(base, bps, lifetimes)
 
 
-@dataclass(frozen=True)
-class SieveAxiomReport:
+class SieveAxiomReport(_FrozenRecord):
     """Which of the three profile conditions hold, with violation details."""
 
-    refinement_violations: tuple[tuple[int, float], ...]
-    right_continuity_violations: tuple[float, ...]
-    terminal_trivial: bool
+    __slots__ = ("refinement_violations", "right_continuity_violations", "terminal_trivial")
+
+    def __init__(
+        self,
+        refinement_violations: tuple[tuple[int, float], ...],
+        right_continuity_violations: tuple[float, ...],
+        terminal_trivial: bool,
+    ):
+        self._set("refinement_violations", refinement_violations)
+        self._set("right_continuity_violations", right_continuity_violations)
+        self._set("terminal_trivial", terminal_trivial)
 
     @property
     def is_persistent_cover(self) -> bool:

@@ -29,11 +29,10 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import _bitops
-from ._names import CATEGORIES
+from ._names import CATEGORIES, _Record
 from .covers import (
     Cover,
     FlagCover,
@@ -52,7 +51,6 @@ from .functors import (
     maximal_linkage,
     single_linkage,
 )
-from .graphs import Graph, space_from_graph
 from .metric import (
     REL_TOL,
     FiniteMetricSpace,
@@ -74,8 +72,7 @@ METRIC_MODES = (
 )
 
 
-@dataclass
-class TrialReport:
+class TrialReport(_Record):
     """Outcome of one verification run.
 
     ``violations`` entries are self-contained: they embed the serialized
@@ -83,14 +80,29 @@ class TrialReport:
     standalone with :func:`verify_witness`.
     """
 
-    check: str
-    method: dict
-    category: str | None
-    trials: int
-    violations: list[dict]
-    seed: int
-    elapsed: float
-    extra: dict = field(default_factory=dict)
+    __slots__ = (
+        "check", "method", "category", "trials", "violations", "seed", "elapsed", "extra"
+    )
+
+    def __init__(
+        self,
+        check: str,
+        method: dict,
+        category: str | None,
+        trials: int,
+        violations: list[dict],
+        seed: int,
+        elapsed: float,
+        extra: dict | None = None,
+    ):
+        self.check = check
+        self.method = method
+        self.category = category
+        self.trials = trials
+        self.violations = violations
+        self.seed = seed
+        self.elapsed = elapsed
+        self.extra = {} if extra is None else extra
 
     def to_dict(self, include_elapsed: bool = False) -> dict:
         out = {
@@ -585,6 +597,8 @@ def _search_counterexample(
         raise ValueError(f"counterexample search needs a finite delta > 0, got {spec.delta!r}")
     if max_points > 7:
         raise ValueError("orbit enumeration supports at most 7 points")
+    from .graphs import Graph, space_from_graph
+
     delta = spec.delta
     tried = 0
     for n in range(3, max_points + 1):

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
+import hashlib
 import importlib
 import importlib.metadata
 import json
@@ -619,7 +620,9 @@ PROSE_FLAGS = {
 }
 
 
-def test_every_readme_flag_parses_on_its_subcommand():
+def _readme_examples() -> tuple[str, list[list[str]]]:
+    """The command-line section of the README and the arguments of each
+    example command in it."""
     text = README.read_text(encoding="utf-8")
     section = text[text.index("## Command line") : text.index("### Exit codes")]
     examples = [
@@ -627,6 +630,11 @@ def test_every_readme_flag_parses_on_its_subcommand():
         for line in section.splitlines()
         if line.startswith("sievecluster ")
     ]
+    return section, examples
+
+
+def test_every_readme_flag_parses_on_its_subcommand():
+    section, examples = _readme_examples()
     flags = set(re.findall(r"(?<![\w-])(--[A-Za-z][\w-]*|-o)(?![\w-])", section))
     covered = {arg for args in examples for arg in args if arg in flags} | set(PROSE_FLAGS)
     assert len(examples) >= 10 and flags - covered == set()
@@ -634,6 +642,38 @@ def test_every_readme_flag_parses_on_its_subcommand():
     parsed = [vars(parser.parse_args(args)) for args in [*examples, *PROSE_FLAGS.values()]]
     assert all(callable(p["run"]) for p in parsed)
     assert parsed[-1]["test_paths"] == ["a.csv", "b.csv"]
+
+
+def test_the_parser_of_one_command_parses_as_the_whole_parser():
+    _, examples = _readme_examples()
+    full = sievecluster.cli._parser("sievecluster")
+    for args in [*examples, *PROSE_FLAGS.values()]:
+        path = sievecluster.cli._command_path(args)
+        one = sievecluster.cli._parser("sievecluster", path)
+        assert path and vars(one.parse_args(args)) == vars(full.parse_args(args)), args
+        # every command is registered; the others have only --help
+        commands = one._actions[-1].choices
+        assert list(commands) == list(full._actions[-1].choices)
+        others = [p for name, p in commands.items() if name not in (path.split()[0], "verify")]
+        assert len(others) >= 5 and all(len(p._actions) == 1 for p in others)
+
+
+@pytest.mark.parametrize(
+    "args, path",
+    [
+        ([], ""),
+        (["--help"], ""),
+        (["bogus", "cluster"], "cluster"),
+        (["--version", "sieve", "x.csv"], "sieve"),
+        (["cluster", "x.csv", "--method", "ml", "--delta", "1", "-o", "sieve"], "cluster"),
+        (["verify"], "verify"),
+        (["verify", "--help"], "verify"),
+        (["verify", "sandwich", "--method", "functoriality"], "verify sandwich"),
+        (["export-dot", "verify"], "export-dot"),
+    ],
+)
+def test_command_path_is_the_first_command_name(args, path):
+    assert sievecluster.cli._command_path(args) == path
 
 
 def test_flag_prefixes_are_refused(runner, tmp_path):
@@ -656,3 +696,41 @@ def test_a_missing_or_unknown_command_is_a_usage_error(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert result.stdout_bytes == b"" and "Error: " in result.output
+
+
+# sha256 of the exit code, stdout and stderr of each invocation at 80
+# columns, recorded with Python 3.11; argparse lays help out differently
+# in other versions, so the check runs on 3.11 only
+CLI_TEXT_PYTHON = (3, 11)
+CLI_TEXT = {
+    "--help": "adab818e4e570193b3656b2e9eff489e19dd85572a581389c25edcd76f5889b8",
+    "--version": "c748cda9a98bbbf1cfbba170fc54ad54b465d012b51b015c266b7a0f0d7eabbf",
+    "cluster --help": "eff0499cf72c5906524cc8e24fce2d7bc80e3eceab4695e897ad2c6ec476da3d",
+    "sieve --help": "201d99e26d40746fd8739d45d5e5364b18c015a658a2d9c50d583fc5d7d888a9",
+    "flagify --help": "fb8eefb86c7af3dd22b1233cdc3081e2c020838f1ac923ac709b100227eabdc4",
+    "refines --help": "b8311318eaea161d6272c1fab5df0ac55b60b2c0fcec0be72837ca4b7537edd6",
+    "param-probe --help": "8a40e0d250ae4da83fea7edea10ecc186e4f727c66026c2ea9368990f6ae33f4",
+    "verify --help": "0027ff0de55e9b52515248d232b822ae457206423db899ab1106482619b7a13b",
+    "verify functoriality --help": "1a13c99002f978873c4cfb248dbe8e452d993c99e56296d38bb29f15e8451cdb",
+    "verify sandwich --help": "eea03cb05975a5366de469332b08f7ccb1153e7158af67115ac67758a9c9b543",
+    "verify counterexample --help": "122141b5fb5825cf1092a499a5f7024b3af411e702c24994b93c660cfa28a0fd",
+    "export-dot --help": "abf0e4d7c6319c9f2269b642b6721fcb7d78dfb48f7241aab10779ec891807c1",
+    "": "d4a354ec56a87ea61bdb28dc1113b0ac653ae09085e50deb5d9463c0bf75f451",
+    "bogus": "ab3a7ddffe68fc4de87cc453d8f60b888b9d796bb5a7669153b9a6e151eaded8",
+    "verify": "1f43a5fae07651d5d86903eba6887a2ef8fbb6ca99e1e67f0d86d79591a1fcb3",
+    "verify bogus": "565e60fe8a7145ac230f5a730aff3fbdb2840293d15867adb08f8489cfd67ab9",
+    "cluster points.csv --method zz": "e71c98cbb7a80d6d8dd7a3425751032c1f85c9a47820d87338a9abaa0c7a661f",
+    "cluster points.csv": "7fa9b69ba05f07c9ca5e25fdb75fe55e27090d214abb991f1c4010e5601e0485",
+}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != CLI_TEXT_PYTHON, reason="argparse's layout differs by version"
+)
+@pytest.mark.parametrize("line", list(CLI_TEXT), ids=lambda line: line or "no command")
+def test_help_and_usage_text_is_unchanged(runner, line):
+    result = runner.invoke(main, line.split(), env={"COLUMNS": "80"})
+    stdout = result.stdout_bytes
+    stderr = result.output.encode("utf-8")[len(stdout) :]
+    text = b"\0".join([str(result.exit_code).encode(), stdout, stderr])
+    assert hashlib.sha256(text).hexdigest() == CLI_TEXT[line]

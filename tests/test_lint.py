@@ -220,9 +220,9 @@ def test_no_top_level_numpy_import(path):
     assert numpy_imports(path.read_text(encoding="utf-8")) == []
 
 
-def click_imports(source: str) -> list[str]:
-    """Imports of click anywhere in a module, function bodies included: the
-    command line is built on argparse, so no command loads click."""
+def imports_of(source: str, package: str) -> list[str]:
+    """Imports of a package anywhere in a module, function bodies
+    included."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -231,7 +231,7 @@ def click_imports(source: str) -> list[str]:
             modules = [node.module]
         else:
             continue
-        found += [(node.lineno, m) for m in modules if m.split(".")[0] == "click"]
+        found += [(node.lineno, m) for m in modules if m.split(".")[0] == package]
     return [f"line {line}: {module}" for line, module in sorted(found)]
 
 
@@ -241,9 +241,28 @@ def test_click_import_scan_catches_one():
         "def main():\n    import click.testing\n    return click\n"
         "from click import echo\n"
     )
-    assert click_imports(source) == ["line 4: click.testing", "line 6: click"]
+    assert imports_of(source, "click") == ["line 4: click.testing", "line 6: click"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_click_import(path):
-    assert click_imports(path.read_text(encoding="utf-8")) == []
+    # the command line is built on argparse, so no command loads click
+    assert imports_of(path.read_text(encoding="utf-8"), "click") == []
+
+
+def test_dataclasses_import_scan_catches_one():
+    source = (
+        "from ._dataclasses import field\n"
+        "def make():\n    from dataclasses import dataclass\n    return dataclass\n"
+        "import dataclasses as dc\n"
+    )
+    assert imports_of(source, "dataclasses") == [
+        "line 3: dataclasses", "line 5: dataclasses"
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclasses_import(path):
+    # dataclasses loads inspect, ast, dis and tokenize, which no command
+    # needs: the records are plain classes with __slots__
+    assert imports_of(path.read_text(encoding="utf-8"), "dataclasses") == []

@@ -31,9 +31,13 @@ HEAVY = (
 )
 
 
-def _run_in_src(code: str) -> str:
+def _run_in_src(code: str, *flags: str) -> str:
     done = subprocess.run(
-        [sys.executable, "-c", code], cwd=SRC, capture_output=True, text=True, timeout=120
+        [sys.executable, *flags, "-c", code],
+        cwd=SRC,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -219,16 +223,92 @@ _VERIFY = [
 ]
 
 
-@pytest.mark.parametrize(
-    "args",
-    [["--help"], ["--version"], ["cluster", "--method", "ml", "--delta", "0.3", "{csv}"],
-     ["sieve", "--method", "vl", "--k", "2", "{csv}"], *_VERIFY],
-    ids=lambda args: " ".join(a for a in args[:2] if a != "{csv}"),
-)
+_EVERY_KIND = [
+    ["--help"],
+    ["--version"],
+    ["cluster", "--method", "ml", "--delta", "0.3", "{csv}"],
+    ["sieve", "--method", "vl", "--k", "2", "{csv}"],
+    *_VERIFY,
+]
+
+
+def _command_id(args: list[str]) -> str:
+    return " ".join(a for a in args[:2] if a != "{csv}")
+
+
+@pytest.mark.parametrize("args", _EVERY_KIND, ids=_command_id)
 def test_no_command_loads_click(tmp_path, args):
     csv = _cloud_csv(tmp_path / "small.csv", 20)
     status, _, loaded = _fresh_run([a.format(csv=csv) for a in args])
     assert status == 0 and "click" not in loaded
+
+
+@pytest.mark.parametrize("args", _EVERY_KIND, ids=_command_id)
+def test_no_command_loads_dataclasses_or_inspect(tmp_path, args):
+    csv = _cloud_csv(tmp_path / "small.csv", 20)
+    status, _, loaded = _fresh_run([a.format(csv=csv) for a in args])
+    assert status == 0 and {"dataclasses", "inspect"}.isdisjoint(loaded)
+
+
+_GRAPHS_LOADED = [
+    (["sieve", "--method", "sl", "{csv}"], False),
+    (["sieve", "--method", "ml", "{csv}"], False),
+    (["sieve", "--method", "l", "--k", "2", "{csv}"], False),
+    (["cluster", "--method", "sl", "--delta", "0.3", "{csv}"], False),
+    (["cluster", "--method", "ml", "--delta", "0.3", "{csv}"], False),
+    (["cluster", "--method", "l", "--k", "2", "--delta", "0.3", "{csv}"], False),
+    (_VERIFY[0], False),  # functoriality of ml
+    (["sieve", "--method", "vl", "--k", "2", "{csv}"], True),
+    (["cluster", "--method", "el", "--k", "2", "--delta", "0.3", "{csv}"], True),
+    (["export-dot", "--delta", "0.3", "{csv}"], True),
+    (_VERIFY[2], True),  # counterexample
+]
+
+
+@pytest.mark.parametrize(
+    "args, loaded",
+    _GRAPHS_LOADED,
+    ids=[" ".join(a for a in args if a != "{csv}") for args, _ in _GRAPHS_LOADED],
+)
+def test_graphs_loads_only_for_the_commands_that_read_it(tmp_path, args, loaded):
+    csv = _cloud_csv(tmp_path / "small.csv", 20)
+    status, _, modules = _fresh_run([a.format(csv=csv) for a in args])
+    assert status == 0 and ("sievecluster.graphs" in modules) == loaded
+
+
+def test_commands_leave_importlib_resources_unloaded(tmp_path):
+    # without site, which may load importlib.resources for a package of
+    # its own, only the command can load it; load_schema still does
+    csv = _cloud_csv(tmp_path / "small.csv", 20)
+    code = f"""
+import contextlib
+import io
+import json
+import os
+import sys
+
+sys.path.insert(0, {str(SRC)!r})
+from sievecluster.cli import main
+
+seen = []
+for args in (
+    ["cluster", "--method", "ml", "--delta", "0.3", {csv!r}],
+    ["sieve", "--method", "sl", {csv!r}],
+    {_VERIFY[0]!r},
+):
+    with open(os.devnull, "wb") as sink, contextlib.redirect_stdout(io.TextIOWrapper(sink)):
+        try:
+            main(args, prog_name="sievecluster")
+        except SystemExit as exc:
+            status = exc.code or 0
+    seen.append([status, "importlib.resources" in sys.modules])
+from sievecluster.fileio import load_schema
+
+print("RESULT", json.dumps([seen, load_schema("cover")["type"]]))
+"""
+    out = _run_in_src(code, "-S")
+    result = json.loads(out.splitlines()[-1].removeprefix("RESULT "))
+    assert result == [[[0, False]] * 3, "object"]
 
 
 @pytest.mark.parametrize("args", _VERIFY, ids=lambda args: args[1])
