@@ -33,7 +33,7 @@ from array import array
 from bisect import bisect_right
 from functools import reduce
 from itertools import chain, product, repeat
-from operator import add, le
+from operator import add, le, sub
 from typing import Iterable, Mapping
 
 from . import _bitops
@@ -49,11 +49,12 @@ REL_TOL = 1e-9
 
 # Dense kernels on fewer points run Python loops, on more numpy, whose
 # import adds about 130 ms and 13 MB to a command. On a 2-vCPU Xeon VM the
-# loops cost less than that up to about 118 points for the cubic closure
-# (96 ms at 100 points, against 3 ms in numpy) and 150 for the cubic
-# triangle check (72 ms at 128, against 5 ms), and far beyond for the
-# quadratic kernels (point distances: 18 ms at 128, against 1.3 ms). From
-# here a point cloud in 1-7 coordinates builds its buffer only when read.
+# loops cost less than that up to about 150 points for the cubic triangle
+# check (72 ms at 128, against 5 ms in numpy) and 165 for the cubic
+# closure (36-40 ms at 100 points and 57-63 ms at 128, against 2-4 ms),
+# and far beyond for the quadratic kernels (point distances: 18 ms at 128,
+# against 1.3 ms). From here a point cloud in 1-7 coordinates builds its
+# buffer only when read.
 _NUMPY_MIN_POINTS = 128
 
 _PLUS_ZERO = (0.0).__add__  # 0.0 + v turns -0.0 into +0.0 and keeps every other v
@@ -380,25 +381,15 @@ def _adjacency_at_most(flat: array, n: int, bound: float) -> list[int]:
 
 
 def _min_plus(out, left, right) -> None:
-    """Relax ``out`` in place by the min-plus product of ``left`` and ``right``.
+    """Relax the numpy array ``out`` in place by the min-plus product of
+    ``left`` and ``right``.
 
     For each pivot k in turn, ``out = min(out, left[:, k] + right[k, :])``.
     Each sum is formed in full before ``out`` is updated, and entries may be
     ``inf``. ``out`` may alias both factors: that is Floyd-Warshall, which
     ends at the all-pairs shortest paths when the diagonal is zero and no
     entry is negative.
-
-    The factors are numpy arrays, or lists of row lists of nonnegative
-    floats and ``inf``; then plain loops replace each row of ``out`` with a
-    new list, and skip a row whose pivot entry is ``inf``, which gains
-    nothing.
     """
-    if isinstance(out, list):
-        for k, pivot_row in enumerate(right):
-            for i, via in enumerate([row[k] for row in left]):
-                if via != math.inf:
-                    out[i] = [o if o <= (s := via + p) else s for o, p in zip(out[i], pivot_row)]
-        return
     import numpy as np
 
     buf = np.empty_like(out)
@@ -406,6 +397,25 @@ def _min_plus(out, left, right) -> None:
         for k in range(left.shape[1]):
             np.add(left[:, k, None], right[None, k, :], out=buf)
             np.minimum(out, buf, out=out)
+
+
+def _floyd_warshall(d: list[float], n: int) -> None:
+    """Floyd-Warshall in place on the row-major n x n list ``d``, which is
+    exactly symmetric with a +0.0 diagonal and no negative entry. Every
+    pivot keeps it so (see metric_closure), so only the pairs i < j are
+    relaxed, each improved entry is written to its mirror too, and the
+    result has the bytes of ``_min_plus(d, d, d)``. Pivot k leaves row k
+    as it was, and a tie keeps the old entry.
+    """
+    for k in range(n):
+        pivot = d[k * n : (k + 1) * n]
+        for i in range(n - 1):
+            via = pivot[i]
+            row = i * n
+            for j in range(i + 1, n):
+                s = via + pivot[j]
+                if s < d[row + j]:
+                    d[row + j] = d[j * n + i] = s
 
 
 # entries of one row tile of the triangle check: its two work arrays of
@@ -471,35 +481,38 @@ def _checked_matrix(
     the buffer, so beside the input it holds one n x n array of floats and,
     briefly, one of booleans.
     """
+    if not 0.0 <= rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be finite and nonnegative, got {rel_tol!r}")
     labels = _canonical_labels(labels)
     n = len(labels)
     flat = _buffer(matrix, n)
     if flat is None:
         return labels, *_checked_numpy(labels, matrix, rel_tol)
-    if not all(map(math.isfinite, flat)):
+    d = flat.tolist()
+    if not all(map(math.isfinite, d)):
         raise ValueError("distance matrix contains non-finite entries")
-    tol = rel_tol * max(map(abs, flat))
-    rows = _rows_of(flat, n)
-    asym = max(
-        (abs(rows[i][j] - rows[j][i]) for i in range(n) for j in range(i + 1, n)),
-        default=0.0,
-    )
+    tol = rel_tol * max(map(abs, d))
+    # one pass over the rows: the part of row i above the diagonal against
+    # its mirror, column i below it; a row whose parts differ is averaged
+    asym = 0.0
+    for i in range(n - 1):
+        upper, lower = slice(i * n + i + 1, (i + 1) * n), slice((i + 1) * n + i, None, n)
+        a, b = d[upper], d[lower]
+        if a != b:
+            asym = max(asym, *map(abs, map(sub, a, b)))
+            d[upper] = d[lower] = list(map(_mean, a, b))
     if asym > tol:
         raise AsymmetricMatrix(f"matrix differs from transpose by {asym:.3g}")
-    for i, row in enumerate(rows):
-        for j in range(i, n):
-            row[j] = rows[j][i] = _mean(row[j], rows[j][i])
-    if min(map(min, rows)) < -tol:
-        i, j = next((i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v < -tol)
-        raise NegativeDistance(f"d({labels[i]}, {labels[j]}) = {rows[i][j]:.6g} is negative")
-    rows = [[v if v > 0.0 else 0.0 for v in row] for row in rows]
-    diag = [rows[i][i] for i in range(n)]
+    if min(d) < -tol:
+        i, j = divmod(next(k for k, v in enumerate(d) if v < -tol), n)
+        raise NegativeDistance(f"d({labels[i]}, {labels[j]}) = {d[i * n + j]:.6g} is negative")
+    d = [v if v > 0.0 else 0.0 for v in d]
+    diag = d[:: n + 1]
     if max(diag) > tol:
         i = diag.index(max(diag))
-        raise NonzeroDiagonal(f"d({labels[i]}, {labels[i]}) = {rows[i][i]:.6g} != 0")
-    for i, row in enumerate(rows):
-        row[i] = 0.0
-    return labels, array("d", chain.from_iterable(rows)), tol
+        raise NonzeroDiagonal(f"d({labels[i]}, {labels[i]}) = {diag[i]:.6g} != 0")
+    d[:: n + 1] = [0.0] * n
+    return labels, array("d", d), tol
 
 
 def _checked_numpy(labels: tuple[str, ...], matrix, rel_tol: float) -> tuple[array, float]:
@@ -547,7 +560,8 @@ def validate_metric(
 ) -> FiniteMetricSpace:
     """Check the metric axioms and build a canonical space.
 
-    Tolerance is ``rel_tol`` scaled by the largest entry. Asymmetry beyond
+    Tolerance is ``rel_tol`` scaled by the largest entry; a ``rel_tol``
+    that is negative, infinite or nan raises ValueError. Asymmetry beyond
     tolerance raises AsymmetricMatrix; within tolerance the matrix is
     symmetrized exactly (averaged with its transpose). Entries below zero
     beyond tolerance raise NegativeDistance; tiny negatives are clamped to
@@ -850,23 +864,28 @@ def metric_closure(
     diagonal and nonnegativity are required of the input (same errors as
     validate_metric); the triangle inequality is established by the closure
     itself.
+
+    The checked matrix is exactly symmetric, with a +0.0 diagonal and no
+    negative entry, and each pivot k keeps it so. The pivot changes no
+    entry of row or column k (d[k][k] is 0), so every sum it forms reads
+    entries from before it; the sum for (j, i), d[j][k] + d[k][i], adds the
+    same two entries as the sum for (i, j), d[i][k] + d[k][j], in swapped
+    order, and IEEE addition is commutative; and no sum of nonnegative
+    entries is below the diagonal's +0.0. The closure is thus exactly
+    symmetric with a zero diagonal as it stands, on both paths, and needs
+    no pass that averages it with its transpose. The Python path relaxes
+    only the pairs above the diagonal (``_floyd_warshall``).
     """
     labels, flat, _ = _checked_matrix(labels, matrix, rel_tol)
     n = len(labels)
     np = _numpy(n)
     if np is None:
-        rows = _rows_of(flat, n)
-        _min_plus(rows, rows, rows)
-        for i, row in enumerate(rows):
-            row[i] = 0.0
-            for j in range(i + 1, n):
-                row[j] = rows[j][i] = _mean(row[j], rows[j][i])
-        flat = array("d", chain.from_iterable(rows))
+        d = flat.tolist()
+        _floyd_warshall(d, n)
+        flat = array("d", d)
     else:
         d = _view(np, flat, n)
         _min_plus(d, d, d)
-        _symmetrize(np, d)
-        np.fill_diagonal(d, 0.0)
     return FiniteMetricSpace._of(labels, flat)
 
 

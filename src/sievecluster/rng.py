@@ -8,14 +8,20 @@ library so that every random stream the harness produces is reproducible
 from the seed alone, on any platform, independent of interpreter or numpy
 versioning. Reports compared byte for byte across runs rely on this.
 
-All derived draws (floats, bounded ints, shuffles) are defined on top of
-``next_u64`` with explicit arithmetic, no platform-dependent calls.
+All derived draws (floats, bounded ints, shuffles) are defined on the
+outputs of ``next_u64`` with explicit arithmetic, no platform-dependent
+calls.
 """
 
 from __future__ import annotations
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+
+
+# the rejection limit of each bound randint has seen, up to this many bounds
+_LIMITS: dict[int, int] = {}
+_MAX_LIMITS = 256
 
 
 def _mix(z: int) -> int:
@@ -32,22 +38,38 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
+    # next_u64, uniform and randint each advance the state and mix it
+    # inline, as _mix does: a call less per draw
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        return _mix(self._state)
+        z = self._state = (self._state + _GAMMA) & _MASK64
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+        return z ^ (z >> 31)
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         """Float in [lo, hi) with 53 random bits of resolution."""
-        u = self.next_u64() >> 11
+        z = self._state = (self._state + _GAMMA) & _MASK64
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+        u = (z ^ (z >> 31)) >> 11
         return lo + (hi - lo) * (u * (2.0**-53))
 
     def randint(self, n: int) -> int:
-        """Uniform integer in [0, n). Uses rejection to avoid modulo bias."""
-        if n <= 0:
-            raise ValueError("randint bound must be positive")
-        limit = (_MASK64 + 1) - ((_MASK64 + 1) % n)
+        """Uniform integer in [0, n). Uses rejection to avoid modulo bias:
+        a draw at or above the largest multiple of n that fits in 64 bits
+        is redrawn."""
+        limit = _LIMITS.get(n)
+        if limit is None:
+            if n <= 0:
+                raise ValueError("randint bound must be positive")
+            limit = (_MASK64 + 1) - ((_MASK64 + 1) % n)
+            if len(_LIMITS) < _MAX_LIMITS:
+                _LIMITS[n] = limit
         while True:
-            u = self.next_u64()
+            z = self._state = (self._state + _GAMMA) & _MASK64
+            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+            u = z ^ (z >> 31)
             if u < limit:
                 return u % n
 

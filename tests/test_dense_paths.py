@@ -9,6 +9,7 @@ real constant. The sieve builder's threshold batches have one path, a
 Python sort, checked against a numpy argsort.
 """
 
+import gc
 import math
 import tracemalloc
 from array import array
@@ -151,6 +152,138 @@ def test_closure(case):
     assert_same(lambda: metric_closure(labels, d))
 
 
+def _mean(a, b):
+    s = a + b
+    return s / 2.0 if abs(s) != math.inf else a / 2.0 + b / 2.0
+
+
+def _full_closure(labels, matrix):
+    """The closure as it was computed before it relaxed only the pairs
+    above the diagonal: Floyd-Warshall over whole rows of the checked
+    matrix, then each entry averaged with its transpose, then a zero
+    diagonal."""
+    labels, flat, _ = metric._checked_matrix(labels, matrix, metric.REL_TOL)
+    n = len(labels)
+    rows = [flat[i * n : (i + 1) * n].tolist() for i in range(n)]
+    for k in range(n):
+        pivot = rows[k]
+        for i, via in enumerate([row[k] for row in rows]):
+            if via != math.inf:
+                rows[i] = [o if o <= (s := via + p) else s for o, p in zip(rows[i], pivot)]
+    out = [[0.0 if i == j else _mean(rows[i][j], rows[j][i]) for j in range(n)] for i in range(n)]
+    return FiniteMetricSpace._of(labels, array("d", [v for row in out for v in row]))
+
+
+_CLOSURE_ENTRIES = st.one_of(
+    st.floats(0.0, 10.0),
+    st.sampled_from([0.0, 1.0, 2.0, 3.0]),  # ties
+    st.sampled_from([5e-324, 1e308, 1.5e308, 1.7976931348623157e308]),  # sums overflow
+)
+
+
+@st.composite
+def closure_inputs(draw):
+    """Symmetric nonnegative matrices on 1 to 12 points, then faults within
+    tolerance: asymmetry, tiny negatives, -0.0 cells and a tiny diagonal."""
+    n = draw(st.integers(1, 12))
+    d = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = draw(_CLOSURE_ENTRIES)
+    top = max(map(max, d))
+    tiny = 1e-11 * top  # within the tolerance while the largest entry stays
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for _ in range(draw(st.integers(0, 4))):
+        (i, j), fault = draw(cell), draw(st.sampled_from(["asym", "negative", "-0.0", "diagonal"]))
+        if d[i][j] == top:
+            continue
+        if fault == "asym":
+            d[i][j] -= tiny
+        elif fault == "negative":
+            d[i][j] = d[j][i] = -tiny
+        elif fault == "-0.0":  # against +0.0 or -0.0 at the mirror
+            d[i][j] = -0.0
+            if d[j][i]:
+                d[j][i] = draw(st.sampled_from([0.0, -0.0]))
+        else:
+            d[i][i] = tiny
+    labels = draw(st.permutations([f"p{i:02d}" for i in range(n)]))
+    return labels, d
+
+
+@given(closure_inputs())
+@settings(max_examples=300)
+def test_closure_matches_the_full_closure(case):
+    labels, d = case
+    got = both_paths(lambda: space_bytes(metric_closure(labels, d)))
+    assert got == both_paths(lambda: space_bytes(_full_closure(labels, d)))
+    assert got[0][0] == "ok"
+
+
+def test_closure_matches_the_full_closure_across_the_constant():
+    n = 140
+    rng = np.random.default_rng(5)
+    d = rng.uniform(0.1, 1.0, size=(n, n))
+    d = np.triu(d, 1) + np.triu(d, 1).T
+    labels = [f"m{i:03d}" for i in range(n)][::-1]
+    want = space_bytes(_full_closure(labels, d))
+    assert space_bytes(metric_closure(labels, d)) == want
+    assert both_paths(lambda: space_bytes(metric_closure(labels, d))) == [("ok", want)] * 2
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, -1.0, math.inf, -math.inf])
+def test_rel_tol_must_be_finite_and_nonnegative(rel_tol):
+    # nan and inf made every axiom check pass; a negative one failed every input
+    d = [[0, 1, 9], [5, 0, 1], [9, 1, 0]]
+    message = f"rel_tol must be finite and nonnegative, got {rel_tol!r}"
+    for fn in (validate_metric, metric_closure):
+        for matrix in (d, [[0, 1], [1, 0]]):
+            labels = ["a", "b", "c"][: len(matrix)]
+            got = both_paths(lambda: fn(labels, matrix, rel_tol=rel_tol))
+            assert got == [("ValueError", message)] * 2
+
+
+def test_rel_tol_zero_checks_exactly():
+    labels = ["a", "b", "c"]
+    d = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    for fn in (validate_metric, metric_closure):
+        py, nu = both_paths(lambda: space_bytes(fn(labels, d, rel_tol=0.0)))
+        assert py == nu and py[0] == "ok"
+    off = [[0, 1, 2], [1 + 1e-15, 0, 1], [2, 1, 0]]
+    got = both_paths(lambda: validate_metric(labels, off, rel_tol=0.0))
+    assert got == [("AsymmetricMatrix", "matrix differs from transpose by 1.11e-15")] * 2
+
+
+_INF, _NAN = math.inf, math.nan
+_NON_FINITE = ("ValueError", "distance matrix contains non-finite entries")
+_ASYMMETRIC = "matrix differs from transpose by "
+
+
+@pytest.mark.parametrize(
+    "matrix, error",
+    [
+        # non-finite + asymmetric, + negative
+        ([[0, _INF, 1], [2, 0, 1], [1, 5, 0]], _NON_FINITE),
+        ([[0, 1, 3], [_NAN, 0, 1], [1, 1, 0]], _NON_FINITE),
+        ([[0, -1, 1], [-1, 0, -_INF], [1, 1, 0]], _NON_FINITE),
+        # asymmetric + negative, + nonzero diagonal
+        ([[0, -2, 1], [-2, 0, 3], [1, 1, 0]], ("AsymmetricMatrix", _ASYMMETRIC + "2")),
+        ([[0, 1, -1], [1, 0, 1], [-1, 5, 0]], ("AsymmetricMatrix", _ASYMMETRIC + "4")),
+        ([[0, 1, 1], [1.5, 0.5, 1], [1, 1, 0]], ("AsymmetricMatrix", _ASYMMETRIC + "0.5")),
+        # negative + nonzero diagonal, the negative on and off the diagonal
+        ([[0.5, 1, 1], [1, 0, -1], [1, -1, 0]], ("NegativeDistance", "d(a, b) = -1 is negative")),
+        ([[0, 1, 1], [1, 0, 2], [1, 2, -0.25]], ("NegativeDistance", "d(b, b) = -0.25 is negative")),
+        # a negative within tolerance is clamped, and the diagonal fails
+        ([[0, 1, -1e-12], [1, 0.5, 1], [-1e-12, 1, 0]], ("NonzeroDiagonal", "d(a, a) = 0.5 != 0")),
+    ],
+)
+def test_first_fault_wins(matrix, error):
+    # two faults in one matrix: the error was recorded before the Python
+    # checks ran in one pass over the pairs
+    for fn in (validate_metric, metric_closure):
+        assert both_paths(lambda: fn(["c", "a", "b"], matrix)) == [error] * 2
+
+
 @given(matrices())
 def test_constructor(case):
     labels, d = case
@@ -184,28 +317,25 @@ def test_malformed_inputs_fail_alike(matrix):
         assert_same(lambda: fn(labels, matrix))
 
 
-_WEIGHTS = st.one_of(st.floats(0.0, 10.0), st.just(math.inf), st.sampled_from([0.0, 1.0]))
+_WEIGHTS = st.one_of(
+    st.floats(0.0, 10.0),
+    st.sampled_from([0.0, 1.0, 5e-324, 1e308, 1.7e308, math.inf]),
+)
 
 
-@given(st.data(), st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.booleans())
-def test_min_plus(data, m, n, p, aliased):
-    grid = lambda r, c: data.draw(
-        st.lists(st.lists(_WEIGHTS, min_size=c, max_size=c), min_size=r, max_size=r)
-    )
-    if aliased:
-        rows = grid(n, n)
-        out, left, right = rows, rows, rows
-    else:
-        out, left, right = grid(m, p), grid(m, n), grid(n, p)
-    arrays = [np.array(a, dtype=np.float64) for a in (out, left, right)]
-    if aliased:
-        arrays = [arrays[0]] * 3
-    rows = [list(map(list, a)) for a in (out, left, right)]
-    if aliased:
-        rows = [rows[0]] * 3
-    metric._min_plus(*rows)
-    metric._min_plus(*arrays)
-    assert np.array(rows[0], dtype=np.float64).tobytes() == arrays[0].tobytes()
+@given(st.data(), st.integers(1, 8))
+def test_min_plus(data, n):
+    # the Python closure relaxes a symmetric matrix with a zero diagonal
+    # above the diagonal only, numpy's min-plus square relaxes all of it;
+    # sums of the entries near 1e308 overflow to inf
+    d = [0.0] * (n * n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i * n + j] = d[j * n + i] = data.draw(_WEIGHTS)
+    a = np.array(d, dtype=np.float64).reshape(n, n)
+    metric._min_plus(a, a, a)
+    metric._floyd_warshall(d, n)
+    assert array("d", d).tobytes() == a.tobytes()
 
 
 _BOUNDS = st.one_of(
@@ -357,6 +487,9 @@ def test_dist_is_a_read_only_view_of_the_buffer():
 
 
 def _traced_peak(fn) -> int:
+    # a collection of earlier garbage inside fn would shift its peak by the
+    # few bytes the collection allocates: collect it first
+    gc.collect()
     tracemalloc.start()
     try:
         fn()

@@ -6,7 +6,9 @@ merged into one implementation each; the sieve digests, before every
 threshold family was swept through one builder; the flat cover digests,
 before every family was evaluated as the maximal cliques of one relation;
 the violation report digests, before the harness decided its checks on
-relations and built covers only for the trials that fail.
+relations and built covers only for the trials that fail; the sampled
+trials digest, before the closure relaxed only the pairs above the
+diagonal and SplitMix64 mixed its draws inline.
 Any change to an enumeration order, a random pick or a float in these
 outputs changes a digest, so a rewrite behind the public names that
 alters bytes fails here even when every structural test holds.
@@ -228,3 +230,19 @@ GOLDEN = {
 def test_golden_digest(name):
     build, expected = GOLDEN[name]
     assert _digest(build()) == expected
+
+
+def test_sampled_trials_digest():
+    # 600 sampled spaces x and morphisms x -> y in each category, at 1 to
+    # 12 points in every metric mode: the labels, the assignment and the
+    # raw bytes of both distance buffers, so a -0.0 or a last bit counts
+    h = hashlib.sha256()
+    for category in ("met", "metinj"):
+        for t in range(600):
+            mode = METRIC_MODES[(t // 12) % 3]
+            x = random_metric(1 + t % 12, derive_seed(2026, t), mode)
+            y, f = random_morphism(x, SplitMix64(derive_seed(2026, 1, t)), category)
+            h.update(repr((x.labels, y.labels, sorted(f.assignment.items()))).encode())
+            h.update(x._flat.tobytes())
+            h.update(y._flat.tobytes())
+    assert h.hexdigest() == "85349a0a3d687e438949143d8a91751e213c0184e24c99a3965cbbf4b0a800e5"
