@@ -38,7 +38,7 @@ from . import _bitops
 from ._names import _check_level
 from .covers import Cover, Relation, reduce_to_maximal
 from .errors import InputFormatError
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, _canonical_labels
 
 
 class Graph:
@@ -120,6 +120,7 @@ def space_from_graph(g: Graph, delta: float) -> FiniteMetricSpace:
     """
     if not 0 <= delta < math.inf:
         raise ValueError(f"edge length must be finite and nonnegative, got {delta!r}")
+    delta += 0.0  # -0.0 becomes +0.0
     n = len(g.vertices)
     flat = array("d")
     for i, m in enumerate(g._adj):
@@ -131,7 +132,8 @@ def space_from_graph(g: Graph, delta: float) -> FiniteMetricSpace:
                 row[j] = delta
         row[i] = 0.0
         flat.extend(row)
-    return FiniteMetricSpace._of(g.vertices, flat)
+    # Graph.from_masks takes its vertices on trust
+    return FiniteMetricSpace._of(_canonical_labels(g.vertices), flat)
 
 
 def connected_components(g: Graph) -> Cover:

@@ -34,7 +34,7 @@ from bisect import bisect_right
 from functools import reduce
 from itertools import chain, product, repeat
 from operator import add, le, sub
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import _bitops
 from .errors import (
@@ -142,21 +142,6 @@ def _mean_into(np, out, a, b) -> None:
         out[big] = a[big] / 2.0 + b[big] / 2.0
 
 
-def _symmetrize(np, d) -> None:
-    """Average the square array d with its transpose in place, one block of
-    rows on and above the diagonal at a time: what is read there has not
-    been written yet."""
-    n = len(d)
-    step = _TILE_ENTRIES // n or 1
-    for r0 in range(0, n, step):
-        rows = slice(r0, r0 + step)
-        upper, lower = d[rows, r0:], d[r0:, rows].T
-        mean = np.empty(upper.shape)
-        _mean_into(np, mean, upper, lower)
-        d[rows, r0:] = mean
-        d[r0:, rows] = mean.T
-
-
 def _canonical_labels(labels: Iterable[str]) -> tuple[str, ...]:
     out = tuple(str(x) for x in labels)
     if len(set(out)) != len(out):
@@ -196,22 +181,25 @@ class FiniteMetricSpace:
             if n == 0:
                 raise ValueError("a metric space needs at least one point")
             flat = _zeros(n)
-            _view(np, flat, n)[...] = matrix
+            np.add(matrix, 0.0, out=_view(np, flat, n))  # 0.0 + -0.0 is +0.0
+        else:
+            flat = array("d", map(_PLUS_ZERO, flat))
         self._adopt(labels, flat)
 
     @classmethod
-    def _of(cls, labels: Iterable[str], flat: array) -> "FiniteMetricSpace":
-        """The space on ``labels`` (any order) that takes over ``flat``, a
-        fresh row-major buffer of their distances."""
+    def _of(cls, labels: Sequence[str], flat: array) -> "FiniteMetricSpace":
+        """The space on ``labels`` (distinct strings in any order, as
+        _canonical_labels gives them) that takes over ``flat``, a fresh
+        row-major buffer of their distances with no -0.0."""
         space = cls.__new__(cls)
-        space._adopt(_canonical_labels(labels), flat)
+        space._adopt(labels, flat)
         return space
 
     @classmethod
-    def _of_cloud(cls, labels: Iterable[str], rows: list[list[float]], metric: str):
-        """The space on ``labels`` (any order) of the coordinate rows under
-        the named norm, whose buffer is built when first read."""
-        labels = _canonical_labels(labels)
+    def _of_cloud(cls, labels: Sequence[str], rows: list[list[float]], metric: str):
+        """The space on ``labels`` (distinct strings in any order) of the
+        coordinate rows under the named norm, whose buffer is built when
+        first read."""
         n = len(rows)
         if len(labels) != n:
             raise ValueError(f"distance matrix shape {(n, n)} does not match {len(labels)} labels")
@@ -222,23 +210,19 @@ class FiniteMetricSpace:
         return space
 
     def _adopt(self, labels: tuple[str, ...], flat: array) -> None:
-        """Sort the labels, permute the buffer to match (in place on the
-        numpy path) and make every zero +0.0."""
+        """Sort the labels and permute the buffer to match (in place on the
+        numpy path)."""
         n = len(labels)
         if len(flat) != n * n:
             m = math.isqrt(len(flat))
             raise ValueError(f"distance matrix shape {(m, m)} does not match {n} labels")
         order = sorted(range(n), key=labels.__getitem__)
-        np = _numpy(n)
-        if np is None:
-            if order != list(range(n)):
+        if order != list(range(n)):
+            np = _numpy(n)
+            if np is None:
                 flat = array("d", [flat[i * n + j] for i in order for j in order])
-            flat = array("d", map(_PLUS_ZERO, flat))
-        else:
-            d = _view(np, flat, n)
-            if order != list(range(n)):
-                _permute(np, d, list(order))
-            np.add(d, 0.0, out=d)
+            else:
+                _permute(np, _view(np, flat, n), list(order))
         self._keep(labels, order, flat, None)
 
     def _keep(self, labels, order: list[int], flat: array | None, cloud) -> None:
@@ -475,11 +459,12 @@ def _checked_matrix(
     """Input checks shared by validate_metric and metric_closure.
 
     Returns the canonical labels, a fresh row-major buffer of the matrix
-    made exactly symmetric with tiny negatives clamped and an exactly zero
-    diagonal, and the absolute tolerance (``rel_tol`` scaled by the largest
-    entry). The numpy path reads the input where it lies and writes only
-    the buffer, so beside the input it holds one n x n array of floats and,
-    briefly, one of booleans.
+    made exactly symmetric with tiny negatives and every -0.0 set to +0.0
+    and an exactly zero diagonal, ready for FiniteMetricSpace._of, and the
+    absolute tolerance (``rel_tol`` scaled by the largest entry). The numpy
+    path reads the input where it lies and writes only the buffer, so
+    beside the input it holds one n x n array of floats and, briefly, one
+    of booleans.
     """
     if not 0.0 <= rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and nonnegative, got {rel_tol!r}")
@@ -542,7 +527,7 @@ def _checked_numpy(labels: tuple[str, ...], matrix, rel_tol: float) -> tuple[arr
     if float(d.min()) < -tol:
         i, j = map(int, np.argwhere(d < -tol)[0])
         raise NegativeDistance(f"d({labels[i]}, {labels[j]}) = {d[i, j]:.6g} is negative")
-    np.maximum(d, 0.0, out=d)
+    d[d <= 0.0] = 0.0  # +0.0 over -0.0 too, which np.maximum need not write
     diag = np.diagonal(d)
     if float(diag.max()) > tol:
         i = int(diag.argmax())
@@ -674,9 +659,9 @@ def _point_buffer(np, pts, norm) -> array:
     with np.errstate(over="ignore"):  # points too far apart are at inf
         for r0 in range(0, n, step):
             d[r0 : r0 + step] = norm(np, pts[r0 : r0 + step, None, :] - pts[None, :, :])
-    # an entry and its mirror are computed alike, so the average, which
-    # never overflows, changes no entry: it only makes symmetry exact
-    _symmetrize(np, d)
+    # entry (j, i) is computed from the negated differences of entry (i, j),
+    # which every norm, sum order and rescale maps to the same bytes: the
+    # buffer is exactly symmetric as it stands
     np.fill_diagonal(d, 0.0)
     return flat
 
@@ -826,6 +811,7 @@ def space_from_points(
     if labels is None:
         width = len(str(n - 1))
         labels = [f"p{i:0{width}d}" for i in range(n)]
+    labels = _canonical_labels(labels)
     if rows is None:
         return FiniteMetricSpace._of(labels, _point_buffer(np, pts, norm[1]))
     if n >= _NUMPY_MIN_POINTS:
@@ -846,6 +832,7 @@ def path_space(k: int, delta: float) -> FiniteMetricSpace:
         raise ValueError("path space needs an integer k >= 1")
     if not 0 <= delta < math.inf:
         raise ValueError(f"path space step must be finite and nonnegative, got {delta!r}")
+    delta += 0.0  # -0.0 becomes +0.0
     width = len(str(k))
     labels = [f"{i:0{width}d}" for i in range(k + 1)]
     points = range(k + 1)

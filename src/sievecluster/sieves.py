@@ -14,7 +14,9 @@ the threshold graph changes, so the breakpoints of a built sieve are a
 subset of {0} plus the pairwise distances of the space. Each family's
 cover is a flag cover, the maximal cliques of its co-blocking relation,
 and that relation only gains pairs as the scale grows; build_sieve finds
-where it changes and keeps its maximal cliques up to date as it does.
+where it changes (for every family but ml by an ascending bisection that
+holds O(log S) relations for S candidate scales) and keeps its maximal
+cliques up to date as it does.
 """
 
 from __future__ import annotations
@@ -167,12 +169,12 @@ def build_sieve(x: FiniteMetricSpace, spec: MethodSpec) -> Sieve:
     co-blocking relation, which only gains pairs as the scale grows
     (_linked_relation). _clique_sweep keeps those cliques up to date as the
     pairs arrive, so no scale runs a full clique search. ml reads its pairs
-    off the sorted distances. The other relations are bisected (_bisect),
-    evaluated only where the breakpoint search needs them; each closure
-    resumes from the one at the nearest smaller evaluated scale.
-    Consecutive distinct relations are checked for inclusion, which is
-    refinement of the covers: a MonotonicityViolation flags a bug in a
-    family, since none can produce one.
+    off the sorted distances (_threshold_batches). The other relations are
+    bisected (_bisected_batches), evaluated only where the breakpoint search
+    needs them; each closure resumes from the one at the nearest smaller
+    evaluated scale. Consecutive distinct relations are checked for
+    inclusion, which is refinement of the covers: a MonotonicityViolation
+    flags a bug in a family, since none can produce one.
     """
     if spec.family == "generated":
         raise ValueError(
@@ -181,40 +183,54 @@ def build_sieve(x: FiniteMetricSpace, spec: MethodSpec) -> Sieve:
         )
     if spec.family == "ml":
         return _clique_sweep(x.labels, _threshold_batches(x))
-    scales = _candidate_scales(x)
-    relations = _bisect(
-        len(scales), lambda i, below: _linked_relation(x, spec, scales[i], below)
-    )
     return _clique_sweep(
-        x.labels, _relation_batches((scales[i], relations[i]) for i in sorted(relations))
+        x.labels,
+        _bisected_batches(
+            _candidate_scales(x), lambda t, below: _linked_relation(x, spec, t, below)
+        ),
     )
 
 
-def _bisect(count: int, at) -> dict:
-    """The values at(i, below) of a monotone step function on the indexes
-    0..count-1, at the indexes its breakpoint search visits, keyed by index.
+def _bisected_batches(scales: list[float], at):
+    """(scale, pairs (u, v) with u < v gained there) of a monotone relation
+    at ascending scales, one batch at the first scale and one wherever the
+    relation changes. ``at(scale, below)`` gives the relation as adjacency
+    masks; ``below`` is the relation at a smaller scale, or None.
 
-    An iterative bisection evaluates both ends of an index interval, drops
-    the interval when the two values are equal, and otherwise splits it
-    at the midpoint until it has width one. Dropping is exact for a
-    monotone value. Walked in order, the visited indexes give every
-    breakpoint, at about B log(count / B) evaluations for B breakpoints.
-    ``below`` is the value at the lower end of the interval being split,
-    which is always visited first.
+    A left-first bisection evaluates both ends of an index interval, drops
+    the interval when the two relations are equal, and otherwise splits it
+    at the midpoint until it has width one: about B log(S / B) evaluations
+    for B breakpoints among S scales, exact for a monotone relation.
+    ``below`` is the relation at the interval's lower end. Each interval's
+    batch is yielded once it is settled, so only the pending right ends
+    are held, one per level: O(log S) relations. Raises
+    MonotonicityViolation (index of the earlier batch, the later scale)
+    when a relation lacks a pair of the one before it, which is when its
+    maximal cliques fail to refine the earlier ones.
     """
-    values = {0: at(0, None)}
-    stack = [(0, count - 1)]
-    while stack:
-        lo, hi = stack.pop()
-        if hi not in values:
-            values[hi] = at(hi, values[lo])
-        if hi - lo <= 1 or values[lo] == values[hi]:
-            continue
-        mid = (lo + hi) // 2
-        values[mid] = at(mid, values[lo])
-        stack.append((mid, hi))
-        stack.append((lo, mid))
-    return values
+    last = len(scales) - 1
+    rel = at(scales[0], None)
+    pending = [(last, at(scales[last], rel))] if last else []  # right ends, nearest last
+    prev, i, count = [0] * len(rel), 0, 0
+    while True:
+        if count == 0 or rel != prev:
+            if any(a & ~r for a, r in zip(prev, rel)):
+                raise MonotonicityViolation(count - 1, scales[i])
+            yield scales[i], [
+                (u, v)
+                for u, (a, r) in enumerate(zip(prev, rel))
+                for v in bits(r & ~a & ~((2 << u) - 1))
+            ]
+            count += 1
+        prev = rel
+        if not pending:
+            return
+        hi, rel = pending[-1]
+        while hi - i > 1 and rel != prev:
+            hi = (i + hi) // 2
+            rel = at(scales[hi], prev)
+            pending.append((hi, rel))
+        i, rel = pending.pop()
 
 
 def _threshold_batches(x: FiniteMetricSpace) -> list[tuple[float, list[tuple[int, int]]]]:
@@ -231,31 +247,6 @@ def _threshold_batches(x: FiniteMetricSpace) -> list[tuple[float, list[tuple[int
             batches.append((d, []))
         batches[-1][1].append((u, v))
     return batches
-
-
-def _relation_batches(relations):
-    """(scale, pairs (u, v) with u < v gained there) from a relation given
-    as adjacency masks at ascending scales, one batch at the first scale
-    and one wherever the relation changes. Raises MonotonicityViolation
-    (index of the earlier batch, the later scale) when a relation lacks a
-    pair of the one before it, which is when its maximal cliques fail to
-    refine the earlier ones."""
-    prev = None
-    count = 0
-    for scale, rel in relations:
-        if prev is None:
-            prev = [0] * len(rel)
-        elif rel == prev:
-            continue
-        if any(a & ~r for a, r in zip(prev, rel)):
-            raise MonotonicityViolation(count - 1, scale)
-        yield scale, [
-            (u, v)
-            for u, (a, r) in enumerate(zip(prev, rel))
-            for v in bits(r & ~a & ~((2 << u) - 1))
-        ]
-        prev = rel
-        count += 1
 
 
 def _clique_sweep(base: tuple[str, ...], batches) -> Sieve:

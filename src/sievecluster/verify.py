@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from typing import TYPE_CHECKING
 
 from . import _bitops
 from ._names import CATEGORIES, _Record
@@ -42,7 +41,7 @@ from .covers import (
     preimage_cover,
     refines,
 )
-from .errors import MonotonicityViolation, TooLarge
+from .errors import TooLarge
 from .functors import (
     MethodSpec,
     _method_relation,
@@ -61,9 +60,6 @@ from .metric import (
     validate_metric,
 )
 from .rng import SplitMix64, derive_seed
-
-if TYPE_CHECKING:
-    from .sieves import Sieve
 
 METRIC_MODES = (
     "euclidean-points",
@@ -740,31 +736,3 @@ def iterative_flagify_oracle(cover: Cover) -> FlagCover:
             break
         blocks.update(mandated)
     return FlagCover.from_masks(cover.base, sorted(blocks))
-
-
-def _dense_sieve(x: FiniteMetricSpace, spec: MethodSpec) -> Sieve:
-    """The sieve of a threshold family by evaluating it at every candidate
-    scale (0 and each distinct distance), keeping the first of each run of
-    equal covers.
-
-    Oracle for build_sieve. Both take each family's relation from
-    functors._linked_relation, but this walk evaluates every scale afresh,
-    so it checks independently what the builder adds: the bisection, the
-    incremental clique sweep, closure resumption and ml's batches. Raises
-    MonotonicityViolation (index of the earlier stored cover, scale of the
-    later) when a cover is not refined by the last distinct one before it.
-    The sieve module is imported here, so the checks never load it.
-    """
-    from .sieves import Sieve, _candidate_scales
-
-    bps: list[float] = []
-    covers: list[FlagCover] = []
-    for scale in _candidate_scales(x):
-        cover = evaluate_method(x, spec.with_delta(scale))
-        if covers and cover == covers[-1]:
-            continue
-        if covers and not refines(covers[-1], cover):
-            raise MonotonicityViolation(len(covers) - 1, scale)
-        bps.append(scale)
-        covers.append(cover)
-    return Sieve(x.labels, bps, covers)

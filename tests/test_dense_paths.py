@@ -20,11 +20,13 @@ from hypothesis import given, settings, strategies as st
 
 from sievecluster import (
     FiniteMetricSpace,
+    Graph,
     MethodSpec,
     build_sieve,
     ingest_space,
     metric_closure,
     path_space,
+    space_from_graph,
     space_from_points,
     validate_metric,
 )
@@ -468,12 +470,29 @@ def test_signed_zero_is_stored_as_plus_zero():
     assert hash(neg) == hash(pos)
     assert len({neg, pos}) == 1
     assert neg._flat.tobytes() == array("d", [0.0] * 9).tobytes()
+    edge = space_from_graph(Graph(["b", "a"], [("a", "b")]), -0.0)
+    assert edge._flat.tobytes() == bytes(32)
     for limit in (PYTHON, NUMPY):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metric, "_NUMPY_MIN_POINTS", limit)
-            x = FiniteMetricSpace(["b", "a"], [[-0.0, -0.0], [-0.0, -0.0]])
-            assert x._flat.tobytes() == bytes(32)
-            assert not np.signbit(x.dist).any()
+            zeros = [[-0.0, -0.0], [-0.0, -0.0]]
+            for build in (FiniteMetricSpace, validate_metric, metric_closure):
+                x = build(["b", "a"], zeros)
+                assert x._flat.tobytes() == bytes(32), build.__name__
+                assert not np.signbit(x.dist).any()
+
+
+@pytest.mark.parametrize("check", [validate_metric, metric_closure])
+@pytest.mark.parametrize("limit", [PYTHON, NUMPY], ids=["python", "numpy"])
+def test_a_checked_space_canonicalizes_its_labels_once(monkeypatch, check, limit):
+    monkeypatch.setattr(metric, "_NUMPY_MIN_POINTS", limit)
+    calls = []
+    real = metric._canonical_labels
+    monkeypatch.setattr(metric, "_canonical_labels", lambda labels: calls.append(labels) or real(labels))
+    x = check(["c", "a", "b"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    assert x.labels == ("a", "b", "c")
+    assert x.distance("a", "c") == 1.0
+    assert len(calls) == 1
 
 
 def test_dist_is_a_read_only_view_of_the_buffer():

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -85,8 +88,9 @@ def test_dead_private_name_scan_catches_one():
 
 
 def test_no_dead_private_names():
+    # read in src/ itself: a helper that only tests call belongs in tests/
     read: set[str] = set()
-    for path in [*SRC.glob("*.py"), *TESTS.glob("*.py")]:
+    for path in SRC.glob("*.py"):
         read |= names_read(path.read_text(encoding="utf-8"))
     dead = [
         f"{path.name} line {line}: {name}"
@@ -95,6 +99,81 @@ def test_no_dead_private_names():
         if name not in read
     ]
     assert dead == []
+
+
+PRIVATE_NAME = re.compile(r"(?<!\w)_[A-Za-z]\w*")
+
+
+def prose_names(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each ``_name`` in a module's docstrings and comments,
+    dotted ones included (``mod._name`` gives ``_name``); dunders are not
+    matched."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if ast.get_docstring(node, clean=False) is None:
+            continue
+        first = node.body[0]
+        text = first.value.value
+        found += [
+            (first.lineno + text.count("\n", 0, m.start()), m.group())
+            for m in PRIVATE_NAME.finditer(text)
+        ]
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            found += [(tok.start[0], m.group()) for m in PRIVATE_NAME.finditer(tok.string)]
+    return sorted(found)
+
+
+def markdown_code_names(text: str) -> list[tuple[int, str]]:
+    """(line, name) of each ``_name`` inside a backtick span of a Markdown
+    text, fenced blocks aside."""
+    text = re.sub(r"^```.*?^```", lambda m: "\n" * m.group().count("\n"), text, flags=re.S | re.M)
+    return [
+        (text.count("\n", 0, span.start()) + 1, m.group())
+        for span in re.finditer(r"`[^`]+`", text)
+        for m in PRIVATE_NAME.finditer(span.group())
+    ]
+
+
+def defined_names(source: str) -> set[str]:
+    """Every function, class and assigned name of a module, attributes
+    assigned through ``self.`` or another object included."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return names
+
+
+def test_prose_name_scan_catches_one():
+    source = (
+        '"""Reads ``_kept`` and ``mod._gone``; __init__ is no private name."""\n'
+        "_kept = 1  # unlike _stale\n\n"
+        'def f():\n    """Calls _helper."""\n    return _kept\n'
+    )
+    assert prose_names(source) == [(1, "_gone"), (1, "_kept"), (2, "_stale"), (5, "_helper")]
+    assert defined_names(source) == {"_kept", "f"}
+    readme = "The `_kept` name, not `x._stale`.\n```sh\necho `_fenced`\n```\nAnd\n`_late`.\n"
+    assert markdown_code_names(readme) == [(1, "_kept"), (1, "_stale"), (6, "_late")]
+
+
+def test_private_names_in_prose_exist():
+    # prose that names a deleted helper goes stale without a failure
+    sources = {path: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    known = {path.stem for path in sources}.union(*map(defined_names, sources.values()))
+    readme = TESTS.parent / "README.md"
+    named = [(path.name, line, name) for path, src in sources.items() for line, name in prose_names(src)]
+    named += [
+        (readme.name, line, name)
+        for line, name in markdown_code_names(readme.read_text(encoding="utf-8"))
+    ]
+    assert [f"{file} line {line}: {name}" for file, line, name in named if name not in known] == []
 
 
 def self_recursive_functions(source: str) -> list[str]:

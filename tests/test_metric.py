@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sievecluster import (
     AsymmetricMatrix,
@@ -246,6 +246,30 @@ def test_space_from_points_averages_like_full_broadcast_near_overflow():
         got = space_from_points(pts, norm).dist
         assert got.tobytes() == want.tobytes()
     assert got[0, 1] == 1.5e308 and math.isinf(got[1, 2])
+
+
+_COORDINATES = st.one_of(
+    st.floats(-1e308, 1e308, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, 5e-324, 1.0]),
+)
+
+
+@given(
+    norm=st.sampled_from(["euclidean", "manhattan", "chebyshev"]),
+    pts=st.integers(1, 19).flatmap(
+        lambda dim: st.lists(st.lists(_COORDINATES, min_size=dim, max_size=dim), min_size=1, max_size=10)
+    ),
+)
+@settings(max_examples=300)
+def test_point_buffer_is_exactly_symmetric(norm, pts):
+    # entry (j, i) is computed from the negated differences of entry (i, j);
+    # from 8 coordinates numpy sums them pairwise, a path no Python kernel
+    # is compared with, so the bytes are compared here
+    n = len(pts)
+    flat = metric._point_buffer(np, np.array(pts), metric._POINT_NORMS[norm][1])
+    d = np.frombuffer(flat).reshape(n, n)
+    assert d.tobytes() == d.T.copy().tobytes()
+    assert not np.signbit(d).any()
 
 
 def test_space_from_points_peak_memory():

@@ -2,6 +2,7 @@
 
 import math
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +27,9 @@ from sievecluster.covers import refines
 from sievecluster.fileio import _sieve_json, canonical_json_bytes
 from sievecluster.metric import FiniteMetricSpace, space_from_points
 from sievecluster.rng import derive_seed
-from sievecluster.verify import METRIC_MODES, _dense_sieve, random_flag_cover, random_metric
+from sievecluster.verify import METRIC_MODES, random_flag_cover, random_metric
+
+from oracles import dense_sieve
 
 
 def test_build_sieve_single_linkage_x3(x3):
@@ -303,7 +306,7 @@ SWEEP_SPECS = [
 
 
 def _assert_matches_dense(x, spec):
-    assert build_sieve(x, spec) == _dense_sieve(x, spec), (x.to_dict(), spec.label())
+    assert build_sieve(x, spec) == dense_sieve(x, spec), (x.to_dict(), spec.label())
 
 
 @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=MethodSpec.label)
@@ -410,6 +413,114 @@ def test_breakpoint_search_evaluates_each_scale_once_and_skips_constant_runs(mon
     # each breakpoint lies in one split interval per bisection level
     assert len(calls) <= 2 + len(sieve.breakpoints) * math.ceil(math.log2(candidates))
     assert len(calls) < candidates // 2
+
+
+class _Relation(list):
+    """Adjacency masks that remember their scale index (``position``) and
+    can be tracked by a weak reference, which a plain list cannot."""
+
+
+def _dict_bisection_batches(count, at):
+    """The breakpoint search as it was: a bisection that keeps every
+    relation it visits in a dict, then a walk over the dict in index order
+    that yields (index, pairs gained) where the relation changes."""
+    values = {0: at(0, None)}
+    stack = [(0, count - 1)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi not in values:
+            values[hi] = at(hi, values[lo])
+        if hi - lo <= 1 or values[lo] == values[hi]:
+            continue
+        mid = (lo + hi) // 2
+        values[mid] = at(mid, values[lo])
+        stack.append((mid, hi))
+        stack.append((lo, mid))
+    prev = None
+    for i in sorted(values):
+        rel = values[i]
+        if prev is None:
+            prev = [0] * len(rel)
+        elif rel == prev:
+            continue
+        yield float(i), [(u, v) for u in range(len(rel)) for v in bits(rel[u] & ~prev[u]) if u < v]
+        prev = rel
+
+
+@st.composite
+def monotone_relations(draw):
+    """(count, relation_at): a relation on up to 6 points at the scale
+    indexes 0..count-1 in which each pair is born at a drawn index, or
+    never; relation_at(i) builds it afresh."""
+    count = draw(st.integers(1, 400))
+    n = draw(st.integers(1, 6))
+    births = {(u, v): draw(st.integers(0, count)) for u in range(n) for v in range(u + 1, n)}
+
+    def relation_at(i):
+        rel = _Relation([0] * n)
+        rel.position = i
+        for (u, v), birth in births.items():
+            if birth <= i:
+                rel[u] |= 1 << v
+                rel[v] |= 1 << u
+        return rel
+
+    return count, relation_at
+
+
+@given(monotone_relations())
+@settings(max_examples=300)
+def test_bisected_batches_match_the_dict_bisection_in_log_memory(relation):
+    count, relation_at = relation
+    want_calls = []
+
+    def at_index(i, below):
+        want_calls.append((i, below and below.position))
+        return relation_at(i)
+
+    want = list(_dict_bisection_batches(count, at_index))
+
+    calls, refs, peak = [], [], 0
+
+    def alive():
+        return sum(ref() is not None for ref in refs)
+
+    def at(scale, below):
+        nonlocal peak
+        calls.append((int(scale), below and below.position))
+        peak = max(peak, alive() + 1)
+        rel = relation_at(int(scale))
+        refs.append(weakref.ref(rel))
+        return rel
+
+    got = []
+    for batch in sieves._bisected_batches([float(i) for i in range(count)], at):
+        got.append(batch)
+        peak = max(peak, alive())
+    assert calls == want_calls
+    assert got == want
+    assert peak <= math.ceil(math.log2(count)) + 2, (count, peak)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [FiniteMetricSpace(["p"], [[0.0]]), FiniteMetricSpace(list("abc"), [[0.0] * 3] * 3)],
+    ids=["one-point", "all-zero"],
+)
+def test_one_candidate_scale_evaluates_the_relation_once(monkeypatch, x):
+    calls = []
+    real = sieves._linked_relation
+
+    def counting(x, spec, delta, start=None):
+        calls.append((delta, start))
+        return real(x, spec, delta, start)
+
+    monkeypatch.setattr(sieves, "_linked_relation", counting)
+    for spec in (MethodSpec("sl"), MethodSpec("vl", k=2), MethodSpec("bk", k=2)):
+        calls.clear()
+        sieve = build_sieve(x, spec)
+        assert calls == [(0.0, None)], spec.label()
+        assert sieve.breakpoints == (0.0,)
 
 
 def test_breakpoint_search_keeps_the_monotonicity_guard(monkeypatch, x3):
