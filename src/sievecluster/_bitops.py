@@ -298,21 +298,32 @@ def vertex_cut_below(adj: list[int], within: int, k: int) -> int | None:
     or None when the subgraph is k-vertex-connected.
 
     Requires the induced subgraph connected with more than k vertices.
-    A complete subgraph has no cut; a minimum-degree vertex of degree < k
-    yields its neighborhood as a cut. Otherwise Menger on the split
-    network, built once: vertex v becomes v_in -> v_out with capacity 1
-    and each edge vw becomes v_out -> w_in and w_out -> v_in with capacity
-    k, which no cut below k can use. Every non-adjacent pair (s, t), s < t,
-    in ascending order gets a flow capped at k until one stays below k.
+    A complete subgraph has no cut; a minimum-degree vertex v (the lowest
+    of them) of degree d < k yields its neighborhood as a cut. Otherwise
+    Menger on the split network, built once: vertex u becomes u_in ->
+    u_out with capacity 1 and each edge uw becomes u_out -> w_in and
+    w_out -> u_in with capacity k, which no cut below k can use.
+
+    Only the pairs around v get a flow capped at k, in this order, until
+    one stays below k: v against each vertex not adjacent to it, then
+    each non-adjacent pair of v's neighbours, at most m - 1 - d + d(d-1)/2
+    flows on m vertices (Esfahanian & Hakimi 1984, *On computing the
+    connectivities of graphs and digraphs*, Networks 14). They decide:
+    a cut below k contains a minimal one, C; if v is not in C, C separates
+    v from a vertex not adjacent to it, and if v is in C, v has a
+    neighbour in two of the components C leaves, and C separates those
+    two. The maximal k-connected vertex sets are unique, so which cut is
+    found first does not change them.
     """
     verts = list(bits(within))
     m = len(verts)
     min_v = min(verts, key=lambda v: (adj[v] & within).bit_count())
-    min_d = (adj[min_v] & within).bit_count()
+    around = adj[min_v] & within
+    min_d = around.bit_count()
     if min_d >= m - 1:
         return None  # complete graph, connectivity m - 1 >= k given m > k
     if min_d < k:
-        return adj[min_v] & within
+        return around
     pos = {v: i for i, v in enumerate(verts)}
     arc_pairs = []
     for i, v in enumerate(verts):
@@ -322,11 +333,12 @@ def vertex_cut_below(adj: list[int], within: int, k: int) -> int | None:
             arc_pairs.append((2 * i + 1, 2 * j, k, 0))
             arc_pairs.append((2 * j + 1, 2 * i, k, 0))
     net = _network(2 * m, arc_pairs)
-    for i, s in enumerate(verts):
-        for t in bits(within & ~adj[s] & ~((2 << s) - 1)):
-            cut = _max_flow_vertex_cut(net, verts, i, pos[t], k)
-            if cut is not None:
-                return cut
+    pairs = [(min_v, t) for t in bits(within & ~around & ~(1 << min_v))]
+    pairs += [(s, t) for s in bits(around) for t in bits(around & ~adj[s] & ~((2 << s) - 1))]
+    for s, t in pairs:
+        cut = _max_flow_vertex_cut(net, verts, pos[s], pos[t], k)
+        if cut is not None:
+            return cut
     return None
 
 
@@ -335,45 +347,87 @@ def edge_cut_below(adj: list[int], within: int, k: int) -> int | None:
     edges, or None when the subgraph is k-edge-connected (None also for
     fewer than 2 vertices). k must be a positive integer.
 
-    Every cut separates the lowest vertex s from some t, so the edge
-    connectivity is the least s-t flow: one unit arc pair per edge, and
-    for each t in ascending order a flow capped at k. The side returned
-    is the source side of the first flow that stays below k.
+    A vertex of degree below k is a side by itself. Otherwise a set S,
+    grown from the lowest vertex, keeps every pair of its members joined
+    by k edge-disjoint paths, so every cut below k has all of S on one
+    side. A vertex with at least k edges into S is then on S's side of
+    every such cut, and joins S with no flow. When no vertex has that
+    many, the vertex t with the most edges into S (the lowest on ties)
+    gets one flow capped at k from S, contracted to one node: if k paths
+    fit, t joins S; otherwise the source side of that flow is the side
+    returned. Each flow adds a vertex, so there are at most m - 1 flows on
+    m vertices, and usually far fewer: the vertices join in a maximum
+    adjacency order, which decides edge connectivity almost without flows
+    (Nagamochi & Ibaraki 1992, *Computing edge-connectivity in multigraphs
+    and capacitated graphs*, SIAM J. Discrete Math. 5). The maximal
+    k-edge-connected vertex sets are unique, so which cut is found does
+    not change them.
     """
     verts = list(bits(within))
+    m = len(verts)
+    if m < 2:
+        return None
+    for v in verts:
+        if (adj[v] & within).bit_count() < k:
+            return 1 << v  # its edges are a cut
     pos = {v: i for i, v in enumerate(verts)}
-    net = _network(len(verts), [
-        (i, pos[w], 1, 1)
-        for i, v in enumerate(verts)
-        for w in bits(adj[v] & within & ~((2 << v) - 1))
-    ])
-    for t in range(1, len(verts)):
-        reached = _augment(net, 0, t, k)
+    arc_pairs = [
+        (i, pos[w], 1, 1) for i, v in enumerate(verts) for w in bits(adj[v] & within & ~((2 << v) - 1))
+    ]
+    # node m stands for S: an arc to each vertex, of capacity k while the
+    # vertex is in S and 0 otherwise
+    into_s = 2 * len(arc_pairs)
+    arcs, head, cap = _network(m + 1, arc_pairs + [(m, i, 0, 0) for i in range(m)])
+    inside = 0
+    edges_in = dict.fromkeys(verts, 0)
+    joining = [verts[0]]
+    while True:
+        while joining:
+            v = joining.pop()
+            inside |= 1 << v
+            cap[into_s + 2 * pos[v]] = k
+            for w in bits(adj[v] & within & ~inside):
+                edges_in[w] += 1
+                if edges_in[w] == k:
+                    joining.append(w)
+        rest = within & ~inside
+        if not rest:
+            return None
+        t = max(bits(rest), key=edges_in.__getitem__)
+        reached = _augment((arcs, head, cap), m, pos[t], k)
         if reached is not None:
-            return mask_of(verts[node] for node in reached)
-    return None
+            return inside | mask_of(verts[node] for node in reached if node < m)
+        joining.append(t)
 
 
-def exists_clique(adj: list[int], cand: int, k) -> bool:
-    """Whether the induced subgraph on cand contains a clique of size k."""
-    if k <= 0:
-        return True
-    if not math.isfinite(k):
-        return False
-    # depth-first over (candidates, size still needed); the lowest candidate
-    # is either in the clique (explored first) or dropped
-    stack = [(cand, k)]
+def _clique_joined(adj: list[int], around: int, rest: int, k: int) -> int:
+    """The vertices of rest adjacent to every vertex of some k-clique in
+    around: the union, over the k-cliques K of around, of rest and the
+    neighbourhoods of K's vertices.
+
+    Depth first on an explicit stack over (candidates, common, size still
+    needed): the lowest candidate is either in the clique (explored first)
+    or dropped. A branch whose common part holds nothing found yet, or
+    whose candidates are too few, is cut.
+    """
+    found = 0
+    stack = [(around, rest, k)]
     while stack:
-        cand, k = stack.pop()
-        if k <= 0:
-            return True
-        if cand.bit_count() < k:
+        cand, common, need = stack.pop()
+        if not common & ~found:
+            continue
+        if need <= 0:
+            found |= common
+            if found == rest:
+                break
+            continue
+        if cand.bit_count() < need:
             continue
         low = cand & -cand
-        v = low.bit_length() - 1
-        stack.append((cand ^ low, k))
-        stack.append((cand & adj[v], k - 1))
-    return False
+        nv = adj[low.bit_length() - 1]
+        stack.append((cand ^ low, common, need))
+        stack.append((cand & nv, common & nv, need - 1))
+    return found
 
 
 def closure_bk(adj: list[int], k, relaxed: bool) -> list[int]:
@@ -382,26 +436,65 @@ def closure_bk(adj: list[int], k, relaxed: bool) -> list[int]:
     Strict rule (relaxed=False): join non-adjacent a, b whenever their
     common neighborhood contains a complete subgraph of size k (in the
     current graph). Relaxed rule: whenever they have at least k common
-    neighbors. Both rules are monotone, so the saturation loop reaches the
-    unique least fixed point regardless of application order.
+    neighbors. Both rules are monotone, so any order of application that
+    adds only edges the rule allows, until it allows none, reaches the
+    unique least fixed point.
+
+    Each vertex a in turn takes all of its new partners in one step,
+    computed on the current graph, and passes repeat until one adds
+    nothing; after the first, a pass visits only the vertices next to an
+    edge added since their last step. A pass thus visits each vertex once
+    instead of each pair. The candidates are a's non-neighbours with at
+    least k common neighbours, read off bit-sliced counters over a's
+    neighbours v ("adjacent to at least j of them", j up to k: one update
+    of k masks per v), which stop once every non-neighbour qualifies.
+    Relaxed, they are the new partners; strict, the new partners are
+    those adjacent to all of some k-clique of a's neighbourhood
+    (_clique_joined).
     """
     out = list(adj)
     n = len(out)
     if not math.isfinite(k) or k > n - 2:
         return out
     k = int(k)
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            for b in range(a + 1, n):
-                if out[a] >> b & 1:
-                    continue
-                common = out[a] & out[b]
-                if common.bit_count() < k:
-                    continue
-                if relaxed or exists_clique(out, common, k):
-                    out[a] |= 1 << b
-                    out[b] |= 1 << a
-                    changed = True
+    everyone = full_mask(n)
+    slices = range(k, 0, -1)
+    # a vertex's new partners depend on its own row and its neighbours'
+    # rows, and a new edge ab changes the rows of a and b: only a, b and
+    # their neighbours need another step
+    stale = everyone
+    while stale:
+        touched = 0
+        for a in bits(stale):
+            around = out[a]
+            rest = everyone & ~around & ~(1 << a)
+            if not rest or around.bit_count() < k:
+                continue
+            # at_least[j]: the vertices of rest adjacent to at least j of
+            # the neighbours of a counted so far
+            at_least = [rest] + [0] * k
+            m = around
+            while m:
+                low = m & -m
+                m ^= low
+                nv = out[low.bit_length() - 1]
+                for j in slices:
+                    at_least[j] |= at_least[j - 1] & nv
+                if at_least[k] == rest:
+                    break
+            new = at_least[k]
+            if new and not relaxed:
+                new = _clique_joined(out, around, new, k)
+            if new:
+                out[a] = around | new
+                bit = 1 << a
+                m = new
+                while m:
+                    low = m & -m
+                    m ^= low
+                    out[low.bit_length() - 1] |= bit
+                touched |= new | 1 << a
+        stale = touched
+        for v in bits(touched):
+            stale |= out[v]
     return out

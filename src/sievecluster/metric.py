@@ -271,6 +271,11 @@ class FiniteMetricSpace:
         return self._flat[i * self.n + j]
 
     def diameter(self) -> float:
+        """The largest distance; a space of a large cloud whose buffer is
+        not built yet reads it from the coordinates and leaves the buffer
+        unbuilt."""
+        if self._buf is None:
+            return self._cloud.diameter()
         return max(self._flat)
 
     def _adjacency(self, bound: float) -> list[int]:
@@ -646,19 +651,29 @@ def _point_rows(points) -> list[list[float]] | None:
     return out
 
 
-def _point_buffer(np, pts, norm) -> array:
-    """The row-major buffer of the distances between the rows of the
-    (n, dim) array ``pts`` under a norm's numpy kernel. It is filled one
-    block of rows at a time; a block holds about ``_TILE_ENTRIES``
-    coordinate differences (at least one row of them), so beside the
-    n x n result only one block is held."""
+def _point_blocks(np, pts, norm):
+    """The distances between the rows of the (n, dim) array ``pts`` under
+    a norm's numpy kernel, one block of rows against every row at a time,
+    as (first row, block) pairs. A block holds about ``_TILE_ENTRIES``
+    coordinate differences (at least one row of them)."""
     n, dim = pts.shape
     step = _TILE_ENTRIES // max(n * dim, 1) or 1
+    for r0 in range(0, n, step):
+        with np.errstate(over="ignore"):  # points too far apart are at inf
+            block = norm(np, pts[r0 : r0 + step, None, :] - pts[None, :, :])
+        yield r0, block
+
+
+def _point_buffer(np, pts, norm) -> array:
+    """The row-major buffer of the distances between the rows of the
+    (n, dim) array ``pts`` under a norm's numpy kernel, filled from
+    ``_point_blocks``, so beside the n x n result only one block is
+    held."""
+    n = len(pts)
     flat = _zeros(n)
     d = _view(np, flat, n)
-    with np.errstate(over="ignore"):  # points too far apart are at inf
-        for r0 in range(0, n, step):
-            d[r0 : r0 + step] = norm(np, pts[r0 : r0 + step, None, :] - pts[None, :, :])
+    for r0, block in _point_blocks(np, pts, norm):
+        d[r0 : r0 + len(block)] = block
     # entry (j, i) is computed from the negated differences of entry (i, j),
     # which every norm, sum order and rescale maps to the same bytes: the
     # buffer is exactly symmetric as it stands
@@ -682,12 +697,23 @@ class _Cloud:
         self.cols = cols
         self.metric = metric
 
+    def _points(self, np):
+        return np.ascontiguousarray(np.array(self.cols, dtype=np.float64).T)
+
     def buffer(self) -> array:
         """The distance buffer, built by numpy as for any large cloud."""
         import numpy as np
 
-        pts = np.ascontiguousarray(np.array(self.cols, dtype=np.float64).T)
-        return _point_buffer(np, pts, _POINT_NORMS[self.metric][1])
+        return _point_buffer(np, self._points(np), _POINT_NORMS[self.metric][1])
+
+    def diameter(self) -> float:
+        """The largest entry of the buffer, read block by block from the
+        kernel that builds it (the same bytes; its diagonal is 0.0, as
+        the buffer's), so only one block is held."""
+        import numpy as np
+
+        blocks = _point_blocks(np, self._points(np), _POINT_NORMS[self.metric][1])
+        return max(float(block.max()) for _, block in blocks)
 
     def distance(self, i: int, j: int) -> float:
         """The buffer's entry for points i and j, by the Python kernel of

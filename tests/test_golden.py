@@ -8,7 +8,9 @@ before every family was evaluated as the maximal cliques of one relation;
 the violation report digests, before the harness decided its checks on
 relations and built covers only for the trials that fail; the sampled
 trials digest, before the closure relaxed only the pairs above the
-diagonal and SplitMix64 mixed its draws inline.
+diagonal and SplitMix64 mixed its draws inline; the lattice cover digests
+and the vl[k=3] sieve digest, before the vertex cut, edge cut and bk
+closure kernels stopped trying every pair.
 Any change to an enumeration order, a random pick or a float in these
 outputs changes a digest, so a rewrite behind the public names that
 alters bytes fails here even when every structural test holds.
@@ -33,6 +35,7 @@ from sievecluster import (
     random_map,
     random_metric,
     random_morphism,
+    space_from_points,
 )
 from sievecluster.fileio import canonical_json_bytes
 from sievecluster.rng import SplitMix64, derive_seed
@@ -119,6 +122,7 @@ SIEVE_GOLDEN = {
         "96e6767ee4846f5da3da2a2033571af925f85a33f8a1230621cd07101380bfb9",
     ),
     "sieve-vl2": (MethodSpec("vl", k=2), "02aab4599277244ebc3621bcfe27d29eab5c55b6a23c74c877a2e8f0b9b339d8"),
+    "sieve-vl3": (MethodSpec("vl", k=3), "0e8859cde8255bfba525ea9c5a0af1dd3a6bec386ec40b3b7da9dde685e9f20e"),
     "sieve-el3": (MethodSpec("el", k=3), "545c3ce0946a8a981e4d6433b3b5c9ad348c8b59433db58dad043b55d30f9393"),
     "sieve-bk2": (MethodSpec("bk", k=2), "550c0c28844cdbfb26acaa0093ae0bb820141e51e457a4f4d3ec7e862385f737"),
     "sieve-bkstar2": (
@@ -176,9 +180,59 @@ FLAT_GOLDEN = {
 }
 
 
+def _lattice_flat(spec):
+    # a 12x10 lattice jittered by up to 0.1 per axis: at 1.3 some diagonals
+    # join, at 1.42 about half, at 1.7 all of them (the king-move graph), so
+    # the cut and closure kernels meet sparse, mixed and dense graphs
+    rng = SplitMix64(1210)
+    points = [
+        [i + rng.uniform(-0.1, 0.1), j + rng.uniform(-0.1, 0.1)]
+        for i in range(12)
+        for j in range(10)
+    ]
+    x = space_from_points(points, labels=[f"g{i:03d}" for i in range(120)])
+    return [evaluate_method(x, spec.with_delta(d)).to_dict() for d in (1.3, 1.42, 1.7)]
+
+
+LATTICE_GOLDEN = {
+    "lattice-bk2": (
+        MethodSpec("bk", k=2),
+        "3f633fc5242893a232b138af8e285339c2d7a538117d7fe014bbf2c6c30ee1d5",
+    ),
+    "lattice-bk3": (
+        MethodSpec("bk", k=3),
+        "ca2627b12ef359fcc074a4c7793e692b7af402d52329d1ca50451149b01342ff",
+    ),
+    "lattice-bkstar2": (
+        MethodSpec("bkstar", k=2),
+        "f2b77d49bd949564a1594180d04a3fa1e81cee44b1c5af563213a19a03774ea0",
+    ),
+    "lattice-bkstar3": (
+        MethodSpec("bkstar", k=3),
+        "9b8c0a97202e50717e894fae01c21af9112e0dbc053b20e8f55d14bdc324db01",
+    ),
+    "lattice-vl3": (
+        MethodSpec("vl", k=3),
+        "5ecef4f954e52338fca146433ad8dc4a4e68ae2ffa9698d359215afa1ac033e5",
+    ),
+    "lattice-el3": (
+        MethodSpec("el", k=3),
+        "d0b0e245d4856add802765a5d23055f660c45a0c5fdba2bf476e583dc0b0d431",
+    ),
+    "lattice-el3-clique-exception": (
+        MethodSpec("el", k=3, clique_exception=True),
+        "5ecef4f954e52338fca146433ad8dc4a4e68ae2ffa9698d359215afa1ac033e5",
+    ),
+}
+
+
 GOLDEN = {
     **{name: (lambda spec=spec: _sieve(spec), digest) for name, (spec, digest) in SIEVE_GOLDEN.items()},
     **{name: (lambda spec=spec: _flat(spec), digest) for name, (spec, digest) in FLAT_GOLDEN.items()},
+    **{
+        name: (lambda spec=spec: _lattice_flat(spec), digest)
+        for name, (spec, digest) in LATTICE_GOLDEN.items()
+    },
     "counterexample-vl2": (
         lambda: _witness("vl"),
         "ee1ad710bf8615f6f768ab24d7de7e0d822b0cd9afc28ce10300ddf764b10a90",

@@ -11,7 +11,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sievecluster import (
     Cover,
@@ -22,11 +22,13 @@ from sievecluster import (
     connected_components,
     max_edge_connected_subgraphs,
     max_vertex_connected_subgraphs,
+    random_metric,
     read_edge_list,
     reduce_to_maximal,
     refines,
     space_from_graph,
     threshold_graph,
+    vertex_linkage,
     write_dot,
     write_edge_list,
 )
@@ -345,6 +347,145 @@ def test_closures_idempotent_and_ordered():
             assert bk_closure(a, k).edges == a.edges
             assert bk_star_closure(b, k).edges == b.edges
             assert g.edges <= a.edges
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on 1 to 14 vertices, each pair an edge with one drawn
+    probability."""
+    n = draw(st.integers(1, 14))
+    p = draw(st.sampled_from([0.2, 0.4, 0.6, 0.8]))
+    pairs = list(itertools.combinations(range(n), 2))
+    picks = draw(st.lists(st.floats(0.0, 1.0), min_size=len(pairs), max_size=len(pairs)))
+    return make_graph(n, [e for e, u in zip(pairs, picks) if u < p])
+
+
+def _closed_pairs(g, adj):
+    return frozenset(map(frozenset, Graph.from_masks(g.vertices, adj).edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    small_graphs(),
+    st.sampled_from([1, 2, 3, 4, 5, math.inf]),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_closure_bk_matches_randomized_order_oracle(g, k, relaxed, seed):
+    got = _bitops.closure_bk(g.adjacency_masks(), k, relaxed)
+    # no graph on n vertices has a clique of n + 1, nor two vertices with
+    # n + 1 common neighbours: the oracle's finite stand-in for inf
+    size = len(g.vertices) + 1 if k == math.inf else k
+    assert _closed_pairs(g, got) == _randomized_order_closure(g, size, relaxed, seed)
+
+
+@pytest.mark.parametrize("adj, k, relaxed", [
+    # a pass that revisited fewer vertices than the two ends of each new
+    # edge and their neighbours would stop short of the fixed point on these
+    ([4128, 396, 1154, 5154, 4160, 4233, 4496, 614, 66, 4224, 12, 0, 633], 3, True),
+    ([1952, 20, 2, 41408, 4098, 3329, 264, 1033, 2153, 23553, 673, 800, 528, 8, 512, 8], 3, True),
+    ([1412, 5504, 3209, 804, 3104, 4248, 4480, 103, 75, 1032, 535, 4116, 2146], 2, False),
+])
+def test_closure_bk_revisits_the_vertices_a_new_edge_touches(adj, k, relaxed):
+    g = Graph.from_masks([f"v{i:02d}" for i in range(len(adj))], adj)
+    got = _bitops.closure_bk(adj, k, relaxed)
+    assert _closed_pairs(g, got) == _randomized_order_closure(g, k, relaxed, 0)
+
+
+def _king_lattice(rows, cols):
+    """Adjacency masks of the king-move graph on a rows x cols lattice,
+    vertex r * cols + c at (r, c)."""
+    adj = [0] * (rows * cols)
+    for r, c in itertools.product(range(rows), range(cols)):
+        for dr, dc in itertools.product((-1, 0, 1), repeat=2):
+            if (dr or dc) and 0 <= r + dr < rows and 0 <= c + dc < cols:
+                adj[r * cols + c] |= 1 << ((r + dr) * cols + c + dc)
+    return adj
+
+
+def test_closure_bk_on_a_king_lattice():
+    # the shape of the benchmark's bkstar[k=3] input: the relaxed rule fills
+    # it to the complete graph; the strict rule adds nothing, as no common
+    # neighbourhood of two non-adjacent vertices holds a triangle
+    adj = _king_lattice(10, 8)
+    full = _bitops.full_mask(80)
+    assert _bitops.closure_bk(adj, 3, relaxed=True) == [full & ~(1 << v) for v in range(80)]
+    assert _bitops.closure_bk(adj, 3, relaxed=False) == adj
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(), st.lists(st.booleans(), min_size=91, max_size=91),
+       st.sampled_from([1, 2, 3]), st.booleans())
+def test_closure_bk_resumes_from_a_smaller_fixed_point(g, keep, k, relaxed):
+    # closing a graph joined with the closure of a subgraph gives the
+    # closure of the graph: how the bisected sieves resume
+    adj = g.adjacency_masks()
+    pairs = [(a, b) for a in range(len(adj)) for b in _bitops.bits(adj[a]) if b > a]
+    sub = [0] * len(adj)
+    for (a, b), kept in zip(pairs, keep):
+        if kept:
+            sub[a] |= 1 << b
+            sub[b] |= 1 << a
+    start = _bitops.closure_bk(sub, k, relaxed)
+    resumed = _bitops.closure_bk([x | y for x, y in zip(adj, start)], k, relaxed)
+    assert resumed == _bitops.closure_bk(adj, k, relaxed)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_vertex_cut_through_the_minimum_degree_vertex(k):
+    # vertex 0, of least degree 2k, joins k vertices of each of two
+    # (2k+1)-cliques: every non-neighbour is k-connected to it, and only a
+    # pair of its neighbours, one in each clique, shows the cut {0}
+    m = 2 * k + 1
+    adj = [0] * (1 + 2 * m)
+    for first in (1, 1 + m):
+        block = _bitops.mask_of(range(first, first + m))
+        for v in range(first, first + m):
+            adj[v] = block & ~(1 << v)
+        for v in range(first, first + k):
+            adj[v] |= 1
+            adj[0] |= 1 << v
+    everything = _bitops.full_mask(len(adj))
+    cut = _bitops.vertex_cut_below(adj, everything, k)
+    assert cut is not None and cut.bit_count() < k
+    assert len(_bitops.components(adj, everything & ~cut)) > 1
+
+
+def _counted_flows(monkeypatch):
+    """A list that gets one entry per capped flow (_bitops._augment)."""
+    flows = []
+    augment = _bitops._augment
+
+    def counted(net, source, sink, limit):
+        flows.append((source, sink))
+        return augment(net, source, sink, limit)
+
+    monkeypatch.setattr(_bitops, "_augment", counted)
+    return flows
+
+
+def test_vertex_cut_flows_on_a_king_block(monkeypatch):
+    # a corner has degree 3 and 12 non-neighbours, its neighbours are
+    # pairwise adjacent: 12 flows (every non-adjacent pair would be 78)
+    flows = _counted_flows(monkeypatch)
+    assert _bitops.vertex_cut_below(_king_lattice(4, 4), _bitops.full_mask(16), 3) is None
+    assert len(flows) <= 12
+
+
+def test_edge_cut_flows_on_a_king_block(monkeypatch):
+    # most vertices join with 3 edges into the grown set, without a flow
+    # (a flow to every other vertex would be 63)
+    flows = _counted_flows(monkeypatch)
+    assert _bitops.edge_cut_below(_king_lattice(8, 8), _bitops.full_mask(64), 3) is None
+    assert len(flows) < 63
+
+
+def test_vertex_linkage_flows_at_200_points(monkeypatch):
+    # one 3-connected block, where trying every non-adjacent pair takes
+    # 18,636 flows
+    flows = _counted_flows(monkeypatch)
+    vertex_linkage(random_metric(200, 1), 0.15, 3)
+    assert len(flows) <= 1864
 
 
 @given(st.integers(0, 2**15 - 1))

@@ -122,6 +122,29 @@ def test_distance_of_an_unbuilt_cloud_is_the_buffer_entry(norm, case):
     _check_distances(x)
 
 
+def _check_diameter(x):
+    """The diameter and repr of a space kept as coordinates leave the
+    buffer unbuilt, and the diameter has the bytes of the buffer's
+    maximum."""
+    assert x._buf is None
+    got = x.diameter()
+    text = repr(x)
+    assert x._buf is None
+    assert got.hex() == max(x._flat).hex()
+    assert text == repr(x)
+
+
+@given(case=grid_cases(), tile_entries=st.sampled_from([None, 1, 50]))
+def test_diameter_of_an_unbuilt_cloud_is_the_buffer_maximum(case, tile_entries):
+    # in the default blocks (one here), one row a block, and a few rows
+    points, norm, labels, _ = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric, "_NUMPY_MIN_POINTS", 8)
+        if tile_entries is not None:
+            mp.setattr(metric, "_TILE_ENTRIES", tile_entries)
+        _check_diameter(space_from_points(points, norm, labels=labels))
+
+
 @pytest.mark.parametrize("norm", NORMS)
 @pytest.mark.parametrize("dim", [1, 2, 3, 7])
 def test_grid_masks_at_the_real_threshold(norm, dim):
@@ -274,6 +297,12 @@ def test_cluster_bytes_on_clouds(tmp_path, key):
 def test_distance_of_an_unbuilt_cloud_when_squares_overflow(norm):
     rows = [[float(v) for v in line.split(",")[1:]] for line in _far_text(norm).splitlines()[1:]]
     _check_distances(space_from_points(rows, norm))
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_diameter_of_an_unbuilt_cloud_when_squares_overflow(norm):
+    rows = [[float(v) for v in line.split(",")[1:]] for line in _far_text(norm).splitlines()[1:]]
+    _check_diameter(space_from_points(rows, norm))
 
 
 FAR_GOLDEN = {
