@@ -105,17 +105,14 @@ def degeneracy_order(adj: list[int], within: int) -> list[int]:
 def maximal_cliques(adj: list[int], within: int | None = None) -> list[int]:
     """All maximal cliques of the induced subgraph (singletons included).
 
-    Run per connected component through cliques_containing. Complete
-    components, singletons among them, are emitted without that call.
+    Run per connected component through cliques_containing, which emits
+    a complete component, a singleton among them, as it is.
     """
     if within is None:
         within = full_mask(len(adj))
     out: list[int] = []
     for comp in components(adj, within):
-        if is_complete(adj, comp):
-            out.append(comp)
-        else:
-            out += cliques_containing(adj, 0, comp)
+        out += cliques_containing(adj, 0, comp)
     return out
 
 

@@ -283,24 +283,25 @@ class FiniteMetricSpace:
 
         A space of a large cloud whose buffer is not built yet answers from
         its cell grid (``_Cloud.adjacency``), with the same masks, unless
-        the grid cannot; then the buffer is built.
-        Below ``_NUMPY_MIN_POINTS`` points, the second call sorts each row
-        once and keeps the masks of its prefixes; it and every later call
-        (a sieve asks at each scale it visits) is then one bisection a row.
-        NaN, which sorts nowhere, always takes the direct comparison.
+        the grid cannot; then the buffer is built. Once _sort_rows has kept
+        the sorted rows, each call is one bisection a row.
         """
         if self._buf is None:
             adj = self._cloud.adjacency(bound)
             if adj is not None:
                 return adj
         table = self._sorted_rows
-        if table is None:
-            self._sorted_rows = ()  # asked once
-        elif not table and self.n < _NUMPY_MIN_POINTS and not any(map(math.isnan, self._flat)):
-            table = self._sorted_rows = _sorted_rows(self._flat, self.n)
-        if not table or math.isnan(bound):
+        if table is None or math.isnan(bound):
             return _adjacency_at_most(self._flat, self.n, bound)
         return [masks[bisect_right(values, bound)] for values, masks in table]
+
+    def _sort_rows(self) -> None:
+        """Keep each row sorted, with the masks of its prefixes, for the
+        many _adjacency calls of a sieve. Not from _NUMPY_MIN_POINTS points
+        on, nor with a NaN, which sorts nowhere."""
+        if self._sorted_rows is None and self.n < _NUMPY_MIN_POINTS:
+            if not any(map(math.isnan, self._flat)):
+                self._sorted_rows = _sorted_rows(self._flat, self.n)
 
     def _rows(self) -> list[list[float]]:
         """The distances as n lists of n floats."""
@@ -437,13 +438,10 @@ def _check_triangle(labels: tuple[str, ...], flat: array, tol: float) -> None:
         return
     d = _view(np, flat, n)
     step = _TILE_ENTRIES // n or 1
-    if step >= n:  # one tile, the whole matrix: no slicing on small inputs
-        tiles = [(0, d, d, d)]
-    else:
-        tiles = [
-            (r0, d[r0 : r0 + step, r0:], d[r0 : r0 + step], d[:, r0:])
-            for r0 in range(0, n, step)
-        ]
+    tiles = [
+        (r0, d[r0 : r0 + step, r0:], d[r0 : r0 + step], d[:, r0:])
+        for r0 in range(0, n, step)
+    ]
     with np.errstate(over="ignore"):  # a sum above the largest float is inf, as in Python
         for r0, tile, rows, cols in tiles:
             best = tile.copy()

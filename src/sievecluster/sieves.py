@@ -171,10 +171,12 @@ def build_sieve(x: FiniteMetricSpace, spec: MethodSpec) -> Sieve:
     pairs arrive, so no scale runs a full clique search. ml reads its pairs
     off the sorted distances (_threshold_batches). The other relations are
     bisected (_bisected_batches), evaluated only where the breakpoint search
-    needs them; each closure resumes from the one at the nearest smaller
-    evaluated scale. Consecutive distinct relations are checked for
-    inclusion, which is refinement of the covers: a MonotonicityViolation
-    flags a bug in a family, since none can produce one.
+    needs them, on threshold masks read off the space's sorted rows
+    (FiniteMetricSpace._sort_rows); each closure resumes from the one at
+    the nearest smaller evaluated scale. Consecutive distinct relations are
+    checked for inclusion, which is refinement of the covers: a
+    MonotonicityViolation flags a bug in a family, since none can produce
+    one.
     """
     if spec.family == "generated":
         raise ValueError(
@@ -183,6 +185,7 @@ def build_sieve(x: FiniteMetricSpace, spec: MethodSpec) -> Sieve:
         )
     if spec.family == "ml":
         return _clique_sweep(x.labels, _threshold_batches(x))
+    x._sort_rows()
     return _clique_sweep(
         x.labels,
         _bisected_batches(

@@ -193,73 +193,27 @@ def random_map(
 ) -> MetricMap | None:
     """A random non-expansive assignment between two given spaces.
 
-    When the raw assignment space is small it is enumerated with pairwise
-    pruning and one valid assignment is drawn uniformly. Otherwise random
-    assignments are locally repaired (reassign an endpoint of a violated
-    pair to the choice that most reduces violations) under a bounded number
-    of attempts. Returns None when nothing is found: not-found is a value,
-    not an error (some pairs admit no such map at all).
+    The assignments are enumerated with pairwise pruning and one valid
+    assignment is drawn uniformly, so the draw is exact. Returns None only
+    when no non-expansive map exists (injective when required). Raises
+    TooLarge when there are more than 200,000 raw assignments to enumerate.
     """
-    rng = SplitMix64(seed)
     n, m = x.n, y.n
-    tol = rel_tol * max(x.diameter(), y.diameter(), 0.0)
-    xd, yd = x._flat, y._flat
     raw = _count_assignments(n, m, require_injective)
     if raw == 0:
         return None
-    if raw <= 200_000:
-        found = list(_nonexpansive_assignments(x, y, tol, require_injective))
-        if not found:
-            return None
-        pick = found[rng.randint(len(found))]
-        return MetricMap(
-            x, y, {x.labels[i]: y.labels[pick[i]] for i in range(n)}
+    if raw > 200_000:
+        raise TooLarge(
+            f"random_map enumerates at most 200,000 assignments, "
+            f"got {raw:,.0f} for {n} points into {m}"
         )
-    # rejection with local repair
-    for _ in range(4000):
-        if require_injective:
-            targets = list(range(m))
-            rng.shuffle(targets)
-            assign = targets[:n]
-        else:
-            assign = [rng.randint(m) for _ in range(n)]
-
-        def violated() -> list[tuple[int, int]]:
-            out = []
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if yd[assign[i] * m + assign[j]] > xd[i * n + j] + tol:
-                        out.append((i, j))
-            return out
-
-        bad = violated()
-        for _ in range(200):
-            if not bad:
-                break
-            i, j = bad[rng.randint(len(bad))]
-            move = i if rng.randint(2) else j
-            used = set(assign) if require_injective else set()
-            best_cand = None
-            best_count = len(bad)
-            for cand in range(m):
-                if require_injective and cand in used and cand != assign[move]:
-                    continue
-                old = assign[move]
-                assign[move] = cand
-                count = len(violated())
-                if count < best_count:
-                    best_count = count
-                    best_cand = cand
-                assign[move] = old
-            if best_cand is None:
-                break
-            assign[move] = best_cand
-            bad = violated()
-        if not bad:
-            return MetricMap(
-                x, y, {x.labels[i]: y.labels[assign[i]] for i in range(n)}
-            )
-    return None
+    rng = SplitMix64(seed)
+    tol = rel_tol * max(x.diameter(), y.diameter(), 0.0)
+    found = list(_nonexpansive_assignments(x, y, tol, require_injective))
+    if not found:
+        return None
+    pick = found[rng.randint(len(found))]
+    return MetricMap(x, y, {x.labels[i]: y.labels[pick[i]] for i in range(n)})
 
 
 def _fresh_labels(taken: set[str], count: int) -> list[str]:

@@ -580,6 +580,56 @@ def test_export_dot_level_error_names_its_flag(runner, tmp_path, flag):
     assert "Error: --k must be a positive integer" in result.output
 
 
+def test_infinite_levels_and_a_lone_bk_flag_exit_zero(runner, tmp_path):
+    c4 = _c4(tmp_path)
+    result = runner.invoke(main, ["cluster", "--method", "vl", "--k", "inf", "--delta", "1", c4])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["clusters"] == [["a", "b"], ["a", "d"], ["b", "c"], ["c", "d"]]
+    result = runner.invoke(
+        main, ["cluster", "--method", "l", "--k", "2", "--K", "inf", "--delta", "1", c4]
+    )
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["clusters"] == [["a", "b", "c", "d"]]
+    result = runner.invoke(main, ["export-dot", "--delta", "1", "--bk", "2", c4])
+    assert result.exit_code == 0, result.output
+    assert result.output.count(" -- ") == 4  # no pair of c4 has a common 2-clique
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["cluster", "--method", "l", "--k", "2", "--K", "abc", "--delta", "1", "C4"],
+         "--K must be a positive real or 'inf', got 'abc'"),
+        (["export-dot", "--delta", "-1", "C4"], "--delta must be nonnegative"),
+        (["verify", "functoriality", "--method", "ml", "--delta", "1", "--trials", "-1"],
+         "--trials must be nonnegative"),
+        (["verify", "sandwich", "--method", "vl", "--k", "2", "--delta", "1", "--trials", "-1"],
+         "--trials must be nonnegative"),
+        (["verify", "counterexample", "--method", "ml", "--delta", "1", "--max-points", "2"],
+         "--max-points must be at least 3"),
+        (["verify", "counterexample", "--method", "ml", "--delta", "1", "--budget", "0"],
+         "--budget must be positive"),
+    ],
+    ids=["K-abc", "delta-negative", "functoriality-trials", "sandwich-trials", "max-points",
+         "budget"],
+)
+def test_out_of_range_options_exit_two(runner, tmp_path, args, message):
+    args = [_c4(tmp_path) if a == "C4" else a for a in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"Error: {message}" in result.output
+
+
+def test_counterexample_expected_but_not_found_exits_one(runner):
+    result = runner.invoke(
+        main,
+        ["verify", "counterexample", "--method", "ml", "--delta", "1", "--max-points", "3",
+         "--expect", "found"],
+    )
+    assert result.exit_code == 1
+    assert "expected a witness but the search found none" in result.output
+
+
 def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0

@@ -84,6 +84,21 @@ def test_co_blocking_pairs():
     assert rel.related("a", "a")  # reflexive by convention
 
 
+def test_relation_pairs_equality_and_repr():
+    rel = Relation(("c", "a", "b"), [("b", "a"), ("c", "b"), ("a", "a")])
+    assert rel.pairs() == (("a", "b"), ("b", "c"))
+    assert rel == Relation(("a", "b", "c"), [("a", "b"), ("b", "c")])
+    assert rel != Relation(("a", "b", "c"), [("a", "b")])
+    assert rel != Relation(("a", "b", "d"), [("a", "b"), ("b", "d")])
+    assert rel != "rel"
+    assert repr(rel) == "Relation(3 points, 2 pairs)"
+
+
+def test_cover_repr():
+    assert repr(Cover(["a", "b", "c"], [["a", "b"], ["c"]])) == "Cover(2 blocks on 3 points)"
+    assert repr(FlagCover(["a", "b"], [["a", "b"]])) == "FlagCover(1 blocks on 2 points)"
+
+
 def test_maximal_linked_sets_on_path_relation():
     rel = Relation(("a", "b", "c"), [("a", "b"), ("b", "c")])
     assert maximal_linked_sets(rel).blocks == (("a", "b"), ("b", "c"))

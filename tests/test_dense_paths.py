@@ -348,15 +348,18 @@ _BOUNDS = st.one_of(
 @given(matrices(), st.lists(_BOUNDS, min_size=1, max_size=4))
 def test_threshold_masks(case, bounds):
     labels, d = case
-    x = FiniteMetricSpace(labels, d)
+    x, sorted_x = FiniteMetricSpace(labels, d), FiniteMetricSpace(labels, d)
+    sorted_x._sort_rows()
     for bound in bounds:
         py, nu = both_paths(lambda: metric._adjacency_at_most(x._flat, x.n, bound))
         assert py == nu
-        assert x._adjacency(bound) == py[1]  # from the sorted rows after the first call
+        assert x._adjacency(bound) == sorted_x._adjacency(bound) == py[1]
 
 
 def test_threshold_masks_of_a_space_holding_nan():
     x = FiniteMetricSpace(["a", "b", "c"], [[0, 1, math.nan], [1, 0, 2], [math.nan, 2, 0]])
+    x._sort_rows()
+    assert x._sorted_rows is None
     for bound in (0.5, 1.0, 2.0, math.inf, math.inf):
         assert x._adjacency(bound) == metric._adjacency_at_most(x._flat, 3, bound)
 

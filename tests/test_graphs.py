@@ -146,6 +146,16 @@ def test_graph_rejects_loops_and_unknown_vertices():
         Graph(["a", "b"], [("a", "z")])
 
 
+def test_graph_degree_equality_and_repr():
+    g = Graph(["c", "a", "b"], [("b", "a"), ("b", "c")])
+    assert [g.degree(v) for v in "abc"] == [1, 2, 1]
+    assert g == Graph(["a", "b", "c"], [("a", "b"), ("c", "b")])
+    assert g != Graph(["a", "b", "c"], [("a", "b")])
+    assert g != Graph(["a", "b", "d"], [("a", "b"), ("b", "d")])
+    assert g != "g"
+    assert repr(g) == "Graph(3 vertices, 2 edges)"
+
+
 def test_threshold_graph_inclusive_boundary(x3):
     g1 = threshold_graph(x3, 1.0)
     assert g1.edge_count == 2 and g1.has_edge("a", "b") and not g1.has_edge("a", "c")

@@ -409,6 +409,22 @@ def test_pullback_metric(x3):
     pulled = f.pullback_matrix()
     assert pulled[x3.index("a"), x3.index("b")] == 0.0
     assert pulled[x3.index("a"), x3.index("c")] == 1.0
+    back = f.pullback_metric()
+    assert back.labels == x3.labels
+    assert back._rows() == [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+
+
+def test_metric_map_image_equality_repr_and_mismatched_compose(x3):
+    y = FiniteMetricSpace(["u", "v"], [[0, 1], [1, 0]])
+    f = MetricMap(x3, y, {"a": "u", "b": "u", "c": "v"})
+    assert f.image() == {"u", "v"}
+    assert f == MetricMap(x3, y, {"c": "v", "b": "u", "a": "u"})
+    assert f != MetricMap(x3, y, {"a": "u", "b": "v", "c": "v"})
+    assert f != MetricMap.identity(x3)
+    assert f != "f"
+    assert repr(f) == "MetricMap(3 -> 2 points)"
+    with pytest.raises(ValueError, match="composition endpoints do not match"):
+        f.compose(f)
 
 
 def test_one_point_space():

@@ -75,3 +75,9 @@ def test_randint_needs_a_positive_bound(n):
     rng = SplitMix64(SEED)  # and the refusal is not cached
     with pytest.raises(ValueError, match="randint bound must be positive"):
         rng.randint(n)
+
+
+def test_choice_picks_the_item_at_the_next_randint():
+    items = ["a", "b", "c", "d", "e"]
+    rng, ref = SplitMix64(SEED), SplitMix64(SEED)
+    assert [rng.choice(items) for _ in range(20)] == [items[ref.randint(5)] for _ in range(20)]

@@ -21,13 +21,13 @@ from sievecluster import (
     is_dendrogram,
     sieve_consistent,
 )
-from sievecluster import sieves
+from sievecluster import metric, sieves
 from sievecluster._bitops import bits, components, maximal_cliques
 from sievecluster.covers import refines
 from sievecluster.fileio import _sieve_json, canonical_json_bytes
 from sievecluster.metric import FiniteMetricSpace, space_from_points
 from sievecluster.rng import derive_seed
-from sievecluster.verify import METRIC_MODES, random_flag_cover, random_metric
+from sievecluster.verify import METRIC_MODES, check_sandwich, random_flag_cover, random_metric
 
 from oracles import dense_sieve
 
@@ -67,6 +67,9 @@ def test_evaluate_is_right_continuous(x3):
 def test_terminal_trivial(x3):
     s = build_sieve(x3, MethodSpec(family="ml", delta=1.0))
     assert s.terminal_trivial()
+    assert repr(s) == "Sieve(3 points, 3 breakpoints, terminal trivial)"
+    split = Sieve(("a", "b"), [0.0], [Cover(["a", "b"], [["a"], ["b"]])])
+    assert repr(split) == "Sieve(2 points, 1 breakpoints, terminal non-trivial)"
 
 
 def test_sieve_validation_errors(x3):
@@ -605,3 +608,29 @@ def test_right_continuity_probe_skips_adjacent_float_breakpoints():
     report = check_sieve_axioms(sieve)
     assert report.right_continuity_violations == ()
     assert report.is_sieve, report.summary()
+
+
+def test_only_a_bisected_sieve_sorts_the_rows(monkeypatch):
+    # the sorted rows pay off only over the many threshold reads of one
+    # bisected sieve; a few evaluations of one space, and the harness's
+    # small spaces, read their masks off the buffer
+    sorts = []
+    sort = metric._sorted_rows
+    monkeypatch.setattr(metric, "_sorted_rows", lambda flat, n: sorts.append(n) or sort(flat, n))
+    x = random_metric(10, 5)
+    for spec in (MethodSpec("sl", 0.3), MethodSpec("vl", 0.3, k=2), MethodSpec("bk", 0.3, k=2)):
+        evaluate_method(x, spec)
+    check_sandwich(MethodSpec("vl", 1.0, k=2), trials=20, seed=3)
+    assert sorts == []
+    build_sieve(random_metric(10, 6), MethodSpec("ml"))
+    assert sorts == []
+    for n, spec in enumerate(
+        [MethodSpec("sl"), MethodSpec("vl", k=2), MethodSpec("el", k=2), MethodSpec("bk", k=2)], 7
+    ):
+        build_sieve(random_metric(n, n), spec)
+    assert sorts == [7, 8, 9, 10]
+    build_sieve(x, MethodSpec("sl"))
+    build_sieve(x, MethodSpec("l", k=2))  # the space keeps its sorted rows
+    assert sorts == [7, 8, 9, 10, 10]
+    build_sieve(random_metric(metric._NUMPY_MIN_POINTS, 1), MethodSpec("sl"))
+    assert sorts == [7, 8, 9, 10, 10]

@@ -80,6 +80,24 @@ def test_random_map_injective_impossible_cases():
     assert random_map(near, far, seed=0, require_injective=True) is None
 
 
+def test_random_map_refuses_more_than_200000_raw_assignments():
+    # 9! = 362,880 injective self-maps of 9 points, and 6**8 = 1,679,616
+    # maps of 8 points into 6, are too many to enumerate; the identity is
+    # one injective non-expansive map, so None would be wrong
+    nine = random_metric(9, 5)
+    with pytest.raises(TooLarge, match="got 362,880 for 9 points into 9"):
+        random_map(nine, nine, 3, require_injective=True)
+    eight, six = random_metric(8, 5), random_metric(6, 5)
+    with pytest.raises(TooLarge, match="got 1,679,616 for 8 points into 6"):
+        random_map(eight, six, 3)
+
+
+def test_random_map_enumerates_the_40320_injective_self_maps_of_8_points():
+    x = random_metric(8, 5)
+    f = random_map(x, x, 3, require_injective=True)
+    assert f is not None and f.is_injective() and f.is_nonexpansive()
+
+
 def test_random_morphism_respects_category():
     for t in range(15):
         x = random_metric(3 + t % 4, 600 + t, METRIC_MODES[t % 3])
