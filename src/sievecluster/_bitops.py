@@ -5,7 +5,7 @@ adj[i] is set iff i and j are adjacent. No self-bits. Arbitrary-width ints
 make subset algebra (intersection, complement within a mask, popcount) a
 single machine-level operation per word, which keeps the exhaustive
 verification workloads and the 2000-point threshold graphs fast without any
-compiled code.
+compiled code. Every kernel works on these ints alone; none reads an array.
 
 Every routine takes an optional ``within`` mask restricting attention to an
 induced subgraph, and all tie-breaking is by lowest vertex index, so results
@@ -34,16 +34,6 @@ def mask_of(indices) -> int:
 
 def full_mask(n: int) -> int:
     return (1 << n) - 1
-
-
-def adjacency_from_bool(matrix) -> list[int]:
-    """Rows of a square boolean numpy array as bitmasks (diagonal cleared)."""
-    import numpy as np
-
-    mat = np.array(matrix, dtype=bool)
-    np.fill_diagonal(mat, False)
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def components(adj: list[int], within: int | None = None) -> list[int]:
@@ -310,7 +300,9 @@ def vertex_cut_below(adj: list[int], within: int, k: int) -> int | None:
     v from a vertex not adjacent to it, and if v is in C, v has a
     neighbour in two of the components C leaves, and C separates those
     two. The maximal k-connected vertex sets are unique, so which cut is
-    found first does not change them.
+    found first does not change them. A pair with k common neighbours in
+    the subgraph gets no flow: those are k internally disjoint paths, so
+    no cut below k separates it, and its flow could only confirm that.
     """
     verts = list(bits(within))
     m = len(verts)
@@ -321,6 +313,11 @@ def vertex_cut_below(adj: list[int], within: int, k: int) -> int | None:
         return None  # complete graph, connectivity m - 1 >= k given m > k
     if min_d < k:
         return around
+    pairs = [(min_v, t) for t in bits(within & ~around & ~(1 << min_v))]
+    pairs += [(s, t) for s in bits(around) for t in bits(around & ~adj[s] & ~((2 << s) - 1))]
+    pairs = [(s, t) for s, t in pairs if (adj[s] & adj[t] & within).bit_count() < k]
+    if not pairs:
+        return None
     pos = {v: i for i, v in enumerate(verts)}
     arc_pairs = []
     for i, v in enumerate(verts):
@@ -330,8 +327,6 @@ def vertex_cut_below(adj: list[int], within: int, k: int) -> int | None:
             arc_pairs.append((2 * i + 1, 2 * j, k, 0))
             arc_pairs.append((2 * j + 1, 2 * i, k, 0))
     net = _network(2 * m, arc_pairs)
-    pairs = [(min_v, t) for t in bits(within & ~around & ~(1 << min_v))]
-    pairs += [(s, t) for s in bits(around) for t in bits(around & ~adj[s] & ~((2 << s) - 1))]
     for s, t in pairs:
         cut = _max_flow_vertex_cut(net, verts, pos[s], pos[t], k)
         if cut is not None:
@@ -360,13 +355,13 @@ def edge_cut_below(adj: list[int], within: int, k: int) -> int | None:
     k-edge-connected vertex sets are unique, so which cut is found does
     not change them.
     """
-    verts = list(bits(within))
-    m = len(verts)
-    if m < 2:
+    if within.bit_count() < 2:
         return None
-    for v in verts:
+    for v in bits(within):
         if (adj[v] & within).bit_count() < k:
             return 1 << v  # its edges are a cut
+    verts = list(bits(within))
+    m = len(verts)
     pos = {v: i for i, v in enumerate(verts)}
     arc_pairs = [
         (i, pos[w], 1, 1) for i, v in enumerate(verts) for w in bits(adj[v] & within & ~((2 << v) - 1))

@@ -290,17 +290,17 @@ def flagify(cover: Cover) -> FlagCover:
 
 
 def refines(fine: Cover, coarse: Cover) -> bool:
-    """Whether every block of ``fine`` is contained in a block of ``coarse``."""
-    if fine.base != coarse.base:
+    """Whether every block of ``fine`` is contained in a block of ``coarse``.
+    Only the blocks that ``coarse`` lacks are scanned, and one base tuple
+    that both share, as the covers of a sieve do, is not compared."""
+    if fine.base is not coarse.base and fine.base != coarse.base:
         raise BaseMismatch(
             f"covers live on different bases ({len(fine.base)} vs "
             f"{len(coarse.base)} labels)"
         )
-    coarse_masks = coarse.masks()
-    for m in fine.masks():
-        if not any(m & c == m for c in coarse_masks):
-            return False
-    return True
+    blocks = coarse.masks()
+    kept = set(blocks)
+    return not any(m not in kept and not any(m & c == m for c in blocks) for m in fine.masks())
 
 
 def _assignment_of(f) -> tuple[dict[str, str], tuple[str, ...] | None]:

@@ -38,14 +38,7 @@ from .covers import (
     maximal_linked_sets,
 )
 from .errors import SearchBudgetExceeded, TrivialFunctor
-from .metric import (
-    REL_TOL,
-    FiniteMetricSpace,
-    _min_plus,
-    _nonexpansive_assignments,
-    _numpy,
-    path_space,
-)
+from .metric import REL_TOL, FiniteMetricSpace, _nonexpansive_assignments, path_space
 
 _NEEDS_K = {"l", "vl", "el", "bk", "bkstar"}
 _GENERATED_POINT_CAP = 6
@@ -202,46 +195,33 @@ def _step_relation(x: FiniteMetricSpace, delta: float, k, budget) -> list[int]:
                 reached |= frontier
             rel.append(reached & ~(1 << v))
         return rel
-    # finite budget: cheapest total length over <= k steps, then threshold
+    # finite budget: cheapest total length over <= k steps, then threshold;
+    # from each point a round of steps extends only the totals that fell
+    # in the round before (the others were extended already)
     steps = n - 1 if k == math.inf else min(k, n - 1)
-    np = _numpy(n)
-    if np is None:
-        # from each point, one round of steps at a time; a round extends only
-        # the totals that fell in the round before (the others were extended
-        # already), so each total is the one the numpy products reach
-        near = [
-            [(j, v) for j, v in enumerate(row) if v <= delta and j != i]
-            for i, row in enumerate(x._rows())
-        ]
-        rel = []
-        for i in range(n):
-            best = [math.inf] * n
-            best[i] = 0.0
-            fell = {i: 0.0}
-            for _ in range(steps):
-                lower = {}
-                for u, total in fell.items():
-                    for j, v in near[u]:
-                        s = total + v
-                        if s < best[j] and s < lower.get(j, math.inf):
-                            lower[j] = s
-                if not lower:
-                    break
-                for j, s in lower.items():
-                    best[j] = s
-                fell = lower
-            rel.append(sum(1 << j for j, v in enumerate(best) if v <= budget and j != i))
-        return rel
-    w = np.where(x.dist <= delta, x.dist, np.inf)
-    np.fill_diagonal(w, 0.0)
-    dist = w.copy()
-    for _ in range(steps - 1):
-        nxt = dist.copy()
-        _min_plus(nxt, dist, w)
-        if np.array_equal(nxt, dist):
-            break
-        dist = nxt
-    return _bitops.adjacency_from_bool(dist <= budget)
+    near = [
+        [(j, v) for j, v in enumerate(row) if v <= delta and j != i]
+        for i, row in enumerate(x._rows())
+    ]
+    rel = []
+    for i in range(n):
+        best = [math.inf] * n
+        best[i] = 0.0
+        fell = {i: 0.0}
+        for _ in range(steps):
+            lower = {}
+            for u, total in fell.items():
+                for j, v in near[u]:
+                    s = total + v
+                    if s < best[j] and s < lower.get(j, math.inf):
+                        lower[j] = s
+            if not lower:
+                break
+            for j, s in lower.items():
+                best[j] = s
+            fell = lower
+        rel.append(sum(1 << j for j, v in enumerate(best) if v <= budget and j != i))
+    return rel
 
 
 def k_linkage(x: FiniteMetricSpace, delta: float, k, budget=math.inf) -> FlagCover:

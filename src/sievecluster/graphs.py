@@ -17,7 +17,11 @@ Connectivity conventions, fixed here and relied on throughout:
 * edge connectivity: the standard convention has no such clique exception;
   a 2-point block needs 2 edge-disjoint paths, which a single edge cannot
   provide, so at k >= 2 the decomposition is a partition (checked on
-  every call). The clique exception can be opted into per call.
+  every call). The clique exception can be opted into per call. Level 1
+  is plain connectivity, level 2 the components left once the bridges
+  (the biconnected blocks of two vertices) are removed, higher levels
+  split a set on each cut below k that edge_cut_below finds, and at
+  k = inf every vertex is a block by itself.
 
 The two connectivity decompositions each have a mask kernel,
 ``_vertex_blocks`` and ``_edge_blocks``, which take adjacency masks and
@@ -195,33 +199,23 @@ def max_vertex_connected_subgraphs(g: Graph, k) -> Cover:
 
 
 def _el_partition(adj: list[int], within: int, k) -> list[int]:
+    """The maximal k-edge-connected vertex sets of the subgraph induced on
+    ``within``, a partition of it (the levels: see the module docstring)."""
+    if k == 1:
+        return _bitops.components(adj, within)
+    if k == math.inf:
+        return [1 << v for v in _bitops.bits(within)]
+    if k == 2:
+        pruned = list(adj)
+        for b in _bitops.biconnected_vertex_sets(adj, within):
+            if b.bit_count() == 2:
+                for v in _bitops.bits(b):
+                    pruned[v] &= ~b
+        return _bitops.components(pruned, within)
     out: list[int] = []
     stack = _bitops.components(adj, within)
     while stack:
         s = stack.pop()
-        if s.bit_count() == 1 or k == 1:
-            out.append(s)
-            continue
-        if k == math.inf:
-            # no finite graph on >= 2 vertices has infinite edge connectivity
-            for v in _bitops.bits(s):
-                out.append(1 << v)
-            continue
-        # a block with two vertices is a single edge, and an edge is a
-        # block by itself exactly when it is a bridge
-        bridges = [
-            b for b in _bitops.biconnected_vertex_sets(adj, s) if b.bit_count() == 2
-        ]
-        if bridges:
-            pruned = list(adj)
-            for b in bridges:
-                for v in _bitops.bits(b):
-                    pruned[v] &= ~b
-            stack.extend(_bitops.components(pruned, s))
-            continue
-        if k == 2:
-            out.append(s)
-            continue
         side = _bitops.edge_cut_below(adj, s, k)
         if side is None:
             out.append(s)

@@ -36,7 +36,6 @@ from itertools import chain, product, repeat
 from operator import add, le, sub
 from typing import Iterable, Mapping, Sequence
 
-from . import _bitops
 from .errors import (
     AsymmetricMatrix,
     DuplicateLabel,
@@ -367,7 +366,8 @@ def _adjacency_at_most(flat: array, n: int, bound: float) -> list[int]:
     if np is None:
         bits = bytes(map(le, flat, repeat(float(bound)))).translate(_BINARY)
         return [int(bits[i * n : (i + 1) * n][::-1], 2) & ~(1 << i) for i in range(n)]
-    return _bitops.adjacency_from_bool(_view(np, flat, n) <= bound)
+    packed = np.packbits(_view(np, flat, n) <= bound, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") & ~(1 << i) for i, row in enumerate(packed)]
 
 
 def _min_plus(out, left, right) -> None:

@@ -26,7 +26,7 @@ from operator import itemgetter
 
 from ._bitops import bits, cliques_containing
 from ._names import _FrozenRecord
-from .covers import Cover, FlagCover, _string_lists, is_consistent_map
+from .covers import Cover, FlagCover, _string_lists, is_consistent_map, refines
 from .errors import MonotonicityViolation
 from .functors import MethodSpec, _linked_relation
 from .metric import FiniteMetricSpace
@@ -342,20 +342,15 @@ class SieveAxiomReport(_FrozenRecord):
 def check_sieve_axioms(s: Sieve) -> SieveAxiomReport:
     """Report conditions (1)-(3) for a possibly hand-built profile.
 
-    Refinement is tested only on the blocks of each cover that the next
-    one lacks: a block present in both is contained in a block of the
-    next. Right continuity is structural in this representation, but the
-    checker still exercises evaluate() at and just above each breakpoint
-    and compares against the stored cover; above a breakpoint whose next
-    one is the adjacent float, no scale lies between to probe.
+    Refinement is covers.refines on each neighbouring pair. Right
+    continuity is structural in this representation, but the checker
+    still exercises evaluate() at and just above each breakpoint and
+    compares against the stored cover; above a breakpoint whose next one
+    is the adjacent float, no scale lies between to probe.
     """
     refinement = []
     for i, (fine, coarse) in enumerate(zip(s.covers, s.covers[1:])):
-        blocks = coarse.masks()
-        kept = set(blocks)
-        if any(
-            m not in kept and not any(m & c == m for c in blocks) for m in fine.masks()
-        ):
+        if not refines(fine, coarse):
             refinement.append((i, s.breakpoints[i + 1]))
     continuity = []
     for i, b in enumerate(s.breakpoints):

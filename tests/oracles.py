@@ -1,6 +1,10 @@
 """Slow exact paths that the tests check the fast ones against."""
 
-from sievecluster import MonotonicityViolation, Sieve, evaluate_method
+import math
+
+import numpy as np
+
+from sievecluster import MonotonicityViolation, Sieve, evaluate_method, metric
 from sievecluster.covers import refines
 from sievecluster.sieves import _candidate_scales
 
@@ -27,3 +31,27 @@ def dense_sieve(x, spec):
         bps.append(scale)
         covers.append(cover)
     return Sieve(x.labels, bps, covers)
+
+
+def min_plus_step_relation(x, delta, k, budget):
+    """The relation of functors._step_relation by min-plus matrix powers:
+    steps of length at most delta, at most k of them (k may be inf), and
+    the pairs whose cheapest total is at most budget (reachable at all
+    when budget is inf). Adjacency masks, one per point.
+
+    Oracle for the relaxation from each point that the package runs: the
+    powers extend every total each round, in numpy, until none changes.
+    """
+    n = x.n
+    steps = n - 1 if k == math.inf else min(k, n - 1)
+    w = np.where(x.dist <= delta, x.dist, np.inf)
+    np.fill_diagonal(w, 0.0)
+    dist = w.copy()
+    for _ in range(steps - 1):
+        nxt = dist.copy()
+        metric._min_plus(nxt, dist, w)
+        if np.array_equal(nxt, dist):
+            break
+        dist = nxt
+    related = dist < np.inf if budget == math.inf else dist <= budget
+    return [sum(1 << int(j) for j in np.flatnonzero(row) if j != i) for i, row in enumerate(related)]

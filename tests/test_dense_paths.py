@@ -5,8 +5,11 @@ the space's stdlib buffer; at or above it, numpy on a view of the same
 buffer. Each test runs a kernel with the constant raised out of reach
 (always Python) and at zero (always numpy), and requires the same result
 bytes, or the same error type and message. A few cases also cross the
-real constant. The sieve builder's threshold batches have one path, a
-Python sort, checked against a numpy argsort.
+real constant. Two kernels have one path, checked against a numpy
+oracle instead: the sieve builder's threshold batches, a Python sort,
+against a numpy argsort, and the budgeted step relation of family ``l``,
+a relaxation from each point, against min-plus matrix powers
+(``oracles.min_plus_step_relation``), also at 130 points.
 """
 
 import gc
@@ -32,6 +35,7 @@ from sievecluster import (
 )
 from sievecluster import fileio, functors, metric, sieves, verify
 from sievecluster.fileio import FORMATS, POINT_NORMS
+from oracles import min_plus_step_relation
 from test_fileio import _outcome, csv_documents
 
 PYTHON, NUMPY = 10**9, 0
@@ -372,7 +376,20 @@ def test_threshold_masks_of_a_space_holding_nan():
 )
 def test_step_relation(points, delta, k, budget):
     x = space_from_points([[c % 4 for c in p] for p in points], "manhattan")
-    assert_same(lambda: functors._step_relation(x, delta, k, budget), key=lambda a: a)
+    assert functors._step_relation(x, delta, k, budget) == min_plus_step_relation(
+        x, delta, k, budget
+    )
+
+
+@pytest.mark.parametrize(
+    "k, budget, delta", [(2, 0.3, 0.15), (3, 0.5, 0.2), (math.inf, 0.5, 0.1), (math.inf, 1.0, 0.3)]
+)
+def test_step_relation_at_130_points(k, budget, delta):
+    # above metric._NUMPY_MIN_POINTS, where the other dense kernels run on numpy
+    x = verify.random_metric(130, 1)
+    want = min_plus_step_relation(x, delta, k, budget)
+    assert functors._step_relation(x, delta, k, budget) == want
+    assert any(want) and not all(m.bit_count() == 129 for m in want)
 
 
 @pytest.mark.parametrize("n", [2, 130])
@@ -396,8 +413,9 @@ def test_step_relation_keeps_the_step_limit():
     d = [[0, 1, 3, 9, 9], [1, 0, 1, 9, 9], [3, 1, 0, 1, 9], [9, 9, 1, 0, 9], [9, 9, 9, 9, 0]]
     x = FiniteMetricSpace("abcde", d)
     for k, reached in ((2, 0b0110), (3, 0b1110)):
-        got = assert_same(lambda: functors._step_relation(x, 3.0, k, 3.5), key=lambda a: a)
-        assert got[1][0] == reached
+        got = functors._step_relation(x, 3.0, k, 3.5)
+        assert got == min_plus_step_relation(x, 3.0, k, 3.5)
+        assert got[0] == reached
 
 
 def _argsort_batches(x):

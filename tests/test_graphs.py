@@ -33,6 +33,7 @@ from sievecluster import (
     write_edge_list,
 )
 from sievecluster import _bitops
+from sievecluster.graphs import _el_partition
 from sievecluster.rng import SplitMix64
 
 from conftest import graph_space
@@ -496,6 +497,66 @@ def test_vertex_linkage_flows_at_200_points(monkeypatch):
     flows = _counted_flows(monkeypatch)
     vertex_linkage(random_metric(200, 1), 0.15, 3)
     assert len(flows) <= 1864
+
+
+def test_vertex_cut_skips_pairs_with_k_common_neighbours(monkeypatch):
+    # the octahedron K(2,2,2), vertex i opposite i ^ 1: every non-adjacent
+    # pair has 4 common neighbours, so no pair needs a flow at k = 3 (a
+    # flow per pair around vertex 0 would be 3)
+    flows = _counted_flows(monkeypatch)
+    octahedron = [0b111111 & ~(1 << v) & ~(1 << (v ^ 1)) for v in range(6)]
+    assert _bitops.vertex_cut_below(octahedron, 0b111111, 3) is None
+    assert flows == []
+
+
+@pytest.mark.parametrize(
+    "k, blocks",
+    [
+        (2, [range(4), range(4, 8), range(8, 11), [11], [12], [13]]),
+        (3, [range(4), range(4, 8)] + [[v] for v in range(8, 14)]),
+        (4, [[v] for v in range(14)]),
+    ],
+)
+def test_edge_partition_reads_bridges_only_at_level_two(monkeypatch, k, blocks):
+    # K4 -bridge- K4 -bridge- triangle, a pendant path off the triangle and
+    # an isolated vertex: one bridge pass decides k = 2, and the cut search
+    # alone the higher levels, bridges included
+    passes = []
+    biconnected = _bitops.biconnected_vertex_sets
+
+    def counted(adj, within):
+        passes.append(within)
+        return biconnected(adj, within)
+
+    monkeypatch.setattr(_bitops, "biconnected_vertex_sets", counted)
+    edges = list(itertools.combinations(range(4), 2))
+    edges += itertools.combinations(range(4, 8), 2)
+    edges += [(3, 4), (7, 8), (8, 9), (9, 10), (8, 10), (10, 11), (11, 12)]
+    got = max_edge_connected_subgraphs(make_graph(14, edges), k)
+    assert got == Cover(_labels(14), [[f"v{v}" for v in b] for b in blocks])
+    assert len(passes) == (k == 2)
+
+
+def test_edge_cut_search_peels_a_tree_vertex_by_vertex(monkeypatch):
+    # a binary tree at k = 3: each search returns the lowest vertex left,
+    # of degree below 3, as a side by itself, having looked at that vertex
+    # alone; listing the vertices left on every search would be n^2 / 2
+    seen = []
+    bits = _bitops.bits
+
+    def counted(mask):
+        for v in bits(mask):
+            seen.append(v)
+            yield v
+
+    monkeypatch.setattr(_bitops, "bits", counted)
+    n = 1000
+    adj = [0] * n
+    for v in range(1, n):
+        adj[v] |= 1 << (v - 1) // 2
+        adj[(v - 1) // 2] |= 1 << v
+    assert sorted(_el_partition(adj, _bitops.full_mask(n), 3)) == [1 << v for v in range(n)]
+    assert len(seen) <= n
 
 
 @given(st.integers(0, 2**15 - 1))

@@ -314,6 +314,27 @@ def imports_of(source: str, package: str) -> list[str]:
     return [f"line {line}: {module}" for line, module in sorted(found)]
 
 
+# the dense kernels and the CSV grid; every other module is numpy-free
+NUMPY_MODULES = {"metric.py", "fileio.py"}
+
+
+def test_numpy_import_scan_catches_one():
+    source = (
+        "import numpyish\nfrom . import numpy\n"
+        "def pack(rows):\n    import numpy.lib as nl\n    return nl\n"
+        "class Grid:\n    def view(self):\n        from numpy import frombuffer\n"
+    )
+    assert imports_of(source, "numpy") == ["line 4: numpy.lib", "line 8: numpy"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_numpy_imports_only_in_the_dense_modules(path):
+    # kernels that need numpy live in metric and fileio; each of those
+    # still imports it, so the list is not stale
+    found = imports_of(path.read_text(encoding="utf-8"), "numpy")
+    assert bool(found) == (path.name in NUMPY_MODULES), found
+
+
 def test_click_import_scan_catches_one():
     source = (
         "import clickhouse\nfrom . import click\n"

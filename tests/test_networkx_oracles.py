@@ -6,7 +6,7 @@ subgraphs given by a ``within`` mask, and so are the maximal cliques
 (``find_cliques``), also those through one edge. The vertex and edge cut
 searches are compared with ``node_connectivity`` and
 ``edge_connectivity``, and the edge-connectivity partition with
-``k_edge_subgraphs``.
+``k_edge_subgraphs``, also on graphs made mostly of bridges.
 """
 
 import itertools
@@ -75,6 +75,35 @@ def dense_graphs(draw, max_n=40):
     return adj, within
 
 
+_PIECE_SIZES = {"leaf": (1, 1), "path": (2, 3), "cycle": (3, 5), "clique": (4, 5)}
+
+
+@st.composite
+def bridged_graphs(draw, max_pieces=6):
+    """Trees, and chains of cycles and small cliques with pendant paths:
+    most edges are bridges or lie in blocks of low edge connectivity,
+    which random masks seldom give. Each piece (a leaf, a path, a cycle or
+    a clique, sized by _PIECE_SIZES) hangs off a drawn earlier vertex by
+    one edge; the graph is induced on all its vertices."""
+    edges = []
+    n = 1
+    for kind in draw(st.lists(st.sampled_from(sorted(_PIECE_SIZES)), max_size=max_pieces)):
+        new = list(range(n, n + draw(st.integers(*_PIECE_SIZES[kind]))))
+        edges.append((draw(st.integers(0, n - 1)), new[0]))
+        if kind == "path":
+            edges += zip(new, new[1:])
+        elif kind == "cycle":
+            edges += zip(new, new[1:] + new[:1])
+        elif kind == "clique":
+            edges += itertools.combinations(new, 2)
+        n += len(new)
+    adj = [0] * n
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj, _bitops.full_mask(n)
+
+
 def _nx_graph(adj, within):
     g = nx.Graph()
     g.add_nodes_from(_bitops.bits(within))
@@ -117,7 +146,8 @@ def test_cliques_through_an_edge_match_find_cliques(graph, data):
     assert ours == sorted(theirs)
 
 
-@given(masked_graphs(), st.sampled_from([2, 3, 4]))
+@settings(max_examples=300)
+@given(st.one_of(masked_graphs(), bridged_graphs()), st.sampled_from([1, 2, 3, 4]))
 def test_edge_partition_matches_k_edge_subgraphs(graph, k):
     adj, _ = graph
     labels = [f"v{i}" for i in range(len(adj))]
