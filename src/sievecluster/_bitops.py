@@ -71,6 +71,32 @@ def is_complete(adj: list[int], mask: int) -> bool:
     return True
 
 
+def k_core(adj: list[int], within: int, k: int) -> tuple[int, list[tuple[int, int]]]:
+    """The k-core of the induced subgraph, and the vertices peeled off to
+    reach it, each with the neighbours it still had when it was dropped.
+
+    A vertex with fewer than k neighbours left is dropped, and each of its
+    neighbours is looked at again, until none is left to drop (Batagelj &
+    Zaversnik 2003, *An O(m) algorithm for cores decomposition of
+    networks*). A dropped vertex lies in no set of minimum degree k or
+    more, and had fewer than k neighbours left.
+    """
+    core = within
+    peeled = []
+    low = [v for v in bits(within) if (adj[v] & within).bit_count() < k]
+    queued = mask_of(low)
+    while low:
+        v = low.pop()
+        around = adj[v] & core
+        core ^= 1 << v
+        peeled.append((v, around))
+        for w in bits(around & ~queued):
+            if (adj[w] & core).bit_count() < k:
+                queued |= 1 << w
+                low.append(w)
+    return core, peeled
+
+
 def degeneracy_order(adj: list[int], within: int) -> list[int]:
     """Vertices by repeated removal of a minimum-degree vertex. No kernel
     calls it; the benchmark tracer (bench/tracer.py) wraps the name."""
@@ -285,11 +311,11 @@ def vertex_cut_below(adj: list[int], within: int, k: int) -> int | None:
     or None when the subgraph is k-vertex-connected.
 
     Requires the induced subgraph connected with more than k vertices.
-    A complete subgraph has no cut; a minimum-degree vertex v (the lowest
-    of them) of degree d < k yields its neighborhood as a cut. Otherwise
-    Menger on the split network, built once: vertex u becomes u_in ->
-    u_out with capacity 1 and each edge uw becomes u_out -> w_in and
-    w_out -> u_in with capacity k, which no cut below k can use.
+    A complete subgraph has no cut. Otherwise, with v a minimum-degree
+    vertex (the lowest of them) of degree d, Menger on the split network,
+    built once: vertex u becomes u_in -> u_out with capacity 1 and each
+    edge uw becomes u_out -> w_in and w_out -> u_in with capacity k, which
+    no cut below k can use.
 
     Only the pairs around v get a flow capped at k, in this order, until
     one stays below k: v against each vertex not adjacent to it, then
@@ -303,6 +329,8 @@ def vertex_cut_below(adj: list[int], within: int, k: int) -> int | None:
     found first does not change them. A pair with k common neighbours in
     the subgraph gets no flow: those are k internally disjoint paths, so
     no cut below k separates it, and its flow could only confirm that.
+    A vertex of degree below k needs no case of its own, as its first
+    flow stays below k; callers peel such vertices first (k_core).
     """
     verts = list(bits(within))
     m = len(verts)
@@ -311,8 +339,6 @@ def vertex_cut_below(adj: list[int], within: int, k: int) -> int | None:
     min_d = around.bit_count()
     if min_d >= m - 1:
         return None  # complete graph, connectivity m - 1 >= k given m > k
-    if min_d < k:
-        return around
     pairs = [(min_v, t) for t in bits(within & ~around & ~(1 << min_v))]
     pairs += [(s, t) for s in bits(around) for t in bits(around & ~adj[s] & ~((2 << s) - 1))]
     pairs = [(s, t) for s, t in pairs if (adj[s] & adj[t] & within).bit_count() < k]
@@ -339,12 +365,11 @@ def edge_cut_below(adj: list[int], within: int, k: int) -> int | None:
     edges, or None when the subgraph is k-edge-connected (None also for
     fewer than 2 vertices). k must be a positive integer.
 
-    A vertex of degree below k is a side by itself. Otherwise a set S,
-    grown from the lowest vertex, keeps every pair of its members joined
-    by k edge-disjoint paths, so every cut below k has all of S on one
-    side. A vertex with at least k edges into S is then on S's side of
-    every such cut, and joins S with no flow. When no vertex has that
-    many, the vertex t with the most edges into S (the lowest on ties)
+    A set S, grown from the lowest vertex, keeps every pair of its
+    members joined by k edge-disjoint paths, so every cut below k has all
+    of S on one side. A vertex with at least k edges into S is then on
+    S's side of every such cut, and joins S with no flow. When no vertex
+    has that many, the vertex t with the most edges into S (the lowest on ties)
     gets one flow capped at k from S, contracted to one node: if k paths
     fit, t joins S; otherwise the source side of that flow is the side
     returned. Each flow adds a vertex, so there are at most m - 1 flows on
@@ -353,13 +378,13 @@ def edge_cut_below(adj: list[int], within: int, k: int) -> int | None:
     (Nagamochi & Ibaraki 1992, *Computing edge-connectivity in multigraphs
     and capacitated graphs*, SIAM J. Discrete Math. 5). The maximal
     k-edge-connected vertex sets are unique, so which cut is found does
-    not change them.
+    not change them. A vertex of degree below k needs no case of its own:
+    it joins S only through a flow, and a flow into it, or out of S while
+    S is that vertex alone, stays below k. Callers peel such vertices
+    first (k_core).
     """
     if within.bit_count() < 2:
         return None
-    for v in bits(within):
-        if (adj[v] & within).bit_count() < k:
-            return 1 << v  # its edges are a cut
     verts = list(bits(within))
     m = len(verts)
     pos = {v: i for i, v in enumerate(verts)}

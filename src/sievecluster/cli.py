@@ -21,10 +21,13 @@ help, which is all that the root's help and its usage errors need, and
 only the command that runs gets its options. Options are spelled out in
 full (no prefixes), an option that takes a value takes the next argument
 whatever it looks like (``--delta -inf``), and a usage or input error is
-one ``Error: <message>`` line on stderr with exit code 2. Each command
-imports the library functions it calls inside its body, so building the
-parser, ``--help``, ``--version`` and usage errors load neither numpy nor
-the kernels, and no command loads a third-party module of its own.
+one ``Error: <message>`` line on stderr with exit code 2. Input errors
+come from one handler in :func:`main`, which every
+:class:`SieveclusterError` reaches: the commands do not catch the
+library's, and raise their own. Each command imports the library
+functions it calls inside its body, so building the parser, ``--help``,
+``--version`` and usage errors load neither numpy nor the kernels, and no
+command loads a third-party module of its own.
 """
 
 from __future__ import annotations
@@ -54,34 +57,23 @@ if TYPE_CHECKING:
 _INJECTIVE_ONLY = ("vl", "el", "bk", "bkstar")
 
 
-class _InputError(Exception):
-    """Malformed input or usage that a command found: exit 2."""
-
-
 def _fail_input(message: str) -> None:
-    raise _InputError(message)
+    """Malformed input or usage that a command found: exit 2, from main."""
+    raise SieveclusterError(message)
 
 
-def _parse_level(value: str | None, flag: str = "--k"):
+def _parse_level(value: str | None, flag: str = "--k", number=int):
+    """The level (or, with ``number=float``, the budget) an option gives:
+    a number, 'inf', or None when the option is absent."""
     if value is None:
         return None
     if value.lower() in ("inf", "infinity"):
         return math.inf
     try:
-        return int(value)
+        return number(value)
     except ValueError:
-        _fail_input(f"{flag} must be a positive integer or 'inf', got {value!r}")
-
-
-def _parse_budget(value: str | None):
-    if value is None:
-        return None
-    if value.lower() in ("inf", "infinity"):
-        return math.inf
-    try:
-        return float(value)
-    except ValueError:
-        _fail_input(f"--K must be a positive real or 'inf', got {value!r}")
+        kind = "integer" if number is int else "real"
+        _fail_input(f"{flag} must be a positive {kind} or 'inf', got {value!r}")
 
 
 def _ingest(path: str, fmt_matrix: bool, fmt_points: bool, norm: str) -> FiniteMetricSpace:
@@ -90,10 +82,7 @@ def _ingest(path: str, fmt_matrix: bool, fmt_points: bool, norm: str) -> FiniteM
     fmt = "matrix" if fmt_matrix else "points" if fmt_points else "auto"
     from .fileio import ingest_space
 
-    try:
-        return ingest_space(path, fmt=fmt, norm=norm)
-    except SieveclusterError as exc:
-        _fail_input(str(exc))
+    return ingest_space(path, fmt=fmt, norm=norm)
 
 
 def _build_method(kw: dict) -> MethodSpec:
@@ -112,7 +101,7 @@ def _build_method(kw: dict) -> MethodSpec:
             family=family,
             delta=delta,
             k=_parse_level(kw["k_raw"]),
-            budget=_parse_budget(kw["budget_raw"]),
+            budget=_parse_level(kw["budget_raw"], "--K", float),
             test_spaces=tuple(test_spaces),
             clique_exception=kw["clique_exception"],
         )
@@ -172,10 +161,7 @@ def _read_cover(path: str) -> Cover:
     from .covers import Cover
     from .fileio import read_json
 
-    try:
-        data = read_json(path)
-    except SieveclusterError as exc:  # the message names the file
-        _fail_input(str(exc))
+    data = read_json(path)  # its errors name the file
     try:
         return Cover.from_dict(data)
     except (SieveclusterError, KeyError, TypeError, ValueError) as exc:
@@ -188,10 +174,7 @@ def cluster(kw: dict) -> None:
 
     x = _ingest(kw["input_path"], kw["fmt_matrix"], kw["fmt_points"], kw["norm"])
     spec = _build_method(kw)
-    try:
-        cover = evaluate_method(x, spec)
-    except SieveclusterError as exc:
-        _fail_input(str(exc))
+    cover = evaluate_method(x, spec)
     if kw["dot_path"]:
         if spec.delta is None:
             _fail_input("--emit-dot needs a method with --delta")
@@ -225,8 +208,6 @@ def sieve(kw: dict) -> None:
     except MonotonicityViolation as exc:
         _warn(f"monotonicity violation: {exc}")
         sys.exit(1)
-    except SieveclusterError as exc:
-        _fail_input(str(exc))
     _write_out(kw["output"], _sieve_json(s))
     report = check_sieve_axioms(s)
     if not report.is_sieve:
@@ -239,11 +220,7 @@ def flagify_cmd(kw: dict) -> None:
     from .covers import flagify
 
     cover = _read_cover(kw["cover_path"])
-    try:
-        result = flagify(cover)
-    except SieveclusterError as exc:
-        _fail_input(str(exc))
-    _emit_json(result.to_dict(), kw["output"])
+    _emit_json(flagify(cover).to_dict(), kw["output"])
 
 
 def refines_cmd(kw: dict) -> None:
@@ -252,11 +229,7 @@ def refines_cmd(kw: dict) -> None:
 
     fine = _read_cover(kw["fine_path"])
     coarse = _read_cover(kw["coarse_path"])
-    try:
-        result = refines(fine, coarse)
-    except SieveclusterError as exc:
-        _fail_input(str(exc))
-    _print("true" if result else "false")
+    _print("true" if refines(fine, coarse) else "false")
 
 
 def param_probe(kw: dict) -> None:
@@ -274,7 +247,7 @@ def param_probe(kw: dict) -> None:
     except TrivialFunctor as exc:
         _print(f"trivial: {exc}")
         return
-    except (ValueError, SieveclusterError) as exc:
+    except ValueError as exc:
         _fail_input(str(exc))
     _print(repr(probe.delta_f))
 
@@ -297,7 +270,7 @@ def verify_functoriality(kw: dict) -> None:
         report = check_functoriality(
             spec, kw["trials"], category=kw["category"], seed=kw["seed"]
         )
-    except (ValueError, SieveclusterError) as exc:
+    except ValueError as exc:
         _fail_input(str(exc))
     expect = kw["expect"]
     if expect == "auto":
@@ -322,7 +295,7 @@ def verify_sandwich(kw: dict) -> None:
         report = check_sandwich(spec, kw["trials"], seed=kw["seed"])
     except TrivialFunctor as exc:
         _fail_input(f"sandwich needs a non-trivial method; probe says: {exc}")
-    except (ValueError, SieveclusterError) as exc:
+    except ValueError as exc:
         _fail_input(str(exc))
     _finish_report(report, kw["output"], expect_zero=True)
 
@@ -340,7 +313,7 @@ def verify_counterexample(kw: dict) -> None:
         witness, tried = _search_counterexample(
             spec, max_points=kw["max_points"], budget=kw["budget"]
         )
-    except (ValueError, SieveclusterError) as exc:
+    except ValueError as exc:
         _fail_input(str(exc))
     report = TrialReport(
         check="counterexample",
@@ -679,13 +652,14 @@ def _prog_name() -> str:
 
 def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
     """Run the command in ``args`` (default: ``sys.argv[1:]``). Always ends
-    in SystemExit with the command's exit code."""
+    in SystemExit with the command's exit code; a SieveclusterError out of
+    the command is its ``Error:`` line and exit 2."""
     if args is None:
         args = sys.argv[1:]
     kw = vars(_parser(prog_name or _prog_name(), _command_path(args)).parse_args(args))
     try:
         kw.pop("run")(kw)
-    except _InputError as exc:
+    except SieveclusterError as exc:
         _warn(f"Error: {exc}")
         sys.exit(2)
     sys.exit(0)

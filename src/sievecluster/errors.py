@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Every library-specific failure derives from :class:`SieveclusterError` so
-callers can catch one base class at API boundaries (the CLI maps them to
-exit code 2 when they indicate malformed input).
+callers can catch one base class at API boundaries (one handler in the
+CLI's ``main`` maps them to exit code 2).
 """
 
 from __future__ import annotations

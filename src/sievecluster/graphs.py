@@ -23,6 +23,12 @@ Connectivity conventions, fixed here and relied on throughout:
   split a set on each cut below k that edge_cut_below finds, and at
   k = inf every vertex is a block by itself.
 
+At k >= 3 both decompositions peel each candidate set with one k-core
+pass (_bitops.k_core) before any cut search, so the cut kernels see only
+sets of minimum degree k or more, and a long tail of low-degree vertices
+costs one pass instead of one cut search per vertex. A peeled vertex is
+an edge-connectivity block by itself.
+
 The two connectivity decompositions each have a mask kernel,
 ``_vertex_blocks`` and ``_edge_blocks``, which take adjacency masks and
 return block masks that may include nested blocks. The clustering
@@ -152,9 +158,13 @@ def _vertex_blocks(adj: list[int], k) -> list[int]:
     blocks may be nested in others.
 
     Level 1 is the component partition, level 2 comes from biconnected
-    components, and higher levels recurse: a cutset smaller than k splits
-    the candidate, and every qualifying subset survives into (component +
-    cutset) of the split.
+    components, and higher levels recurse. A candidate of more than k
+    vertices first loses the vertices outside its k-core: each of them,
+    with fewer than k neighbours left when it was peeled, lies only in
+    qualifying sets that are cliques of at most k vertices among those
+    neighbours. Then a cutset smaller than k splits each component of the
+    core, and every qualifying subset survives into (component + cutset)
+    of the split.
     """
     n = len(adj)
     everything = _bitops.full_mask(n)
@@ -179,12 +189,19 @@ def _vertex_blocks(adj: list[int], k) -> list[int]:
         if s.bit_count() <= k:
             found.update(_bitops.maximal_cliques(adj, s))
             continue
-        cut = _bitops.vertex_cut_below(adj, s, k)
-        if cut is None:
-            found.add(s)
-            continue
-        for comp in _bitops.components(adj, s & ~cut):
-            stack.append(comp | cut)
+        core, peeled = _bitops.k_core(adj, s, k)
+        parts = [s]
+        if peeled:
+            for v, around in peeled:
+                found.update(_bitops.cliques_containing(adj, 1 << v, around))
+            parts = _bitops.components(adj, core)
+        for part in parts:
+            cut = _bitops.vertex_cut_below(adj, part, k)
+            if cut is None:
+                found.add(part)
+                continue
+            for comp in _bitops.components(adj, part & ~cut):
+                stack.append(comp | cut)
     return list(found)
 
 
@@ -216,12 +233,18 @@ def _el_partition(adj: list[int], within: int, k) -> list[int]:
     stack = _bitops.components(adj, within)
     while stack:
         s = stack.pop()
-        side = _bitops.edge_cut_below(adj, s, k)
-        if side is None:
-            out.append(s)
-        else:
-            stack.append(side)
-            stack.append(s & ~side)
+        core, peeled = _bitops.k_core(adj, s, k)
+        parts = [s]
+        if peeled:
+            out += [1 << v for v, _ in peeled]
+            parts = _bitops.components(adj, core)
+        for part in parts:
+            side = _bitops.edge_cut_below(adj, part, k)
+            if side is None:
+                out.append(part)
+            else:
+                stack.append(side)
+                stack.append(part & ~side)
     return out
 
 

@@ -162,6 +162,22 @@ def test_sieve_nontrivial_terminal_exits_one_but_emits(runner, tmp_path):
     assert data["covers"][-1] != [["a", "b", "c"]]
 
 
+def test_a_library_error_no_command_catches_exits_two(runner, tmp_path, monkeypatch):
+    # sieve checks the axioms after writing, outside any handler of its
+    # own: the one handler in main turns the error into exit 2
+    import sievecluster.sieves
+    from sievecluster import BaseMismatch
+
+    def boom(s):
+        raise BaseMismatch("boom")
+
+    monkeypatch.setattr(sievecluster.sieves, "check_sieve_axioms", boom)
+    out = tmp_path / "profile.json"
+    result = runner.invoke(main, ["sieve", "--method", "sl", "-o", str(out), _x3(tmp_path)])
+    assert (result.exit_code, result.output) == (2, "Error: boom\n")
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_unwritable_json_output_is_usage_error(runner, tmp_path):
     out = tmp_path / "missing" / "r.json"
     result = runner.invoke(

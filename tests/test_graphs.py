@@ -33,7 +33,7 @@ from sievecluster import (
     write_edge_list,
 )
 from sievecluster import _bitops
-from sievecluster.graphs import _el_partition
+from sievecluster.graphs import _el_partition, _vertex_blocks
 from sievecluster.rng import SplitMix64
 
 from conftest import graph_space
@@ -475,6 +475,41 @@ def _counted_flows(monkeypatch):
     return flows
 
 
+def _counted_calls(monkeypatch, name):
+    """A list that gets the ``within`` mask of each call of a _bitops
+    cut kernel."""
+    calls = []
+    kernel = getattr(_bitops, name)
+
+    def counted(adj, within, k):
+        calls.append(within)
+        return kernel(adj, within, k)
+
+    monkeypatch.setattr(_bitops, name, counted)
+    return calls
+
+
+def test_cut_searches_skip_a_tail_of_low_degree_vertices(monkeypatch):
+    # a 16 x 16 king lattice, then a 256-vertex path off its last corner,
+    # numbered after it, at k = 3: one k-core pass peels the path, and
+    # each decomposition makes one cut search, on the lattice (a search
+    # per peeled vertex made 513 edge and 257 vertex cut searches)
+    edge_cuts = _counted_calls(monkeypatch, "edge_cut_below")
+    vertex_cuts = _counted_calls(monkeypatch, "vertex_cut_below")
+    adj = _king_lattice(16, 16) + [0] * 256
+    n = len(adj)
+    for v in range(256, n):
+        adj[v] |= 1 << (v - 1)
+        adj[v - 1] |= 1 << v
+    lattice = _bitops.full_mask(256)
+    parts = _el_partition(adj, _bitops.full_mask(n), 3)
+    assert sorted(parts) == [lattice] + [1 << v for v in range(256, n)]
+    blocks = set(_vertex_blocks(adj, 3))
+    maximal = {b for b in blocks if not any(b != c and b & c == b for c in blocks)}
+    assert maximal == {lattice} | {3 << v for v in range(255, n - 1)}
+    assert edge_cuts == [lattice] and vertex_cuts == [lattice]
+
+
 def test_vertex_cut_flows_on_a_king_block(monkeypatch):
     # a corner has degree 3 and 12 non-neighbours, its neighbours are
     # pairwise adjacent: 12 flows (every non-adjacent pair would be 78)
@@ -538,9 +573,10 @@ def test_edge_partition_reads_bridges_only_at_level_two(monkeypatch, k, blocks):
 
 
 def test_edge_cut_search_peels_a_tree_vertex_by_vertex(monkeypatch):
-    # a binary tree at k = 3: each search returns the lowest vertex left,
-    # of degree below 3, as a side by itself, having looked at that vertex
-    # alone; listing the vertices left on every search would be n^2 / 2
+    # a binary tree at k = 3: one k-core pass peels every vertex, looking
+    # at each vertex once and at each edge once from its peeled end, and
+    # no cut search runs; a search per peeled vertex that listed the
+    # vertices left would be n^2 / 2
     seen = []
     bits = _bitops.bits
 
@@ -550,13 +586,15 @@ def test_edge_cut_search_peels_a_tree_vertex_by_vertex(monkeypatch):
             yield v
 
     monkeypatch.setattr(_bitops, "bits", counted)
+    cuts = _counted_calls(monkeypatch, "edge_cut_below")
     n = 1000
     adj = [0] * n
     for v in range(1, n):
         adj[v] |= 1 << (v - 1) // 2
         adj[(v - 1) // 2] |= 1 << v
     assert sorted(_el_partition(adj, _bitops.full_mask(n), 3)) == [1 << v for v in range(n)]
-    assert len(seen) <= n
+    assert len(seen) <= 2 * n
+    assert cuts == []
 
 
 @given(st.integers(0, 2**15 - 1))

@@ -366,3 +366,63 @@ def test_no_dataclasses_import(path):
     # dataclasses loads inspect, ast, dis and tokenize, which no command
     # needs: the records are plain classes with __slots__
     assert imports_of(path.read_text(encoding="utf-8"), "dataclasses") == []
+
+
+def _is_call(node, func: str, *args: str) -> bool:
+    """Whether node calls the function with this dotted name on exactly
+    these arguments, as source text."""
+    return (
+        isinstance(node, ast.Call)
+        and ast.unparse(node.func) == func
+        and [ast.unparse(a) for a in node.args] == list(args)
+    )
+
+
+def exit_two_breaches(source: str) -> list[str]:
+    """Places in a command-line module that go round the one handler in
+    ``main`` that turns a SieveclusterError into exit 2: a handler that
+    catches SieveclusterError, alone or in a tuple, only to call
+    ``_fail_input(str(exc))`` (the error would reach main unchanged), and
+    a ``sys.exit(2)`` outside ``main``."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "")
+        for node in ast.walk(top):
+            if _is_call(node, "sys.exit", "2") and owner != "main":
+                found.append(f"line {node.lineno}: sys.exit(2) in {owner or 'the module'}")
+            if not isinstance(node, ast.ExceptHandler) or node.type is None:
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            only = node.body[0] if len(node.body) == 1 else None
+            if (
+                "SieveclusterError" in map(ast.unparse, caught)
+                and isinstance(only, ast.Expr)
+                and _is_call(only.value, "_fail_input", f"str({node.name})")
+            ):
+                found.append(f"line {node.lineno}: re-raised in {owner}")
+    return found
+
+
+def test_exit_two_breach_scan_catches_one():
+    source = (
+        "def load(p):\n    try:\n        return read(p)\n"
+        "    except (SieveclusterError, KeyError) as exc:\n        _fail_input(str(exc))\n"
+        "def show(p):\n    try:\n        return read(p)\n"
+        "    except SieveclusterError as exc:\n        _fail_input(f'{p}: {exc}')\n"
+        "    except ValueError as exc:\n        _fail_input(str(exc))\n"
+        "def bail():\n    sys.exit(2)\n"
+        "def main():\n    try:\n        run()\n"
+        "    except SieveclusterError as err:\n        _fail_input(str(err))\n"
+        "    sys.exit(2)\n"
+        "sys.exit(2)\n"
+    )
+    assert exit_two_breaches(source) == [
+        "line 4: re-raised in load",
+        "line 14: sys.exit(2) in bail",
+        "line 18: re-raised in main",
+        "line 21: sys.exit(2) in the module",
+    ]
+
+
+def test_cli_turns_library_errors_into_exit_two_in_main_alone():
+    assert exit_two_breaches((SRC / "cli.py").read_text(encoding="utf-8")) == []
