@@ -11,16 +11,18 @@ conditions hold.
 
 For the threshold families the cover can only change when the edge set of
 the threshold graph changes, so the breakpoints of a built sieve are a
-subset of {0} plus the pairwise distances of the space. Each family's
-cover is a flag cover, the maximal cliques of its co-blocking relation,
-and that relation only gains pairs as the scale grows; build_sieve finds
-where it changes (for every family but ml by an ascending bisection that
-holds O(log S) relations for S candidate scales) and keeps its maximal
-cliques up to date as it does.
+subset of {0} plus the pairwise distances of the space. The sl sieve is
+the dendrogram of a minimum spanning tree, read off the tree's merges in
+ascending order. Every other family's cover is a flag cover, the maximal
+cliques of its co-blocking relation, and that relation only gains pairs as
+the scale grows; build_sieve finds where it changes (for every family but
+ml by an ascending bisection that holds O(log S) relations for S candidate
+scales) and keeps its maximal cliques up to date as it does.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from operator import itemgetter
 
@@ -165,8 +167,15 @@ def build_sieve(x: FiniteMetricSpace, spec: MethodSpec) -> Sieve:
     Candidate scales are 0 plus the distinct pairwise distances, ascending:
     the threshold graph, and so the cover, can only change at one of them.
 
-    Every threshold family outputs flag covers: the maximal cliques of their
-    co-blocking relation, which only gains pairs as the scale grows
+    sl is the dendrogram of a minimum spanning tree (Gower & Ross 1969):
+    its blocks are the components of the tree's edges of weight at most
+    the scale, so its breakpoints are 0 and the distinct edge weights, and
+    it is built from the tree alone (_single_linkage_sieve), with no
+    relation and no clique search. A space holding a NaN distance raises
+    ValueError, since a NaN has no place among the scales.
+
+    Every other threshold family outputs flag covers: the maximal cliques of
+    their co-blocking relation, which only gains pairs as the scale grows
     (_linked_relation). _clique_sweep keeps those cliques up to date as the
     pairs arrive, so no scale runs a full clique search. ml reads its pairs
     off the sorted distances (_threshold_batches). The other relations are
@@ -185,6 +194,8 @@ def build_sieve(x: FiniteMetricSpace, spec: MethodSpec) -> Sieve:
         )
     if spec.family == "ml":
         return _clique_sweep(x.labels, _threshold_batches(x))
+    if spec.family == "sl":
+        return _single_linkage_sieve(x)
     x._sort_rows()
     return _clique_sweep(
         x.labels,
@@ -192,6 +203,59 @@ def build_sieve(x: FiniteMetricSpace, spec: MethodSpec) -> Sieve:
             _candidate_scales(x), lambda t, below: _linked_relation(x, spec, t, below)
         ),
     )
+
+
+def _single_linkage_sieve(x: FiniteMetricSpace) -> Sieve:
+    """The sl sieve of x from a minimum spanning tree.
+
+    Prim's algorithm grows the tree from point 0 over the dense buffer in
+    O(n^2) time. Its edges, sorted by weight, merge blocks by union-find,
+    one breakpoint per distinct weight; edges of weight 0 merge at
+    breakpoint 0. Each merge ends the two merged blocks and starts their
+    union, so a block born and merged again within one weight gets no
+    lifetime, as in _clique_sweep. Raises ValueError when x holds a NaN.
+    """
+    n, flat = x.n, x._flat
+    if any(map(math.isnan, flat)):
+        at = next(i for i, d in enumerate(flat) if math.isnan(d))
+        a, b = x.labels[at // n], x.labels[at % n]
+        raise ValueError(f"the distance from {a!r} to {b!r} is NaN; a sieve needs ordered scales")
+    best = list(flat[:n])  # distance from the tree to each point outside it
+    link = [0] * n  # the tree point at that distance
+    outside = list(range(1, n))
+    edges = []
+    while outside:
+        v = min(outside, key=best.__getitem__)
+        outside.remove(v)
+        edges.append((best[v], link[v], v))
+        row = flat[v * n : (v + 1) * n]
+        for u in outside:
+            if row[u] < best[u]:
+                best[u] = row[u]
+                link[u] = v
+    edges.sort(key=itemgetter(0))
+    root = list(range(n))
+    mask = [1 << v for v in range(n)]  # the block of each root
+    birth = [0] * n  # the breakpoint index at which it was born
+
+    def find(r: int) -> int:
+        while root[r] != r:
+            root[r] = r = root[root[r]]  # path halving
+        return r
+
+    lifetimes: list[tuple[int, int, int]] = []
+    bps = [0.0]
+    for w, u, v in edges:
+        if w > bps[-1]:
+            bps.append(w)
+        j = len(bps) - 1
+        u, v = find(u), find(v)
+        lifetimes += [(mask[r], birth[r], j) for r in (u, v) if birth[r] < j]
+        root[v] = u
+        mask[u] |= mask[v]
+        birth[u] = j
+    lifetimes += [(mask[r], birth[r], len(bps)) for r in range(n) if root[r] == r]
+    return Sieve._from_lifetimes(x.labels, bps, lifetimes)
 
 
 def _bisected_batches(scales: list[float], at):

@@ -1,6 +1,8 @@
 """Scale-sweep profiles: construction, evaluation, axioms, consistency."""
 
+import hashlib
 import math
+import random
 import time
 import weakref
 
@@ -408,9 +410,9 @@ def test_breakpoint_search_evaluates_each_scale_once_and_skips_constant_runs(mon
 
     monkeypatch.setattr(sieves, "_linked_relation", counting)
     x = random_metric(40, 4242, "euclidean-points")
-    sieve = build_sieve(x, MethodSpec(family="sl"))
+    sieve = build_sieve(x, MethodSpec(family="vl", k=2))
     candidates = len(x.pairwise_distances()) + 1
-    assert len(sieve.breakpoints) == 40
+    assert len(sieve.breakpoints) == 75
     assert calls
     assert len(set(calls)) == len(calls)
     # each breakpoint lies in one split interval per bisection level
@@ -522,7 +524,8 @@ def test_one_candidate_scale_evaluates_the_relation_once(monkeypatch, x):
     for spec in (MethodSpec("sl"), MethodSpec("vl", k=2), MethodSpec("bk", k=2)):
         calls.clear()
         sieve = build_sieve(x, spec)
-        assert calls == [(0.0, None)], spec.label()
+        # sl reads its sieve off a spanning tree, with no relation
+        assert calls == ([] if spec.family == "sl" else [(0.0, None)]), spec.label()
         assert sieve.breakpoints == (0.0,)
 
 
@@ -533,11 +536,7 @@ def test_breakpoint_search_keeps_the_monotonicity_guard(monkeypatch, x3):
         return complete if delta < 2.0 else [0, 0, 0]
 
     monkeypatch.setattr(sieves, "_linked_relation", complete_then_empty)
-    for spec in (
-        MethodSpec(family="sl"),
-        MethodSpec(family="vl", k=2),
-        MethodSpec(family="el", k=3),
-    ):
+    for spec in (MethodSpec(family="vl", k=2), MethodSpec(family="el", k=3)):
         with pytest.raises(MonotonicityViolation) as exc:
             build_sieve(x3, spec)
         assert (exc.value.index, exc.value.scale) == (0, 2.0), spec.label()
@@ -628,9 +627,66 @@ def test_only_a_bisected_sieve_sorts_the_rows(monkeypatch):
         [MethodSpec("sl"), MethodSpec("vl", k=2), MethodSpec("el", k=2), MethodSpec("bk", k=2)], 7
     ):
         build_sieve(random_metric(n, n), spec)
-    assert sorts == [7, 8, 9, 10]
+    assert sorts == [8, 9, 10]  # sl bisects nothing
     build_sieve(x, MethodSpec("sl"))
+    build_sieve(x, MethodSpec("bk", k=2))
     build_sieve(x, MethodSpec("l", k=2))  # the space keeps its sorted rows
-    assert sorts == [7, 8, 9, 10, 10]
-    build_sieve(random_metric(metric._NUMPY_MIN_POINTS, 1), MethodSpec("sl"))
-    assert sorts == [7, 8, 9, 10, 10]
+    assert sorts == [8, 9, 10, 10]
+    build_sieve(random_metric(metric._NUMPY_MIN_POINTS, 1), MethodSpec("el", k=2))
+    assert sorts == [8, 9, 10, 10]
+
+
+def test_single_linkage_sieve_reads_no_relation_sorted_rows_or_scale_list(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("the sl sieve reads its spanning tree alone")
+
+    monkeypatch.setattr(sieves, "_linked_relation", unexpected)
+    monkeypatch.setattr(metric, "_sorted_rows", unexpected)
+    monkeypatch.setattr(FiniteMetricSpace, "pairwise_distances", unexpected)
+    for x in (random_metric(30, 7), random_metric(metric._NUMPY_MIN_POINTS + 2, 8)):
+        assert len(build_sieve(x, MethodSpec("sl")).breakpoints) == x.n
+
+
+@st.composite
+def tie_heavy_spaces(draw):
+    """Spaces with many equal distances: integer lattice points, repeats
+    allowed (so some distances are 0), ultrametrics, and all-zero spaces."""
+    kind = draw(st.sampled_from(["lattice", "ultrametric", "zero"]))
+    if kind == "lattice":
+        points = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12))
+        return space_from_points(points, metric=draw(st.sampled_from(["manhattan", "chebyshev"])))
+    n = draw(st.integers(1, 12))
+    if kind == "ultrametric":
+        return random_metric(n, draw(st.integers(0, 2**32 - 1)), "ultrametric-tree")
+    return FiniteMetricSpace([f"p{i:02d}" for i in range(n)], [[0.0] * n] * n)
+
+
+@given(tie_heavy_spaces())
+@settings(max_examples=200)
+def test_single_linkage_sieve_matches_dense_sweep_on_tie_heavy_spaces(x):
+    _assert_matches_dense(x, MethodSpec("sl"))
+
+
+def test_single_linkage_sieve_refuses_a_nan_and_keeps_an_infinite_distance():
+    nan, inf = math.nan, math.inf
+    x = FiniteMetricSpace(list("abc"), [[0.0, 1.0, nan], [1.0, 0.0, 2.0], [nan, 2.0, 0.0]])
+    with pytest.raises(ValueError, match="from 'a' to 'c' is NaN"):
+        build_sieve(x, MethodSpec("sl"))
+    y = FiniteMetricSpace(list("abc"), [[0.0, 1.0, inf], [1.0, 0.0, inf], [inf, inf, 0.0]])
+    s = build_sieve(y, MethodSpec("sl"))
+    assert s.breakpoints == (0.0, 1.0, inf)
+    assert [c.blocks for c in s.covers] == [
+        (("a",), ("b",), ("c",)), (("a", "b"), ("c",)), (("a", "b", "c"),)
+    ]
+
+
+def test_single_linkage_sieve_of_a_500_point_cloud_keeps_its_bytes():
+    # the bytes written when the sl relation was bisected, a 1.9 s build on
+    # a 2-vCPU Xeon VM, against 0.1 s from the spanning tree
+    rng = random.Random(500)
+    points = [(round(rng.random(), 6), round(rng.random(), 6)) for _ in range(500)]
+    x = space_from_points(points, labels=[f"p{i:05d}" for i in range(500)])
+    data = b"".join(_sieve_json(build_sieve(x, MethodSpec("sl"))))
+    assert hashlib.sha256(data).hexdigest() == (
+        "0555ef73c230f6c7023521ee9b1616f13dc154072bd2c40ae07d4d900f9f7b5a"
+    )
