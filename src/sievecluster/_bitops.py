@@ -10,6 +10,11 @@ compiled code. Every kernel works on these ints alone; none reads an array.
 Every routine takes an optional ``within`` mask restricting attention to an
 induced subgraph, and all tie-breaking is by lowest vertex index, so results
 are deterministic.
+
+The vertex and edge cut searches share one loop, _grow_linked: it grows a
+set proven linked to a seed, lets a vertex with k neighbours in the set
+join it for free, and runs a capped flow (_augment) only when none has.
+The two searches differ in the seed and the network the flow runs on.
 """
 
 from __future__ import annotations
@@ -306,57 +311,104 @@ def _max_flow_vertex_cut(net, verts: list[int], i: int, j: int, limit: int) -> i
     return ins & ~outs
 
 
+def _grow_linked(adj: list[int], within: int, k: int, seed: int, flow) -> int | None:
+    """Grow a set T from seed until it holds all of within, and return
+    None; or return the first cut that flow gives.
+
+    A vertex outside T with k neighbours in T joins T with no flow. When
+    none has k, the vertex t with the most neighbours in T (the lowest on
+    ties) gets flow(t): it joins T on None, and any other value is the
+    cut returned. So every flow adds a vertex, and the vertices join in a
+    maximum adjacency order, which needs few flows (Nagamochi & Ibaraki
+    1992, *Computing edge-connectivity in multigraphs and capacitated
+    graphs*, SIAM J. Discrete Math. 5).
+
+    The callers choose seed and flow so that no cut below k separates a
+    member of T from the seed, which makes a free join safe (see
+    vertex_cut_below and edge_cut_below). A vertex enters T once, the
+    seed's vertices included, so a count is of distinct members of T.
+    """
+    inside = seed
+    edges_in = dict.fromkeys(bits(within), 0)
+    joining = list(bits(seed))
+    while True:
+        while joining:
+            for w in bits(adj[joining.pop()] & within & ~inside):
+                edges_in[w] += 1
+                if edges_in[w] == k:
+                    inside |= 1 << w
+                    joining.append(w)
+        rest = within & ~inside
+        if not rest:
+            return None
+        t = max(bits(rest), key=edges_in.__getitem__)
+        cut = flow(t)
+        if cut is not None:
+            return cut
+        inside |= 1 << t
+        joining.append(t)
+
+
 def vertex_cut_below(adj: list[int], within: int, k: int) -> int | None:
     """A vertex cut of the induced subgraph with fewer than k vertices,
     or None when the subgraph is k-vertex-connected.
 
     Requires the induced subgraph connected with more than k vertices.
-    A complete subgraph has no cut. Otherwise, with v a minimum-degree
-    vertex (the lowest of them) of degree d, Menger on the split network,
-    built once: vertex u becomes u_in -> u_out with capacity 1 and each
-    edge uw becomes u_out -> w_in and w_out -> u_in with capacity k, which
-    no cut below k can use.
+    Take v, a minimum-degree vertex (the lowest of them). A cut below k
+    contains a minimal one, C; if v is not in C, C separates v from a
+    vertex not adjacent to it, and if v is in C, v has a neighbour in two
+    of the components C leaves, and C separates those two (Esfahanian &
+    Hakimi 1984, *On computing the connectivities of graphs and
+    digraphs*, Networks 14). So two phases decide, each pair by a flow
+    capped at k, until one stays below k:
 
-    Only the pairs around v get a flow capped at k, in this order, until
-    one stays below k: v against each vertex not adjacent to it, then
-    each non-adjacent pair of v's neighbours, at most m - 1 - d + d(d-1)/2
-    flows on m vertices (Esfahanian & Hakimi 1984, *On computing the
-    connectivities of graphs and digraphs*, Networks 14). They decide:
-    a cut below k contains a minimal one, C; if v is not in C, C separates
-    v from a vertex not adjacent to it, and if v is in C, v has a
-    neighbour in two of the components C leaves, and C separates those
-    two. The maximal k-connected vertex sets are unique, so which cut is
-    found first does not change them. A pair with k common neighbours in
-    the subgraph gets no flow: those are k internally disjoint paths, so
-    no cut below k separates it, and its flow could only confirm that.
-    A vertex of degree below k needs no case of its own, as its first
-    flow stays below k; callers peel such vertices first (k_core).
+    - v against its non-neighbours, through _grow_linked seeded with v
+      and its neighbours. Every other member of T is linked to v by k
+      internally disjoint paths, and so is a vertex w outside T with k
+      neighbours in T: a cut C below k that separates v from w misses one
+      of them, s, which is not v, and C cannot separate s from v, as s is
+      v's neighbour or linked to v; yet s is adjacent to w. A
+      non-neighbour with k common neighbours with v thus needs no flow.
+    - each non-adjacent pair of v's neighbours, skipping a pair with k
+      common neighbours: those are k internally disjoint paths, so no
+      cut below k separates it.
+
+    Each flow runs on the split network, built on the first flow, as
+    most small candidates need none: vertex u becomes u_in -> u_out with
+    capacity 1, and each edge uw becomes u_out -> w_in and w_out -> u_in
+    with capacity k, which no cut below k can use. A complete subgraph
+    thus takes no flow and builds no network. The maximal k-connected
+    vertex sets are unique, so which cut is found first does not change
+    them. A vertex of degree below k needs no case of its own, as its
+    first flow stays below k; callers peel such vertices first (k_core).
     """
     verts = list(bits(within))
-    m = len(verts)
-    min_v = min(verts, key=lambda v: (adj[v] & within).bit_count())
-    around = adj[min_v] & within
-    min_d = around.bit_count()
-    if min_d >= m - 1:
-        return None  # complete graph, connectivity m - 1 >= k given m > k
-    pairs = [(min_v, t) for t in bits(within & ~around & ~(1 << min_v))]
-    pairs += [(s, t) for s in bits(around) for t in bits(around & ~adj[s] & ~((2 << s) - 1))]
-    pairs = [(s, t) for s, t in pairs if (adj[s] & adj[t] & within).bit_count() < k]
-    if not pairs:
-        return None
-    pos = {v: i for i, v in enumerate(verts)}
-    arc_pairs = []
-    for i, v in enumerate(verts):
-        arc_pairs.append((2 * i, 2 * i + 1, 1, 0))
-        for w in bits(adj[v] & within & ~((2 << v) - 1)):
-            j = pos[w]
-            arc_pairs.append((2 * i + 1, 2 * j, k, 0))
-            arc_pairs.append((2 * j + 1, 2 * i, k, 0))
-    net = _network(2 * m, arc_pairs)
-    for s, t in pairs:
-        cut = _max_flow_vertex_cut(net, verts, pos[s], pos[t], k)
-        if cut is not None:
-            return cut
+    pos = {u: i for i, u in enumerate(verts)}
+    v = min(verts, key=lambda u: (adj[u] & within).bit_count())
+    around = adj[v] & within
+    net = None
+
+    def flow(s: int, t: int) -> int | None:
+        nonlocal net
+        if net is None:
+            arc_pairs = []
+            for i, u in enumerate(verts):
+                arc_pairs.append((2 * i, 2 * i + 1, 1, 0))
+                for w in bits(adj[u] & within & ~((2 << u) - 1)):
+                    j = pos[w]
+                    arc_pairs += [(2 * i + 1, 2 * j, k, 0), (2 * j + 1, 2 * i, k, 0)]
+            net = _network(2 * len(verts), arc_pairs)
+        return _max_flow_vertex_cut(net, verts, pos[s], pos[t], k)
+
+    cut = _grow_linked(adj, within, k, around | 1 << v, lambda t: flow(v, t))
+    if cut is not None:
+        return cut
+    for s in bits(around):
+        for t in bits(around & ~adj[s] & ~((2 << s) - 1)):
+            if (adj[s] & adj[t] & within).bit_count() < k:
+                cut = flow(s, t)
+                if cut is not None:
+                    return cut
     return None
 
 
@@ -365,56 +417,32 @@ def edge_cut_below(adj: list[int], within: int, k: int) -> int | None:
     edges, or None when the subgraph is k-edge-connected (None also for
     fewer than 2 vertices). k must be a positive integer.
 
-    A set S, grown from the lowest vertex, keeps every pair of its
-    members joined by k edge-disjoint paths, so every cut below k has all
-    of S on one side. A vertex with at least k edges into S is then on
-    S's side of every such cut, and joins S with no flow. When no vertex
-    has that many, the vertex t with the most edges into S (the lowest on ties)
-    gets one flow capped at k from S, contracted to one node: if k paths
-    fit, t joins S; otherwise the source side of that flow is the side
-    returned. Each flow adds a vertex, so there are at most m - 1 flows on
-    m vertices, and usually far fewer: the vertices join in a maximum
-    adjacency order, which decides edge connectivity almost without flows
-    (Nagamochi & Ibaraki 1992, *Computing edge-connectivity in multigraphs
-    and capacitated graphs*, SIAM J. Discrete Math. 5). The maximal
-    k-edge-connected vertex sets are unique, so which cut is found does
-    not change them. A vertex of degree below k needs no case of its own:
-    it joins S only through a flow, and a flow into it, or out of S while
-    S is that vertex alone, stays below k. Callers peel such vertices
+    _grow_linked grows S from the lowest vertex s0, and gives t a flow
+    capped at k from s0 alone, on the plain network. Being joined by k
+    edge-disjoint paths is an equivalence relation, so every cut below k
+    leaves all of S on s0's side: a vertex with k edges into S is on that
+    side too, and joins S with no flow, and t has k paths to S exactly
+    when it has k paths to s0. When it has fewer, the vertices that s0
+    still reaches in the residual network are a side of such a cut, and
+    hold all of S. There are at most m - 1 flows on m vertices. The
+    maximal k-edge-connected vertex sets are unique, so which cut is
+    found does not change them. A vertex of degree below k needs no case
+    of its own: it joins S only through a flow, and a flow into it, or
+    out of s0 when it is s0, stays below k. Callers peel such vertices
     first (k_core).
     """
-    if within.bit_count() < 2:
-        return None
     verts = list(bits(within))
-    m = len(verts)
     pos = {v: i for i, v in enumerate(verts)}
     arc_pairs = [
         (i, pos[w], 1, 1) for i, v in enumerate(verts) for w in bits(adj[v] & within & ~((2 << v) - 1))
     ]
-    # node m stands for S: an arc to each vertex, of capacity k while the
-    # vertex is in S and 0 otherwise
-    into_s = 2 * len(arc_pairs)
-    arcs, head, cap = _network(m + 1, arc_pairs + [(m, i, 0, 0) for i in range(m)])
-    inside = 0
-    edges_in = dict.fromkeys(verts, 0)
-    joining = [verts[0]]
-    while True:
-        while joining:
-            v = joining.pop()
-            inside |= 1 << v
-            cap[into_s + 2 * pos[v]] = k
-            for w in bits(adj[v] & within & ~inside):
-                edges_in[w] += 1
-                if edges_in[w] == k:
-                    joining.append(w)
-        rest = within & ~inside
-        if not rest:
-            return None
-        t = max(bits(rest), key=edges_in.__getitem__)
-        reached = _augment((arcs, head, cap), m, pos[t], k)
-        if reached is not None:
-            return inside | mask_of(verts[node] for node in reached if node < m)
-        joining.append(t)
+    net = _network(len(verts), arc_pairs)
+
+    def flow(t: int) -> int | None:
+        reached = _augment(net, 0, pos[t], k)
+        return None if reached is None else mask_of(verts[node] for node in reached)
+
+    return _grow_linked(adj, within, k, within & -within, flow)
 
 
 def _clique_joined(adj: list[int], around: int, rest: int, k: int) -> int:

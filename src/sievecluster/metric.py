@@ -326,9 +326,23 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FiniteMetricSpace":
-        if "points" not in data or "distances" not in data:
+        """The space of a parsed space JSON. Its shape is checked here, so
+        that a wrong one gets a message naming the key: 'points' must be a
+        list, and 'distances' a list of n lists of n numbers (booleans are
+        not numbers). validate_metric then checks the values."""
+        if not isinstance(data, dict) or "points" not in data or "distances" not in data:
             raise ValueError("space JSON needs 'points' and 'distances'")
-        return validate_metric(data["points"], data["distances"])
+        labels, rows = data["points"], data["distances"]
+        if not isinstance(labels, list):
+            raise ValueError("'points' must be a list of labels")
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list)
+            and len(row) == len(rows)
+            and all(isinstance(d, (int, float)) and not isinstance(d, bool) for d in row)
+            for row in rows
+        ):
+            raise ValueError("'distances' must be a list of n lists of n numbers")
+        return validate_metric(labels, rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteMetricSpace):

@@ -171,8 +171,10 @@ def build_sieve(x: FiniteMetricSpace, spec: MethodSpec) -> Sieve:
     its blocks are the components of the tree's edges of weight at most
     the scale, so its breakpoints are 0 and the distinct edge weights, and
     it is built from the tree alone (_single_linkage_sieve), with no
-    relation and no clique search. A space holding a NaN distance raises
-    ValueError, since a NaN has no place among the scales.
+    relation and no clique search.
+
+    A space holding a NaN distance raises ValueError for every family,
+    naming the first such pair, since a NaN has no place among the scales.
 
     Every other threshold family outputs flag covers: the maximal cliques of
     their co-blocking relation, which only gains pairs as the scale grows
@@ -192,6 +194,11 @@ def build_sieve(x: FiniteMetricSpace, spec: MethodSpec) -> Sieve:
             "generated methods have no scale parameter to sweep; "
             "build a sieve from a threshold family"
         )
+    n, flat = x.n, x._flat
+    if any(map(math.isnan, flat)):
+        at = next(i for i, d in enumerate(flat) if math.isnan(d))
+        a, b = x.labels[at // n], x.labels[at % n]
+        raise ValueError(f"the distance from {a!r} to {b!r} is NaN; a sieve needs ordered scales")
     if spec.family == "ml":
         return _clique_sweep(x.labels, _threshold_batches(x))
     if spec.family == "sl":
@@ -213,13 +220,9 @@ def _single_linkage_sieve(x: FiniteMetricSpace) -> Sieve:
     one breakpoint per distinct weight; edges of weight 0 merge at
     breakpoint 0. Each merge ends the two merged blocks and starts their
     union, so a block born and merged again within one weight gets no
-    lifetime, as in _clique_sweep. Raises ValueError when x holds a NaN.
+    lifetime, as in _clique_sweep. x must hold no NaN (build_sieve checks).
     """
     n, flat = x.n, x._flat
-    if any(map(math.isnan, flat)):
-        at = next(i for i, d in enumerate(flat) if math.isnan(d))
-        a, b = x.labels[at // n], x.labels[at % n]
-        raise ValueError(f"the distance from {a!r} to {b!r} is NaN; a sieve needs ordered scales")
     best = list(flat[:n])  # distance from the tree to each point outside it
     link = [0] * n  # the tree point at that distance
     outside = list(range(1, n))

@@ -1,7 +1,9 @@
-"""Shared fixtures: small named spaces, a graph-to-space builder, an
-in-process CLI runner, and the acceptance-criteria summary lines."""
+"""Shared fixtures: small named spaces, a graph-to-space builder, a
+king-lattice builder, an in-process CLI runner, and the
+acceptance-criteria summary lines."""
 
 import io
+import itertools
 import os
 import re
 import sys
@@ -58,6 +60,17 @@ def graph_space(n, edges, delta=1.0, labels=None):
     for i, j in edges:
         d[i, j] = d[j, i] = delta
     return FiniteMetricSpace(labels, d)
+
+
+def king_lattice(rows, cols):
+    """Adjacency masks of the king-move graph on a rows x cols lattice,
+    vertex r * cols + c at (r, c)."""
+    adj = [0] * (rows * cols)
+    for r, c in itertools.product(range(rows), range(cols)):
+        for dr, dc in itertools.product((-1, 0, 1), repeat=2):
+            if (dr or dc) and 0 <= r + dr < rows and 0 <= c + dc < cols:
+                adj[r * cols + c] |= 1 << ((r + dr) * cols + c + dc)
+    return adj
 
 
 class CliRunner:

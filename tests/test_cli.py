@@ -345,6 +345,21 @@ def test_flagify_rejects_cover_json_off_schema(runner, tmp_path):
     assert "'base' must be a list of strings" in result.output
 
 
+@pytest.mark.parametrize(
+    "distances",
+    [[[0, 1], [1]], [[0, "label"], [1, 0]], None, [[0, {}], [1, 0]], "ab", [[0, True], [True, 0]]],
+    ids=["ragged", "string", "null", "object", "text", "booleans"],
+)
+def test_cluster_rejects_space_json_distances_off_schema(runner, tmp_path, distances):
+    # the message is the program's own, not numpy's or Python's words,
+    # and booleans are no numbers, as in a sieve JSON's breakpoints
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"points": ["a", "b"], "distances": distances}))
+    result = runner.invoke(main, ["cluster", "--method", "sl", "--delta", "1", str(space)])
+    assert result.exit_code == 2
+    assert result.output == f"Error: {space}: 'distances' must be a list of n lists of n numbers\n"
+
+
 def _deeply_nested(depth):
     return "[" * depth + "]" * depth
 

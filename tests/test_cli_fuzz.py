@@ -140,6 +140,11 @@ def _ends_cleanly(args):
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         args, result.exception
     )
+    return result
+
+
+# Python's and numpy's own words for a value of the wrong type or shape
+FOREIGN_WORDS = ["could not convert", "inhomogeneous", "argument must be", "NoneType"]
 
 
 @settings(max_examples=200)
@@ -155,7 +160,9 @@ def test_space_commands_end_cleanly_on_any_csv(work, text, command):
 def test_space_commands_end_cleanly_on_any_space_json(work, text, command):
     path = work / "space.json"
     path.write_text(text)
-    _ends_cleanly([*command, str(path)])
+    result = _ends_cleanly([*command, str(path)])
+    if result.exit_code == 2:
+        assert not [w for w in FOREIGN_WORDS if w in result.output], result.output
 
 
 @settings(max_examples=100)

@@ -36,7 +36,7 @@ from sievecluster import _bitops
 from sievecluster.graphs import _el_partition, _vertex_blocks
 from sievecluster.rng import SplitMix64
 
-from conftest import graph_space
+from conftest import graph_space, king_lattice
 
 
 def _labels(n):
@@ -403,22 +403,11 @@ def test_closure_bk_revisits_the_vertices_a_new_edge_touches(adj, k, relaxed):
     assert _closed_pairs(g, got) == _randomized_order_closure(g, k, relaxed, 0)
 
 
-def _king_lattice(rows, cols):
-    """Adjacency masks of the king-move graph on a rows x cols lattice,
-    vertex r * cols + c at (r, c)."""
-    adj = [0] * (rows * cols)
-    for r, c in itertools.product(range(rows), range(cols)):
-        for dr, dc in itertools.product((-1, 0, 1), repeat=2):
-            if (dr or dc) and 0 <= r + dr < rows and 0 <= c + dc < cols:
-                adj[r * cols + c] |= 1 << ((r + dr) * cols + c + dc)
-    return adj
-
-
 def test_closure_bk_on_a_king_lattice():
     # the shape of the benchmark's bkstar[k=3] input: the relaxed rule fills
     # it to the complete graph; the strict rule adds nothing, as no common
     # neighbourhood of two non-adjacent vertices holds a triangle
-    adj = _king_lattice(10, 8)
+    adj = king_lattice(10, 8)
     full = _bitops.full_mask(80)
     assert _bitops.closure_bk(adj, 3, relaxed=True) == [full & ~(1 << v) for v in range(80)]
     assert _bitops.closure_bk(adj, 3, relaxed=False) == adj
@@ -496,7 +485,7 @@ def test_cut_searches_skip_a_tail_of_low_degree_vertices(monkeypatch):
     # per peeled vertex made 513 edge and 257 vertex cut searches)
     edge_cuts = _counted_calls(monkeypatch, "edge_cut_below")
     vertex_cuts = _counted_calls(monkeypatch, "vertex_cut_below")
-    adj = _king_lattice(16, 16) + [0] * 256
+    adj = king_lattice(16, 16) + [0] * 256
     n = len(adj)
     for v in range(256, n):
         adj[v] |= 1 << (v - 1)
@@ -514,15 +503,24 @@ def test_vertex_cut_flows_on_a_king_block(monkeypatch):
     # a corner has degree 3 and 12 non-neighbours, its neighbours are
     # pairwise adjacent: 12 flows (every non-adjacent pair would be 78)
     flows = _counted_flows(monkeypatch)
-    assert _bitops.vertex_cut_below(_king_lattice(4, 4), _bitops.full_mask(16), 3) is None
+    assert _bitops.vertex_cut_below(king_lattice(4, 4), _bitops.full_mask(16), 3) is None
     assert len(flows) <= 12
+
+
+def test_vertex_cut_flows_on_a_king_lattice(monkeypatch):
+    # the corner's four-vertex block grows over the lattice: one flow to a
+    # vertex with two neighbours in it, and every other vertex then has
+    # three (a flow per non-neighbour of the corner would be 252)
+    flows = _counted_flows(monkeypatch)
+    assert _bitops.vertex_cut_below(king_lattice(16, 16), _bitops.full_mask(256), 3) is None
+    assert len(flows) <= 2
 
 
 def test_edge_cut_flows_on_a_king_block(monkeypatch):
     # most vertices join with 3 edges into the grown set, without a flow
     # (a flow to every other vertex would be 63)
     flows = _counted_flows(monkeypatch)
-    assert _bitops.edge_cut_below(_king_lattice(8, 8), _bitops.full_mask(64), 3) is None
+    assert _bitops.edge_cut_below(king_lattice(8, 8), _bitops.full_mask(64), 3) is None
     assert len(flows) < 63
 
 
@@ -542,6 +540,27 @@ def test_vertex_cut_skips_pairs_with_k_common_neighbours(monkeypatch):
     octahedron = [0b111111 & ~(1 << v) & ~(1 << (v ^ 1)) for v in range(6)]
     assert _bitops.vertex_cut_below(octahedron, 0b111111, 3) is None
     assert flows == []
+
+
+def test_vertex_cut_builds_no_network_without_a_flow(monkeypatch):
+    # the split network is built on the first flow, and neither graph
+    # needs one at k = 3: the octahedron, and the K4 on 0-3 with 4 joined
+    # to 1, 2, 3 and 5 to 2, 3, 4, where 5 has only two common neighbours
+    # with 0 but three neighbours in the set grown from 0
+    networks = []
+    network = _bitops._network
+
+    def counted(size, arc_pairs):
+        networks.append(size)
+        return network(size, arc_pairs)
+
+    monkeypatch.setattr(_bitops, "_network", counted)
+    octahedron = [0b111111 & ~(1 << v) & ~(1 << (v ^ 1)) for v in range(6)]
+    assert _bitops.vertex_cut_below(octahedron, 0b111111, 3) is None
+    stacked = make_graph(6, [*itertools.combinations(range(4), 2), (1, 4), (2, 4), (3, 4),
+                             (2, 5), (3, 5), (4, 5)]).adjacency_masks()
+    assert _bitops.vertex_cut_below(stacked, 0b111111, 3) is None
+    assert networks == []
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,8 @@ blocks with two vertices; both are compared with networkx on induced
 subgraphs given by a ``within`` mask, and so are the maximal cliques
 (``find_cliques``), also those through one edge. The vertex and edge cut
 searches are compared with ``node_connectivity`` and
-``edge_connectivity``, and the edge-connectivity partition with
+``edge_connectivity``, also on king lattices with a few vertices or edges
+removed, and the edge-connectivity partition with
 ``k_edge_subgraphs``, also on graphs made mostly of bridges.
 """
 
@@ -16,6 +17,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sievecluster import Cover, Graph, max_edge_connected_subgraphs
 from sievecluster import _bitops
+
+from conftest import king_lattice
 
 nx = pytest.importorskip("networkx")
 
@@ -72,6 +75,25 @@ def dense_graphs(draw, max_n=40):
             adj[j] |= 1 << i
     full = _bitops.full_mask(n)
     within = draw(st.one_of(st.just(full), st.integers(0, full)))
+    return adj, within
+
+
+@st.composite
+def damaged_king_lattices(draw):
+    """King-move lattices of 3 x 3 to 6 x 6 with up to three vertices or
+    edges removed. Most vertices join the grown set of the cut searches
+    with no flow, and a removal can leave a cut of 1 or 2 vertices for a
+    flow to find after those free joins."""
+    adj = king_lattice(draw(st.integers(3, 6)), draw(st.integers(3, 6)))
+    within = _bitops.full_mask(len(adj))
+    for _ in range(draw(st.integers(0, 3))):
+        v = draw(st.integers(0, len(adj) - 1))
+        if draw(st.booleans()):
+            within &= ~(1 << v)
+        elif adj[v]:
+            w = draw(st.sampled_from(list(_bitops.bits(adj[v]))))
+            adj[v] &= ~(1 << w)
+            adj[w] &= ~(1 << v)
     return adj, within
 
 
@@ -158,7 +180,7 @@ def test_edge_partition_matches_k_edge_subgraphs(graph, k):
 
 
 @settings(max_examples=400)
-@given(st.one_of(masked_graphs(), two_blobs()), st.integers(1, 4))
+@given(st.one_of(masked_graphs(), two_blobs(), damaged_king_lattices()), st.integers(1, 4))
 def test_vertex_cut_below_matches_node_connectivity(graph, k):
     adj, within = graph
     g = _nx_graph(adj, within)
@@ -171,7 +193,7 @@ def test_vertex_cut_below_matches_node_connectivity(graph, k):
 
 
 @settings(max_examples=400)
-@given(st.one_of(masked_graphs(), two_blobs()), st.integers(1, 4))
+@given(st.one_of(masked_graphs(), two_blobs(), damaged_king_lattices()), st.integers(1, 4))
 def test_edge_cut_below_matches_edge_connectivity(graph, k):
     adj, within = graph
     g = _nx_graph(adj, within)

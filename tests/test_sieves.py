@@ -680,6 +680,22 @@ def test_single_linkage_sieve_refuses_a_nan_and_keeps_an_infinite_distance():
     ]
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [MethodSpec("ml"), MethodSpec("sl"), MethodSpec("l", k=2), MethodSpec("vl", k=2),
+     MethodSpec("el", k=2), MethodSpec("bk", k=1), MethodSpec("bkstar", k=1)],
+    ids=lambda spec: spec.family,
+)
+def test_every_family_refuses_a_nan_distance(spec):
+    # a NaN has no place among the scales: every family names the pair
+    # rather than sort the NaN among them or drop the pair
+    d = [[abs(i - j) * 1.0 for j in range(4)] for i in range(4)]
+    d[1][2] = d[2][1] = math.nan
+    x = FiniteMetricSpace(list("abcd"), d)
+    with pytest.raises(ValueError, match="from 'b' to 'c' is NaN; a sieve needs ordered scales"):
+        build_sieve(x, spec)
+
+
 def test_single_linkage_sieve_of_a_500_point_cloud_keeps_its_bytes():
     # the bytes written when the sl relation was bisected, a 1.9 s build on
     # a 2-vCPU Xeon VM, against 0.1 s from the spanning tree
