@@ -3,11 +3,14 @@
 They live apart from the modules that use them, so that building the
 CLI's options (and ``--help``, ``--version`` or a usage error) loads none
 of the kernels, and so that a module needs neither ``graphs`` to check a
-level nor ``dataclasses`` to define a record. ``functors`` and ``verify``
-re-export the name tuples.
+level, ``covers`` to check the label lists of a JSON document, nor
+``dataclasses`` to define a record. ``functors`` and ``verify`` re-export
+the name tuples.
 """
 
 import math
+
+from .errors import InvalidArgument
 
 FAMILIES = ("sl", "ml", "l", "vl", "el", "bk", "bkstar", "generated")
 
@@ -18,7 +21,23 @@ def _check_level(k) -> None:
     if k == math.inf:
         return
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive integer or inf, got {k!r}")
+        raise InvalidArgument(f"k must be a positive integer or inf, got {k!r}")
+
+
+def _string_lists(data: dict, key: str, depth: int) -> list:
+    """data[key] of a parsed JSON document checked against its schema:
+    lists nested depth deep with strings at the bottom (depth 1 for a
+    space's points or a base, 2 for a block list, 3 for a sieve's covers).
+    InvalidArgument naming the key otherwise."""
+    message = f"{key!r} must be a list of {'lists of ' * (depth - 1)}strings"
+    level = [data[key]]
+    for _ in range(depth):
+        if not all(isinstance(v, list) for v in level):
+            raise InvalidArgument(message)
+        level = [x for v in level for x in v]
+    if not all(isinstance(v, str) for v in level):
+        raise InvalidArgument(message)
+    return data[key]
 
 
 class _Record:

@@ -24,7 +24,10 @@ whatever it looks like (``--delta -inf``), and a usage or input error is
 one ``Error: <message>`` line on stderr with exit code 2. Input errors
 come from one handler in :func:`main`, which every
 :class:`SieveclusterError` reaches: the commands do not catch the
-library's, and raise their own. Each command imports the library
+library's, and raise their own. The library refuses a bad argument with
+``InvalidArgument``, a SieveclusterError, so no command turns a
+``ValueError`` into exit 2; any other exception is a fault of the
+program and ends in a traceback. Each command imports the library
 functions it calls inside its body, so building the parser, ``--help``,
 ``--version`` and usage errors load neither numpy nor the kernels, and no
 command loads a third-party module of its own.
@@ -96,17 +99,14 @@ def _build_method(kw: dict) -> MethodSpec:
     test_spaces = [_ingest(p, False, False, norm) for p in kw["test_paths"]]
     if family != "generated" and "delta" in kw and delta is None:
         _fail_input(f"--method {family} requires --delta")
-    try:
-        return MethodSpec(
-            family=family,
-            delta=delta,
-            k=_parse_level(kw["k_raw"]),
-            budget=_parse_level(kw["budget_raw"], "--K", float),
-            test_spaces=tuple(test_spaces),
-            clique_exception=kw["clique_exception"],
-        )
-    except (TypeError, ValueError) as exc:
-        _fail_input(str(exc))
+    return MethodSpec(
+        family=family,
+        delta=delta,
+        k=_parse_level(kw["k_raw"]),
+        budget=_parse_level(kw["budget_raw"], "--K", float),
+        test_spaces=tuple(test_spaces),
+        clique_exception=kw["clique_exception"],
+    )
 
 
 def _dot_graph(x: FiniteMetricSpace, delta: float, closure: str | None, k) -> Graph:
@@ -164,7 +164,7 @@ def _read_cover(path: str) -> Cover:
     data = read_json(path)  # its errors name the file
     try:
         return Cover.from_dict(data)
-    except (SieveclusterError, KeyError, TypeError, ValueError) as exc:
+    except SieveclusterError as exc:
         _fail_input(f"{path}: {exc}")
 
 
@@ -247,8 +247,6 @@ def param_probe(kw: dict) -> None:
     except TrivialFunctor as exc:
         _print(f"trivial: {exc}")
         return
-    except ValueError as exc:
-        _fail_input(str(exc))
     _print(repr(probe.delta_f))
 
 
@@ -266,12 +264,7 @@ def verify_functoriality(kw: dict) -> None:
     spec = _build_method(kw)
     if kw["trials"] < 0:
         _fail_input("--trials must be nonnegative")
-    try:
-        report = check_functoriality(
-            spec, kw["trials"], category=kw["category"], seed=kw["seed"]
-        )
-    except ValueError as exc:
-        _fail_input(str(exc))
+    report = check_functoriality(spec, kw["trials"], category=kw["category"], seed=kw["seed"])
     expect = kw["expect"]
     if expect == "auto":
         expect = (
@@ -295,8 +288,6 @@ def verify_sandwich(kw: dict) -> None:
         report = check_sandwich(spec, kw["trials"], seed=kw["seed"])
     except TrivialFunctor as exc:
         _fail_input(f"sandwich needs a non-trivial method; probe says: {exc}")
-    except ValueError as exc:
-        _fail_input(str(exc))
     _finish_report(report, kw["output"], expect_zero=True)
 
 
@@ -309,12 +300,9 @@ def verify_counterexample(kw: dict) -> None:
         _fail_input("--max-points must be at least 3")
     if kw["budget"] < 1:
         _fail_input("--budget must be positive")
-    try:
-        witness, tried = _search_counterexample(
-            spec, max_points=kw["max_points"], budget=kw["budget"]
-        )
-    except ValueError as exc:
-        _fail_input(str(exc))
+    witness, tried = _search_counterexample(
+        spec, max_points=kw["max_points"], budget=kw["budget"]
+    )
     report = TrialReport(
         check="counterexample",
         method=spec.to_dict(),
@@ -361,10 +349,7 @@ def export_dot(kw: dict) -> None:
         closure, level = "bk", kw["bk_level"]
     elif kw["bkstar_level"] is not None:
         closure, level = "bkstar", kw["bkstar_level"]
-    try:
-        g = _dot_graph(x, kw["delta"], closure, _parse_level(level, f"--{closure}"))
-    except (TypeError, ValueError) as exc:
-        _fail_input(str(exc))
+    g = _dot_graph(x, kw["delta"], closure, _parse_level(level, f"--{closure}"))
     _write_out(kw["output"], (write_dot(g).encode("utf-8"),))
 
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from . import _bitops
-from .errors import BaseMismatch, DuplicateLabel, NestedCover
+from ._names import _string_lists
+from .errors import BaseMismatch, DuplicateLabel, InvalidArgument, NestedCover
 from .metric import MetricMap
 
 
@@ -26,21 +27,6 @@ def _canonical_base(base: Iterable[str]) -> tuple[str, ...]:
         if a == b:
             raise DuplicateLabel(f"base label {a!r} appears more than once")
     return out
-
-
-def _string_lists(data: Mapping, key: str, depth: int) -> list:
-    """data[key] checked against the JSON schemas: lists nested depth
-    deep with strings at the bottom (depth 1 for a base, 2 for a block
-    list, 3 for a sieve's covers). ValueError naming the key otherwise."""
-    message = f"{key!r} must be a list of {'lists of ' * (depth - 1)}strings"
-    level = [data[key]]
-    for _ in range(depth):
-        if not all(isinstance(v, list) for v in level):
-            raise ValueError(message)
-        level = [x for v in level for x in v]
-    if not all(isinstance(v, str) for v in level):
-        raise ValueError(message)
-    return data[key]
 
 
 class Cover:
@@ -57,12 +43,12 @@ class Cover:
         for blk in blocks:
             b = tuple(sorted(str(x) for x in blk))
             if not b:
-                raise ValueError("cover blocks must be non-empty")
+                raise InvalidArgument("cover blocks must be non-empty")
             for x in b:
                 if x not in index:
-                    raise ValueError(f"block label {x!r} is not in the base")
+                    raise InvalidArgument(f"block label {x!r} is not in the base")
             if len(set(b)) != len(b):
-                raise ValueError(f"block {b} repeats a label")
+                raise InvalidArgument(f"block {b} repeats a label")
             if b in seen:
                 continue
             seen.add(b)
@@ -70,7 +56,7 @@ class Cover:
             covered.update(b)
         if covered != set(self.base):
             missing = sorted(set(self.base) - covered)
-            raise ValueError(f"blocks do not cover the base; missing {missing}")
+            raise InvalidArgument(f"blocks do not cover the base; missing {missing}")
         self.blocks = tuple(sorted(canon))
         self._index = index
         self._masks: list[int] | None = None
@@ -102,8 +88,8 @@ class Cover:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Cover":
-        if "base" not in data or "clusters" not in data:
-            raise ValueError("cover JSON needs 'base' and 'clusters'")
+        if not isinstance(data, dict) or "base" not in data or "clusters" not in data:
+            raise InvalidArgument("cover JSON needs 'base' and 'clusters'")
         return cls(_string_lists(data, "base", 1), _string_lists(data, "clusters", 2))
 
     def __eq__(self, other) -> bool:
@@ -150,7 +136,7 @@ class FlagCover(Cover):
     def __init__(self, base: Iterable[str], blocks: Iterable[Iterable[str]]):
         super().__init__(base, blocks)
         if not is_flag(self):
-            raise ValueError(
+            raise InvalidArgument(
                 "cover violates the flag condition: its blocks are not the "
                 "maximal cliques of the co-blocking graph"
             )
@@ -204,7 +190,7 @@ class Relation:
         adj = [0] * len(self.base)
         for a, b in pairs:
             if a not in self._index or b not in self._index:
-                raise ValueError(f"relation pair ({a!r}, {b!r}) leaves the base")
+                raise InvalidArgument(f"relation pair ({a!r}, {b!r}) leaves the base")
             if a == b:
                 continue
             i, j = self._index[a], self._index[b]

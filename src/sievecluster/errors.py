@@ -2,7 +2,11 @@
 
 Every library-specific failure derives from :class:`SieveclusterError` so
 callers can catch one base class at API boundaries (one handler in the
-CLI's ``main`` maps them to exit code 2).
+CLI's ``main`` maps them to exit code 2). The library refuses a bad
+argument, where it checks it, with :class:`InvalidArgument`, which is
+also a ``ValueError``, so ``except ValueError`` still catches it. A
+``ValueError`` of any other kind is a fault of the program, not of its
+input, and no handler turns it into exit 2.
 """
 
 from __future__ import annotations
@@ -10,6 +14,11 @@ from __future__ import annotations
 
 class SieveclusterError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class InvalidArgument(SieveclusterError, ValueError):
+    """An argument or an input document has a value the library refuses;
+    the message names what is wrong."""
 
 
 class DuplicateLabel(SieveclusterError):

@@ -278,7 +278,7 @@ def ingest_space(
         data = read_json(path)
         try:
             return FiniteMetricSpace.from_dict(data)
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:  # a metric axiom's error passes unwrapped
             raise InputFormatError(f"{path}: {exc}") from exc
     t = _read_table(path)
     if fmt == "matrix":

@@ -37,7 +37,7 @@ from .covers import (
     co_blocking,
     maximal_linked_sets,
 )
-from .errors import SearchBudgetExceeded, TrivialFunctor
+from .errors import InvalidArgument, SearchBudgetExceeded, TrivialFunctor
 from .metric import REL_TOL, FiniteMetricSpace, _nonexpansive_assignments, path_space
 
 _NEEDS_K = {"l", "vl", "el", "bk", "bkstar"}
@@ -66,28 +66,28 @@ class MethodSpec(_FrozenRecord):
         clique_exception: bool = False,
     ):
         if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+            raise InvalidArgument(f"unknown family {family!r}; expected one of {FAMILIES}")
         if delta is not None and not delta >= 0:
-            raise ValueError(f"delta must be nonnegative, got {delta!r}")
+            raise InvalidArgument(f"delta must be nonnegative, got {delta!r}")
         if family in _NEEDS_K:
             if k is None:
-                raise ValueError(f"family {family!r} requires k")
+                raise InvalidArgument(f"family {family!r} requires k")
             _check_level(k)
         elif k is not None:
-            raise ValueError(f"family {family!r} takes no k")
+            raise InvalidArgument(f"family {family!r} takes no k")
         if family == "l":
             if budget is not None and not budget >= 0:
-                raise ValueError("budget K must be nonnegative")
+                raise InvalidArgument("budget K must be nonnegative")
         elif budget is not None:
-            raise ValueError(f"family {family!r} takes no budget")
+            raise InvalidArgument(f"family {family!r} takes no budget")
         if family == "generated":
             if not test_spaces:
-                raise ValueError("generated family requires at least one test space")
+                raise InvalidArgument("generated family requires at least one test space")
             test_spaces = tuple(test_spaces)
         elif test_spaces:
-            raise ValueError(f"family {family!r} takes no test spaces")
+            raise InvalidArgument(f"family {family!r} takes no test spaces")
         if clique_exception and family != "el":
-            raise ValueError("clique_exception applies to the el family only")
+            raise InvalidArgument("clique_exception applies to the el family only")
         self._set("family", family)
         self._set("delta", delta)
         self._set("k", k)
@@ -133,7 +133,7 @@ class MethodSpec(_FrozenRecord):
             if v == "inf":
                 return math.inf
             if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError(f"{what} must be a number or 'inf'")
+                raise InvalidArgument(f"{what} must be a number or 'inf'")
             return v
 
         k = data.get("k")
@@ -141,7 +141,7 @@ class MethodSpec(_FrozenRecord):
             k = num(k, "k")
             if k != math.inf:
                 if k != int(k):
-                    raise ValueError("k must be an integer or 'inf'")
+                    raise InvalidArgument("k must be an integer or 'inf'")
                 k = int(k)
         budget = data.get("K")
         if budget is not None:
@@ -390,7 +390,7 @@ def _method_relation(x: FiniteMetricSpace, spec: MethodSpec) -> list[int]:
     """The relation of one flat evaluation: _linked_relation at the
     method's own delta (which the generated family does not read)."""
     if spec.family != "generated" and spec.delta is None:
-        raise ValueError(f"method {spec.label()!r} needs delta for flat evaluation")
+        raise InvalidArgument(f"method {spec.label()!r} needs delta for flat evaluation")
     return _linked_relation(x, spec, spec.delta)
 
 
@@ -413,7 +413,7 @@ def cover_metric(cover: Cover, delta: float) -> FiniteMetricSpace:
     cover arises from maximal linkage.
     """
     if not delta > 0:
-        raise ValueError("cover metrization needs delta > 0")
+        raise InvalidArgument("cover metrization needs delta > 0")
     from .graphs import Graph, space_from_graph
 
     return space_from_graph(Graph.from_masks(cover.base, co_blocking(cover).adj), delta)
@@ -440,10 +440,10 @@ def clustering_parameter(spec: MethodSpec, rel_tol: float = REL_TOL) -> ProbeRes
         hi = 2.0 * max((t.diameter() for t in spec.test_spaces), default=0.0)
     else:
         if spec.delta is None:
-            raise ValueError("clustering_parameter needs the method's delta")
+            raise InvalidArgument("clustering_parameter needs the method's delta")
         hi = 2.0 * spec.delta
         if not math.isfinite(hi):
-            raise ValueError(
+            raise InvalidArgument(
                 "clustering_parameter probes scales up to 2 * delta, which must be "
                 f"finite, got delta = {spec.delta!r}"
             )

@@ -47,7 +47,7 @@ from typing import Iterable
 from . import _bitops
 from ._names import _check_level
 from .covers import Cover, Relation, reduce_to_maximal
-from .errors import InputFormatError
+from .errors import InputFormatError, InvalidArgument
 from .metric import FiniteMetricSpace, _canonical_labels
 
 
@@ -60,14 +60,14 @@ class Graph:
         verts = tuple(sorted(str(v) for v in vertices))
         for a, b in zip(verts, verts[1:]):
             if a == b:
-                raise ValueError(f"vertex {a!r} appears more than once")
+                raise InvalidArgument(f"vertex {a!r} appears more than once")
         index = {v: i for i, v in enumerate(verts)}
         adj = [0] * len(verts)
         for u, v in edges:
             if u not in index or v not in index:
-                raise ValueError(f"edge ({u!r}, {v!r}) has an unknown endpoint")
+                raise InvalidArgument(f"edge ({u!r}, {v!r}) has an unknown endpoint")
             if u == v:
-                raise ValueError(f"self-loop at {u!r} not allowed")
+                raise InvalidArgument(f"self-loop at {u!r} not allowed")
             i, j = index[u], index[v]
             adj[i] |= 1 << j
             adj[j] |= 1 << i
@@ -118,7 +118,7 @@ class Graph:
 def threshold_graph(space: FiniteMetricSpace, delta: float) -> Graph:
     """Edges between points at distance <= delta (inclusive)."""
     if delta < 0:
-        raise ValueError("threshold must be nonnegative")
+        raise InvalidArgument("threshold must be nonnegative")
     return Graph.from_masks(space.labels, space._adjacency(delta))
 
 
@@ -129,7 +129,7 @@ def space_from_graph(g: Graph, delta: float) -> FiniteMetricSpace:
     and the threshold graph of the result at delta is g again.
     """
     if not 0 <= delta < math.inf:
-        raise ValueError(f"edge length must be finite and nonnegative, got {delta!r}")
+        raise InvalidArgument(f"edge length must be finite and nonnegative, got {delta!r}")
     delta += 0.0  # -0.0 becomes +0.0
     n = len(g.vertices)
     flat = array("d")

@@ -36,9 +36,11 @@ from itertools import chain, product, repeat
 from operator import add, le, sub
 from typing import Iterable, Mapping, Sequence
 
+from ._names import _string_lists
 from .errors import (
     AsymmetricMatrix,
     DuplicateLabel,
+    InvalidArgument,
     NegativeDistance,
     NonzeroDiagonal,
     TriangleViolation,
@@ -102,6 +104,17 @@ def _buffer(matrix, n: int) -> array | None:
         except (TypeError, ValueError, OverflowError):
             return None
     return flat
+
+
+def _float_array(np, values, message: str):
+    """values as a float64 array, as np.asarray makes it; InvalidArgument
+    with ``message``, which says what shape they must have, where numpy
+    cannot convert them (ragged rows, a string that is not a number, an
+    integer beyond the largest float)."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidArgument(message) from exc
 
 
 def _permute(np, d, order: list[int]) -> None:
@@ -172,13 +185,15 @@ class FiniteMetricSpace:
         if flat is None:
             import numpy as np
 
-            matrix = np.asarray(dist, dtype=np.float64)
+            matrix = _float_array(
+                np, dist, f"distance matrix must be {n} rows of {n} finite numbers"
+            )
             if matrix.shape != (n, n):
-                raise ValueError(
+                raise InvalidArgument(
                     f"distance matrix shape {matrix.shape} does not match {n} labels"
                 )
             if n == 0:
-                raise ValueError("a metric space needs at least one point")
+                raise InvalidArgument("a metric space needs at least one point")
             flat = _zeros(n)
             np.add(matrix, 0.0, out=_view(np, flat, n))  # 0.0 + -0.0 is +0.0
         else:
@@ -201,7 +216,9 @@ class FiniteMetricSpace:
         first read."""
         n = len(rows)
         if len(labels) != n:
-            raise ValueError(f"distance matrix shape {(n, n)} does not match {len(labels)} labels")
+            raise InvalidArgument(
+                f"distance matrix shape {(n, n)} does not match {len(labels)} labels"
+            )
         order = sorted(range(n), key=labels.__getitem__)
         space = cls.__new__(cls)
         cols = [list(c) for c in zip(*(rows[i] for i in order))]
@@ -214,7 +231,7 @@ class FiniteMetricSpace:
         n = len(labels)
         if len(flat) != n * n:
             m = math.isqrt(len(flat))
-            raise ValueError(f"distance matrix shape {(m, m)} does not match {n} labels")
+            raise InvalidArgument(f"distance matrix shape {(m, m)} does not match {n} labels")
         order = sorted(range(n), key=labels.__getitem__)
         if order != list(range(n)):
             np = _numpy(n)
@@ -328,20 +345,18 @@ class FiniteMetricSpace:
     def from_dict(cls, data: dict) -> "FiniteMetricSpace":
         """The space of a parsed space JSON. Its shape is checked here, so
         that a wrong one gets a message naming the key: 'points' must be a
-        list, and 'distances' a list of n lists of n numbers (booleans are
-        not numbers). validate_metric then checks the values."""
+        list of strings, and 'distances' a list of n lists of n numbers
+        (booleans are not numbers). validate_metric then checks the values."""
         if not isinstance(data, dict) or "points" not in data or "distances" not in data:
-            raise ValueError("space JSON needs 'points' and 'distances'")
-        labels, rows = data["points"], data["distances"]
-        if not isinstance(labels, list):
-            raise ValueError("'points' must be a list of labels")
+            raise InvalidArgument("space JSON needs 'points' and 'distances'")
+        labels, rows = _string_lists(data, "points", 1), data["distances"]
         if not isinstance(rows, list) or not all(
             isinstance(row, list)
             and len(row) == len(rows)
             and all(isinstance(d, (int, float)) and not isinstance(d, bool) for d in row)
             for row in rows
         ):
-            raise ValueError("'distances' must be a list of n lists of n numbers")
+            raise InvalidArgument("'distances' must be a list of n lists of n numbers")
         return validate_metric(labels, rows)
 
     def __eq__(self, other) -> bool:
@@ -484,7 +499,7 @@ def _checked_matrix(
     of booleans.
     """
     if not 0.0 <= rel_tol < math.inf:
-        raise ValueError(f"rel_tol must be finite and nonnegative, got {rel_tol!r}")
+        raise InvalidArgument(f"rel_tol must be finite and nonnegative, got {rel_tol!r}")
     labels = _canonical_labels(labels)
     n = len(labels)
     flat = _buffer(matrix, n)
@@ -492,7 +507,7 @@ def _checked_matrix(
         return labels, *_checked_numpy(labels, matrix, rel_tol)
     d = flat.tolist()
     if not all(map(math.isfinite, d)):
-        raise ValueError("distance matrix contains non-finite entries")
+        raise InvalidArgument("distance matrix contains non-finite entries")
     tol = rel_tol * max(map(abs, d))
     # one pass over the rows: the part of row i above the diagonal against
     # its mirror, column i below it; a row whose parts differ is averaged
@@ -521,16 +536,16 @@ def _checked_numpy(labels: tuple[str, ...], matrix, rel_tol: float) -> tuple[arr
     """The numpy path of _checked_matrix: the buffer and the tolerance."""
     import numpy as np
 
-    src = np.asarray(matrix, dtype=np.float64)
-    if src.ndim != 2 or src.shape[0] != src.shape[1]:
-        raise ValueError(f"distance matrix must be square, got shape {src.shape}")
     n = len(labels)
+    src = _float_array(np, matrix, f"distance matrix must be {n} rows of {n} finite numbers")
+    if src.ndim != 2 or src.shape[0] != src.shape[1]:
+        raise InvalidArgument(f"distance matrix must be square, got shape {src.shape}")
     if src.shape[0] != n:
-        raise ValueError(f"matrix is {src.shape[0]}x{src.shape[0]} but there are {n} labels")
+        raise InvalidArgument(f"matrix is {src.shape[0]}x{src.shape[0]} but there are {n} labels")
     if n == 0:
-        raise ValueError("a metric space needs at least one point")
+        raise InvalidArgument("a metric space needs at least one point")
     if not np.isfinite(src).all():
-        raise ValueError("distance matrix contains non-finite entries")
+        raise InvalidArgument("distance matrix contains non-finite entries")
     tol = rel_tol * abs(max(float(src.max()), -float(src.min())))
     flat = _zeros(n)
     d = _view(np, flat, n)
@@ -563,7 +578,7 @@ def validate_metric(
     """Check the metric axioms and build a canonical space.
 
     Tolerance is ``rel_tol`` scaled by the largest entry; a ``rel_tol``
-    that is negative, infinite or nan raises ValueError. Asymmetry beyond
+    that is negative, infinite or nan raises InvalidArgument. Asymmetry beyond
     tolerance raises AsymmetricMatrix; within tolerance the matrix is
     symmetrized exactly (averaged with its transpose). Entries below zero
     beyond tolerance raise NegativeDistance; tiny negatives are clamped to
@@ -837,14 +852,15 @@ def space_from_points(
     if rows is None:
         import numpy as np
 
-        pts = np.asarray(points, dtype=np.float64)
+        message = "expected a non-empty 2d array of coordinates"
+        pts = _float_array(np, points, message)
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ValueError("expected a non-empty 2d array of coordinates")
+            raise InvalidArgument(message)
     norm = _POINT_NORMS.get(metric)
     if norm is None:
-        raise ValueError(f"unknown point metric {metric!r}")
+        raise InvalidArgument(f"unknown point metric {metric!r}")
     n = len(pts) if rows is None else len(rows)
     if labels is None:
         width = len(str(n - 1))
@@ -867,9 +883,9 @@ def space_from_points(
 def path_space(k: int, delta: float) -> FiniteMetricSpace:
     """The (k+1)-point path at step delta: d(i, j) = delta * |i - j|."""
     if not isinstance(k, int) or k < 1:
-        raise ValueError("path space needs an integer k >= 1")
+        raise InvalidArgument("path space needs an integer k >= 1")
     if not 0 <= delta < math.inf:
-        raise ValueError(f"path space step must be finite and nonnegative, got {delta!r}")
+        raise InvalidArgument(f"path space step must be finite and nonnegative, got {delta!r}")
     delta += 0.0  # -0.0 becomes +0.0
     width = len(str(k))
     labels = [f"{i:0{width}d}" for i in range(k + 1)]
@@ -932,13 +948,13 @@ class MetricMap:
     ):
         missing = [x for x in source.labels if x not in assignment]
         if missing:
-            raise ValueError(f"assignment missing source labels: {missing}")
+            raise InvalidArgument(f"assignment missing source labels: {missing}")
         bad = sorted(
             {v for k, v in assignment.items() if k in source._index}
             - set(target.labels)
         )
         if bad:
-            raise ValueError(f"assignment values outside target: {bad}")
+            raise InvalidArgument(f"assignment values outside target: {bad}")
         self.source = source
         self.target = target
         self.assignment = {x: assignment[x] for x in source.labels}
@@ -956,7 +972,7 @@ class MetricMap:
     def compose(self, other: "MetricMap") -> "MetricMap":
         """self after other (other.target must be self.source)."""
         if other.target is not self.source and other.target != self.source:
-            raise ValueError("composition endpoints do not match")
+            raise InvalidArgument("composition endpoints do not match")
         return MetricMap(
             other.source,
             self.target,

@@ -15,6 +15,8 @@ calls.
 
 from __future__ import annotations
 
+from .errors import InvalidArgument
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -61,7 +63,7 @@ class SplitMix64:
         limit = _LIMITS.get(n)
         if limit is None:
             if n <= 0:
-                raise ValueError("randint bound must be positive")
+                raise InvalidArgument("randint bound must be positive")
             limit = (_MASK64 + 1) - ((_MASK64 + 1) % n)
             if len(_LIMITS) < _MAX_LIMITS:
                 _LIMITS[n] = limit

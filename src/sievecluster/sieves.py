@@ -27,9 +27,9 @@ from bisect import bisect_right
 from operator import itemgetter
 
 from ._bitops import bits, cliques_containing
-from ._names import _FrozenRecord
-from .covers import Cover, FlagCover, _string_lists, is_consistent_map, refines
-from .errors import MonotonicityViolation
+from ._names import _FrozenRecord, _string_lists
+from .covers import Cover, FlagCover, is_consistent_map, refines
+from .errors import InvalidArgument, MonotonicityViolation
 from .functors import MethodSpec, _linked_relation
 from .metric import FiniteMetricSpace
 
@@ -45,22 +45,22 @@ class Sieve:
         bps = tuple(float(b) for b in breakpoints)
         cvs = tuple(covers)
         if not bps:
-            raise ValueError("a sieve needs at least one breakpoint")
+            raise InvalidArgument("a sieve needs at least one breakpoint")
         if bps[0] != 0.0:
-            raise ValueError("the first breakpoint must be 0")
+            raise InvalidArgument("the first breakpoint must be 0")
         for a, b in zip(bps, bps[1:]):
             if not a < b:
-                raise ValueError("breakpoints must be strictly increasing")
+                raise InvalidArgument("breakpoints must be strictly increasing")
         if len(bps) != len(cvs):
-            raise ValueError("breakpoints and covers must align")
+            raise InvalidArgument("breakpoints and covers must align")
         for c in cvs:
             if not isinstance(c, Cover):
                 raise TypeError("sieve covers must be Cover instances")
             if c.base != self.base:
-                raise ValueError("every cover must live on the sieve's base")
+                raise InvalidArgument("every cover must live on the sieve's base")
         for i, (a, b) in enumerate(zip(cvs, cvs[1:])):
             if a == b:
-                raise ValueError(
+                raise InvalidArgument(
                     f"covers at breakpoints {i} and {i + 1} are equal; "
                     "breakpoints must be genuine"
                 )
@@ -76,7 +76,7 @@ class Sieve:
 
         Each block's label tuple is made once and all are sorted once, so
         every cover is read off in canonical order and built as a trusted
-        FlagCover. Raises ValueError, as the constructor does, when two
+        FlagCover. Raises InvalidArgument, as the constructor does, when two
         neighbouring covers are equal: no block is born or dies between.
         """
         bps = tuple(float(b) for b in breakpoints)
@@ -87,7 +87,7 @@ class Sieve:
             changed[birth] = changed[death] = True
         for i in range(1, len(bps)):
             if not changed[i]:
-                raise ValueError(
+                raise InvalidArgument(
                     f"covers at breakpoints {i - 1} and {i} are equal; "
                     "breakpoints must be genuine"
                 )
@@ -110,7 +110,7 @@ class Sieve:
     def evaluate(self, t: float) -> Cover:
         """The cover in effect at scale t (inclusive on the left)."""
         if not t >= 0:
-            raise ValueError("scales are nonnegative")
+            raise InvalidArgument("scales are nonnegative")
         return self.covers[bisect_right(self.breakpoints, t) - 1]
 
     def terminal_trivial(self) -> bool:
@@ -126,15 +126,15 @@ class Sieve:
     @classmethod
     def from_dict(cls, data: dict) -> "Sieve":
         for key in ("base", "breakpoints", "covers"):
-            if key not in data:
-                raise ValueError(f"sieve JSON needs {key!r}")
+            if not isinstance(data, dict) or key not in data:
+                raise InvalidArgument(f"sieve JSON needs {key!r}")
         base = _string_lists(data, "base", 1)
         covers = [FlagCover(base, blocks) for blocks in _string_lists(data, "covers", 3)]
         bps = data["breakpoints"]
         if not isinstance(bps, list) or not all(
             isinstance(b, (int, float)) and not isinstance(b, bool) for b in bps
         ):
-            raise ValueError("'breakpoints' must be a list of numbers")
+            raise InvalidArgument("'breakpoints' must be a list of numbers")
         return cls(base, bps, covers)
 
     def __eq__(self, other) -> bool:
@@ -173,7 +173,7 @@ def build_sieve(x: FiniteMetricSpace, spec: MethodSpec) -> Sieve:
     it is built from the tree alone (_single_linkage_sieve), with no
     relation and no clique search.
 
-    A space holding a NaN distance raises ValueError for every family,
+    A space holding a NaN distance raises InvalidArgument for every family,
     naming the first such pair, since a NaN has no place among the scales.
 
     Every other threshold family outputs flag covers: the maximal cliques of
@@ -190,7 +190,7 @@ def build_sieve(x: FiniteMetricSpace, spec: MethodSpec) -> Sieve:
     one.
     """
     if spec.family == "generated":
-        raise ValueError(
+        raise InvalidArgument(
             "generated methods have no scale parameter to sweep; "
             "build a sieve from a threshold family"
         )
@@ -198,7 +198,9 @@ def build_sieve(x: FiniteMetricSpace, spec: MethodSpec) -> Sieve:
     if any(map(math.isnan, flat)):
         at = next(i for i, d in enumerate(flat) if math.isnan(d))
         a, b = x.labels[at // n], x.labels[at % n]
-        raise ValueError(f"the distance from {a!r} to {b!r} is NaN; a sieve needs ordered scales")
+        raise InvalidArgument(
+            f"the distance from {a!r} to {b!r} is NaN; a sieve needs ordered scales"
+        )
     if spec.family == "ml":
         return _clique_sweep(x.labels, _threshold_batches(x))
     if spec.family == "sl":

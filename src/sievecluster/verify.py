@@ -41,7 +41,7 @@ from .covers import (
     preimage_cover,
     refines,
 )
-from .errors import TooLarge
+from .errors import InvalidArgument, TooLarge
 from .functors import (
     MethodSpec,
     _method_relation,
@@ -125,9 +125,9 @@ def random_metric(n: int, seed: int, mode: str = "euclidean-points") -> FiniteMe
     heights.
     """
     if n < 1:
-        raise ValueError("need at least one point")
+        raise InvalidArgument("need at least one point")
     if mode not in METRIC_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {METRIC_MODES}")
+        raise InvalidArgument(f"unknown mode {mode!r}; expected one of {METRIC_MODES}")
     rng = SplitMix64(seed)
     width = max(2, len(str(n - 1)))
     labels = [f"p{i:0{width}d}" for i in range(n)]
@@ -242,7 +242,7 @@ def random_morphism(
     resulting assignment is non-expansive by construction.
     """
     if category not in CATEGORIES:
-        raise ValueError(f"unknown category {category!r}; expected one of {CATEGORIES}")
+        raise InvalidArgument(f"unknown category {category!r}; expected one of {CATEGORIES}")
     n = x.n
     labels = list(x.labels)
     d = x._rows()
@@ -294,10 +294,13 @@ def random_morphism(
     return y, f
 
 
-def _require_finite_delta(spec: MethodSpec, check: str) -> None:
-    """A report carries its method, and JSON has no infinite numbers."""
+def _check_run(spec: MethodSpec, trials: int, check: str) -> None:
+    """A report carries its method and its trial count: JSON has no
+    infinite numbers, and no run makes fewer than zero trials."""
     if spec.delta is not None and not math.isfinite(spec.delta):
-        raise ValueError(f"{check} needs a finite delta, got {spec.delta!r}")
+        raise InvalidArgument(f"{check} needs a finite delta, got {spec.delta!r}")
+    if trials < 0:
+        raise InvalidArgument(f"{check} needs a nonnegative number of trials, got {trials!r}")
 
 
 def _pulls_back(rx: list[int], ry: list[int], image: list[int]) -> bool:
@@ -359,7 +362,7 @@ def check_functoriality(
     built only for a violation. Violation entries carry everything needed
     to replay the trial.
     """
-    _require_finite_delta(spec, "functoriality check")
+    _check_run(spec, trials, "functoriality check")
     start = time.perf_counter()
     lo, hi = sizes
     violations: list[dict] = []
@@ -407,7 +410,7 @@ def check_sandwich(
     inside the method's, which lies inside the single linkage relation.
     For flag covers that is the two refinements; the covers are built only
     for a violation."""
-    _require_finite_delta(spec, "sandwich check")
+    _check_run(spec, trials, "sandwich check")
     start = time.perf_counter()
     probe = clustering_parameter(spec)
     ml_spec = MethodSpec("ml", probe.delta_f)
@@ -542,11 +545,13 @@ def _search_counterexample(
     tried: up to the witness when one is found, else all it enumerated
     (at most the budget)."""
     if spec.delta is None:
-        raise ValueError("counterexample search needs a method with delta")
+        raise InvalidArgument("counterexample search needs a method with delta")
     if not 0 < spec.delta < math.inf:
-        raise ValueError(f"counterexample search needs a finite delta > 0, got {spec.delta!r}")
+        raise InvalidArgument(
+            f"counterexample search needs a finite delta > 0, got {spec.delta!r}"
+        )
     if max_points > 7:
-        raise ValueError("orbit enumeration supports at most 7 points")
+        raise InvalidArgument("orbit enumeration supports at most 7 points")
     from .graphs import Graph, space_from_graph
 
     delta = spec.delta

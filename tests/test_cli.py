@@ -360,6 +360,26 @@ def test_cluster_rejects_space_json_distances_off_schema(runner, tmp_path, dista
     assert result.output == f"Error: {space}: 'distances' must be a list of n lists of n numbers\n"
 
 
+@pytest.mark.parametrize("points", [[[1], {"a": 2}], [1, 1.0]])
+def test_cluster_rejects_space_json_labels_that_are_not_strings(runner, tmp_path, points):
+    # str() used to make the labels "[1]" and "{'a': 2}", or "1" and "1.0"
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"points": points, "distances": [[0, 1], [1, 0]]}))
+    result = runner.invoke(main, ["cluster", "--method", "sl", "--delta", "1", str(space)])
+    assert result.exit_code == 2
+    assert result.output == f"Error: {space}: 'points' must be a list of strings\n"
+
+
+@pytest.mark.parametrize("document", ["null", '"base clusters"', "[1]"])
+def test_cover_commands_name_a_cover_json_that_is_no_object(runner, tmp_path, document):
+    cover = tmp_path / "cover.json"
+    cover.write_text(document)
+    for args in (["flagify", str(cover)], ["refines", str(cover), str(cover)]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.output == f"Error: {cover}: cover JSON needs 'base' and 'clusters'\n"
+
+
 def _deeply_nested(depth):
     return "[" * depth + "]" * depth
 

@@ -12,7 +12,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sievecluster.cli import main
 
@@ -167,11 +167,14 @@ def test_space_commands_end_cleanly_on_any_space_json(work, text, command):
 
 @settings(max_examples=100)
 @given(cover_jsons(), cover_jsons(), st.booleans())
+@example("null", "null", True)
 def test_cover_commands_end_cleanly_on_any_cover_json(work, fine, coarse, flagify):
     paths = [work / "fine.json", work / "coarse.json"]
     for path, text in zip(paths, (fine, coarse)):
         path.write_text(text)
     if flagify:
-        _ends_cleanly(["flagify", str(paths[0])])
+        result = _ends_cleanly(["flagify", str(paths[0])])
     else:
-        _ends_cleanly(["refines", *map(str, paths)])
+        result = _ends_cleanly(["refines", *map(str, paths)])
+    if result.exit_code == 2:
+        assert not [w for w in FOREIGN_WORDS if w in result.output], result.output

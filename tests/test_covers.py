@@ -18,6 +18,7 @@ from sievecluster import (
     reduce_to_maximal,
     refines,
 )
+from sievecluster.errors import InvalidArgument
 from sievecluster.verify import brute_force_maximal_linked
 
 
@@ -169,6 +170,13 @@ def test_cover_dict_roundtrip():
 )
 def test_cover_from_dict_requires_lists_of_strings(data, key):
     with pytest.raises(ValueError, match=repr(key)):
+        Cover.from_dict(data)
+
+
+@pytest.mark.parametrize("data", [None, "base clusters", ["base", "clusters"], 3])
+def test_cover_from_dict_requires_an_object(data):
+    # None used to raise TypeError: argument of type 'NoneType' is not iterable
+    with pytest.raises(InvalidArgument, match="^cover JSON needs 'base' and 'clusters'$"):
         Cover.from_dict(data)
 
 

@@ -96,7 +96,7 @@ def test_point_labels_must_match_the_points(labels):
     for points in ([[0.0], [1.0], [3.0]], np.array([[0.0], [1.0], [3.0]])):
         got = assert_same(lambda: space_from_points(points, labels=labels))
         message = f"distance matrix shape (3, 3) does not match {len(labels)} labels"
-        assert got == ("ValueError", message)
+        assert got == ("InvalidArgument", message)
 
 
 @pytest.mark.parametrize("norm", NORMS)
@@ -246,7 +246,7 @@ def test_rel_tol_must_be_finite_and_nonnegative(rel_tol):
         for matrix in (d, [[0, 1], [1, 0]]):
             labels = ["a", "b", "c"][: len(matrix)]
             got = both_paths(lambda: fn(labels, matrix, rel_tol=rel_tol))
-            assert got == [("ValueError", message)] * 2
+            assert got == [("InvalidArgument", message)] * 2
 
 
 def test_rel_tol_zero_checks_exactly():
@@ -261,7 +261,7 @@ def test_rel_tol_zero_checks_exactly():
 
 
 _INF, _NAN = math.inf, math.nan
-_NON_FINITE = ("ValueError", "distance matrix contains non-finite entries")
+_NON_FINITE = ("InvalidArgument", "distance matrix contains non-finite entries")
 _ASYMMETRIC = "matrix differs from transpose by "
 
 
@@ -321,6 +321,16 @@ def test_malformed_inputs_fail_alike(matrix):
     labels = ["a", "b"]
     for fn in (validate_metric, metric_closure, FiniteMetricSpace):
         assert_same(lambda: fn(labels, matrix))
+
+
+@pytest.mark.parametrize("matrix", [[[0, 1], [1]], [[0, "x"], [1, 0]]])
+def test_rows_numpy_cannot_convert_fail_in_this_programs_words(matrix):
+    # numpy's "inhomogeneous shape" and "could not convert string to float"
+    want = ("InvalidArgument", "distance matrix must be 2 rows of 2 finite numbers")
+    for fn in (validate_metric, metric_closure, FiniteMetricSpace):
+        assert both_paths(lambda: fn(["a", "b"], matrix)) == [want] * 2
+    want = ("InvalidArgument", "expected a non-empty 2d array of coordinates")
+    assert both_paths(lambda: space_from_points(matrix)) == [want] * 2
 
 
 _WEIGHTS = st.one_of(

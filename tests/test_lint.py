@@ -426,3 +426,79 @@ def test_exit_two_breach_scan_catches_one():
 
 def test_cli_turns_library_errors_into_exit_two_in_main_alone():
     assert exit_two_breaches((SRC / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def _owner_of(tree: ast.Module):
+    """(top-level definition's name, node) for every node of a module;
+    the name is "" outside any definition."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            yield getattr(top, "name", ""), node
+
+
+def plain_value_errors(source: str) -> list[tuple[int, str]]:
+    """(line, owner) of each ``raise ValueError``, called or bare, where
+    owner is the top-level function or class around it. The library
+    refuses an argument with InvalidArgument, which main turns into exit
+    2; a plain ValueError would be a traceback."""
+    found = []
+    for owner, node in _owner_of(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if ast.unparse(exc) == "ValueError":
+                found.append((node.lineno, owner))
+    return found
+
+
+def test_plain_value_error_scan_catches_one():
+    source = (
+        "def f(x):\n    if x:\n        raise ValueError(x)\n    raise InvalidArgument(x)\n"
+        "class C:\n    def g(self):\n        raise ValueError\n"
+        "def h():\n    raise TypeError('no')\n"
+    )
+    assert plain_value_errors(source) == [(3, "f"), (7, "C")]
+
+
+def test_the_library_raises_no_plain_value_error():
+    # the one left mirrors json.dumps on a non-finite float
+    found = [
+        (path.name, owner)
+        for path in MODULES
+        for _, owner in plain_value_errors(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [("fileio.py", "_sieve_json")]
+
+
+def builtin_error_handlers(source: str) -> list[tuple[int, str]]:
+    """(line, owner) of each handler that catches ValueError, TypeError or
+    KeyError, alone or in a tuple."""
+    found = []
+    for owner, node in _owner_of(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if {"ValueError", "TypeError", "KeyError"} & set(map(ast.unparse, caught)):
+                found.append((node.lineno, owner))
+    return found
+
+
+def test_builtin_error_handler_scan_catches_one():
+    source = (
+        "def f():\n    try:\n        g()\n    except (OSError, KeyError):\n        pass\n"
+        "    except SieveclusterError:\n        pass\n"
+        "def h():\n    try:\n        g()\n    except ValueError:\n        pass\n"
+    )
+    assert builtin_error_handlers(source) == [(4, "f"), (11, "h")]
+
+
+def test_cli_catches_no_builtin_error_but_in_parsing_its_own_strings():
+    # the library raises InvalidArgument, a SieveclusterError, which main
+    # alone turns into exit 2; only _parse_level converts a string itself
+    found = builtin_error_handlers((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert [owner for _, owner in found] == ["_parse_level"]
+
+
+def test_invalid_argument_is_a_library_error_and_a_value_error():
+    from sievecluster.errors import InvalidArgument, SieveclusterError
+
+    assert issubclass(InvalidArgument, SieveclusterError)
+    assert issubclass(InvalidArgument, ValueError)

@@ -21,6 +21,7 @@ from sievecluster import (
     validate_metric,
 )
 from sievecluster import metric
+from sievecluster.errors import InvalidArgument
 from sievecluster.metric import _min_plus
 
 
@@ -311,6 +312,14 @@ def test_restrict_keeps_submatrix(x3):
 
 def test_roundtrip_dict(x3):
     assert FiniteMetricSpace.from_dict(x3.to_dict()) == x3
+
+
+@pytest.mark.parametrize("points", [[[1], {"a": 2}], [1, 1.0], "ab", None])
+def test_from_dict_requires_string_labels(points):
+    # labels used to be made with str(): "[1]" and "{'a': 2}", or "1" and "1.0"
+    data = {"points": points, "distances": [[0, 1], [1, 0]]}
+    with pytest.raises(InvalidArgument, match="^'points' must be a list of strings$"):
+        FiniteMetricSpace.from_dict(data)
 
 
 def test_pairwise_distances_and_diameter(x3):

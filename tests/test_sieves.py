@@ -26,6 +26,7 @@ from sievecluster import (
 from sievecluster import metric, sieves
 from sievecluster._bitops import bits, components, maximal_cliques
 from sievecluster.covers import refines
+from sievecluster.errors import InvalidArgument
 from sievecluster.fileio import _sieve_json, canonical_json_bytes
 from sievecluster.metric import FiniteMetricSpace, space_from_points
 from sievecluster.rng import derive_seed
@@ -259,6 +260,12 @@ def test_sieve_from_dict_validation():
 )
 def test_sieve_from_dict_requires_lists_of_strings(data, key):
     with pytest.raises(ValueError, match=repr(key)):
+        Sieve.from_dict(data)
+
+
+@pytest.mark.parametrize("data", [None, "base", ["base", "breakpoints", "covers"]])
+def test_sieve_from_dict_requires_an_object(data):
+    with pytest.raises(InvalidArgument, match="^sieve JSON needs 'base'$"):
         Sieve.from_dict(data)
 
 

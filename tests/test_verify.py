@@ -26,6 +26,7 @@ from sievecluster import (
     verify_witness,
 )
 from sievecluster.covers import Cover, Relation
+from sievecluster.errors import InvalidArgument
 from sievecluster.verify import CATEGORIES, METRIC_MODES
 
 
@@ -190,6 +191,16 @@ def test_checks_refuse_infinite_delta(family, k):
     ):
         with pytest.raises(ValueError, match="finite delta"):
             check()
+
+
+def test_checks_refuse_a_negative_trial_count():
+    # the reports used to say "trials": -3
+    spec = MethodSpec(family="sl", delta=1.0)
+    for name, check in (("functoriality", check_functoriality), ("sandwich", check_sandwich)):
+        message = f"^{name} check needs a nonnegative number of trials, got -3$"
+        with pytest.raises(InvalidArgument, match=message):
+            check(spec, -3)
+    assert check_functoriality(spec, 0).trials == check_sandwich(spec, 0).trials == 0
 
 
 def test_counterexample_budget_exhaustion_returns_none():
