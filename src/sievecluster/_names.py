@@ -5,7 +5,7 @@ CLI's options (and ``--help``, ``--version`` or a usage error) loads none
 of the kernels, and so that a module needs neither ``graphs`` to check a
 level, ``covers`` to check the label lists of a JSON document, nor
 ``dataclasses`` to define a record. ``functors`` and ``verify`` re-export
-the name tuples.
+the name tuples, and ``fileio`` the norms as ``POINT_NORMS``.
 """
 
 import math
@@ -15,6 +15,8 @@ from .errors import InvalidArgument
 FAMILIES = ("sl", "ml", "l", "vl", "el", "bk", "bkstar", "generated")
 
 CATEGORIES = ("met", "metinj")
+
+NORMS = ("euclidean", "manhattan", "chebyshev")
 
 
 def _check_level(k) -> None:

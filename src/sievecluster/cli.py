@@ -43,7 +43,7 @@ from contextlib import nullcontext
 from typing import TYPE_CHECKING
 
 from . import __version__
-from ._names import CATEGORIES, FAMILIES
+from ._names import CATEGORIES, FAMILIES, NORMS
 from .errors import (
     MonotonicityViolation,
     SieveclusterError,
@@ -419,7 +419,7 @@ def _space_options(parser: _Parser) -> None:
     )
     parser.add_argument(
         "--norm",
-        choices=("euclidean", "manhattan", "chebyshev"),
+        choices=NORMS,
         default="euclidean",
         help="Norm used to turn a point cloud into distances. [default: %(default)s]",
     )

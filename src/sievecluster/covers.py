@@ -17,16 +17,8 @@ from typing import Iterable, Mapping
 
 from . import _bitops
 from ._names import _string_lists
-from .errors import BaseMismatch, DuplicateLabel, InvalidArgument, NestedCover
-from .metric import MetricMap
-
-
-def _canonical_base(base: Iterable[str]) -> tuple[str, ...]:
-    out = tuple(sorted(str(x) for x in base))
-    for a, b in zip(out, out[1:]):
-        if a == b:
-            raise DuplicateLabel(f"base label {a!r} appears more than once")
-    return out
+from .errors import BaseMismatch, InvalidArgument, NestedCover
+from .metric import MetricMap, _canonical_labels
 
 
 class Cover:
@@ -35,7 +27,7 @@ class Cover:
     __slots__ = ("base", "blocks", "_index", "_masks")
 
     def __init__(self, base: Iterable[str], blocks: Iterable[Iterable[str]]):
-        self.base = _canonical_base(base)
+        self.base = tuple(sorted(_canonical_labels(base)))
         index = {x: i for i, x in enumerate(self.base)}
         seen = set()
         canon = []
@@ -185,7 +177,7 @@ class Relation:
     __slots__ = ("base", "adj", "_index")
 
     def __init__(self, base: Iterable[str], pairs: Iterable[tuple[str, str]]):
-        self.base = _canonical_base(base)
+        self.base = tuple(sorted(_canonical_labels(base)))
         self._index = {x: i for i, x in enumerate(self.base)}
         adj = [0] * len(self.base)
         for a, b in pairs:

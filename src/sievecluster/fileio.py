@@ -34,10 +34,10 @@ from typing import Iterator, NamedTuple
 # metric's functions are looked up on the module at call time, so a
 # wrapper installed there later (a profiler, a tracer) sees these calls too
 from . import metric
+from ._names import NORMS as POINT_NORMS
 from .errors import InputFormatError
 from .metric import REL_TOL, FiniteMetricSpace
 
-POINT_NORMS = ("euclidean", "manhattan", "chebyshev")
 FORMATS = ("auto", "matrix", "points")
 
 

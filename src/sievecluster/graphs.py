@@ -57,10 +57,7 @@ class Graph:
     __slots__ = ("vertices", "_adj", "_index")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
-        verts = tuple(sorted(str(v) for v in vertices))
-        for a, b in zip(verts, verts[1:]):
-            if a == b:
-                raise InvalidArgument(f"vertex {a!r} appears more than once")
+        verts = tuple(sorted(_canonical_labels(vertices)))
         index = {v: i for i, v in enumerate(verts)}
         adj = [0] * len(verts)
         for u, v in edges:
@@ -117,8 +114,8 @@ class Graph:
 
 def threshold_graph(space: FiniteMetricSpace, delta: float) -> Graph:
     """Edges between points at distance <= delta (inclusive)."""
-    if delta < 0:
-        raise InvalidArgument("threshold must be nonnegative")
+    if not delta >= 0:
+        raise InvalidArgument(f"threshold must be nonnegative, got {delta!r}")
     return Graph.from_masks(space.labels, space._adjacency(delta))
 
 

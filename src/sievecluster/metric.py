@@ -107,14 +107,33 @@ def _buffer(matrix, n: int) -> array | None:
 
 
 def _float_array(np, values, message: str):
-    """values as a float64 array, as np.asarray makes it; InvalidArgument
-    with ``message``, which says what shape they must have, where numpy
-    cannot convert them (ragged rows, a string that is not a number, an
-    integer beyond the largest float)."""
+    """values as a float64 array, converted as np.asarray converts them (a
+    float64 array is not copied); InvalidArgument with ``message``, which
+    says what shape they must have, where they are not all real numbers: a
+    string, even one numpy would parse as a number, a complex number, or
+    what numpy cannot convert (ragged rows, an integer beyond the largest
+    float)."""
     try:
-        return np.asarray(values, dtype=np.float64)
+        src = np.asarray(values)
+        kind = src.dtype.kind
+        if kind in "biuf" or kind == "O" and not any(
+            isinstance(v, (str, bytes)) for v in src.flat
+        ):
+            return src.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgument(message) from exc
+    raise InvalidArgument(message)
+
+
+def _float_matrix(np, matrix, n: int):
+    """matrix as an (n, n) float64 array (see _float_array), for n >= 1
+    labels; InvalidArgument naming what is wrong otherwise."""
+    src = _float_array(np, matrix, f"distance matrix must be {n} rows of {n} finite numbers")
+    if src.shape != (n, n):
+        raise InvalidArgument(f"distance matrix shape {src.shape} does not match {n} labels")
+    if n == 0:
+        raise InvalidArgument("a metric space needs at least one point")
+    return src
 
 
 def _permute(np, d, order: list[int]) -> None:
@@ -170,7 +189,10 @@ class FiniteMetricSpace:
 
     The constructor canonicalizes label order but does not re-check the
     metric axioms; use :func:`validate_metric` when the matrix comes from
-    outside the library.
+    outside the library. It does refuse a NaN distance, which is no
+    distance at all, with InvalidArgument naming the first such pair in
+    row-major order: no space holds a NaN, so every distance is ordered
+    against every scale. Infinite distances are kept.
 
     A space built from a large point cloud holds its coordinates instead
     (``_cloud``) until its buffer is first read; see :func:`space_from_points`.
@@ -185,19 +207,16 @@ class FiniteMetricSpace:
         if flat is None:
             import numpy as np
 
-            matrix = _float_array(
-                np, dist, f"distance matrix must be {n} rows of {n} finite numbers"
-            )
-            if matrix.shape != (n, n):
-                raise InvalidArgument(
-                    f"distance matrix shape {matrix.shape} does not match {n} labels"
-                )
-            if n == 0:
-                raise InvalidArgument("a metric space needs at least one point")
             flat = _zeros(n)
-            np.add(matrix, 0.0, out=_view(np, flat, n))  # 0.0 + -0.0 is +0.0
+            d = _view(np, flat, n)
+            np.add(_float_matrix(np, dist, n), 0.0, out=d)  # 0.0 + -0.0 is +0.0
+            nan = math.isnan(d.min())
         else:
             flat = array("d", map(_PLUS_ZERO, flat))
+            nan = any(map(math.isnan, flat))
+        if nan:
+            a, b = divmod(next(i for i, v in enumerate(flat) if math.isnan(v)), n)
+            raise InvalidArgument(f"the distance from {labels[a]!r} to {labels[b]!r} is NaN")
         self._adopt(labels, flat)
 
     @classmethod
@@ -300,7 +319,8 @@ class FiniteMetricSpace:
         A space of a large cloud whose buffer is not built yet answers from
         its cell grid (``_Cloud.adjacency``), with the same masks, unless
         the grid cannot; then the buffer is built. Once _sort_rows has kept
-        the sorted rows, each call is one bisection a row.
+        the sorted rows, each call is one bisection a row; a NaN bound,
+        which bisects to no place, is compared entry by entry.
         """
         if self._buf is None:
             adj = self._cloud.adjacency(bound)
@@ -314,10 +334,9 @@ class FiniteMetricSpace:
     def _sort_rows(self) -> None:
         """Keep each row sorted, with the masks of its prefixes, for the
         many _adjacency calls of a sieve. Not from _NUMPY_MIN_POINTS points
-        on, nor with a NaN, which sorts nowhere."""
+        on. A space holds no NaN, so every row sorts."""
         if self._sorted_rows is None and self.n < _NUMPY_MIN_POINTS:
-            if not any(map(math.isnan, self._flat)):
-                self._sorted_rows = _sorted_rows(self._flat, self.n)
+            self._sorted_rows = _sorted_rows(self._flat, self.n)
 
     def _rows(self) -> list[list[float]]:
         """The distances as n lists of n floats."""
@@ -537,13 +556,7 @@ def _checked_numpy(labels: tuple[str, ...], matrix, rel_tol: float) -> tuple[arr
     import numpy as np
 
     n = len(labels)
-    src = _float_array(np, matrix, f"distance matrix must be {n} rows of {n} finite numbers")
-    if src.ndim != 2 or src.shape[0] != src.shape[1]:
-        raise InvalidArgument(f"distance matrix must be square, got shape {src.shape}")
-    if src.shape[0] != n:
-        raise InvalidArgument(f"matrix is {src.shape[0]}x{src.shape[0]} but there are {n} labels")
-    if n == 0:
-        raise InvalidArgument("a metric space needs at least one point")
+    src = _float_matrix(np, matrix, n)
     if not np.isfinite(src).all():
         raise InvalidArgument("distance matrix contains non-finite entries")
     tol = rel_tol * abs(max(float(src.max()), -float(src.min())))
@@ -838,7 +851,9 @@ def space_from_points(
     """Build a space from coordinate rows under a named norm.
 
     Supported metrics: euclidean, manhattan, chebyshev. The triangle
-    inequality holds by construction, so no cubic re-check is run.
+    inequality holds by construction, so no cubic re-check is run. A
+    coordinate that is NaN or infinite, or a string, raises
+    InvalidArgument; finite points too far apart are at distance inf.
 
     Below ``_NUMPY_MIN_POINTS`` points of fewer than 8 coordinates, Python
     lists take each point against every later one, summing left to right
@@ -858,6 +873,8 @@ def space_from_points(
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise InvalidArgument(message)
+        if not np.isfinite(pts).all():
+            raise InvalidArgument("point coordinates must be finite numbers")
     norm = _POINT_NORMS.get(metric)
     if norm is None:
         raise InvalidArgument(f"unknown point metric {metric!r}")

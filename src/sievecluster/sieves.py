@@ -3,11 +3,13 @@
 A sieve assigns to every scale t >= 0 a flag cover of a fixed base set,
 constant on half-open intervals [b_i, b_{i+1}) between breakpoints, such
 that (1) each cover is a refinement of every cover at a larger scale,
-(2) the assignment is right-continuous (structural here, by the half-open
-representation), and (3) the last cover is the one-block cover of the
-whole base. An object satisfying (1) and (2) but not (3) is a persistent
-cover; construction accepts it and the axiom checker reports which
-conditions hold.
+(2) the assignment is right-continuous, and (3) the last cover is the
+one-block cover of the whole base. Condition (2) holds by the half-open
+representation: every Sieve, however it is built, has breakpoints that
+start at 0 and increase strictly, and a space holds no NaN distance, so
+its scales are ordered. An object satisfying (1) and (2) but not (3) is a
+persistent cover; construction accepts it and the axiom checker reports
+which conditions hold.
 
 For the threshold families the cover can only change when the edge set of
 the threshold graph changes, so the breakpoints of a built sieve are a
@@ -22,7 +24,6 @@ scales) and keeps its maximal cliques up to date as it does.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from operator import itemgetter
 
@@ -34,6 +35,20 @@ from .functors import MethodSpec, _linked_relation
 from .metric import FiniteMetricSpace
 
 
+def _breakpoints(breakpoints) -> tuple[float, ...]:
+    """The breakpoints as floats, checked to start at 0 and to increase
+    strictly: every sieve holds them so, whichever way it is built."""
+    bps = tuple(float(b) for b in breakpoints)
+    if not bps:
+        raise InvalidArgument("a sieve needs at least one breakpoint")
+    if bps[0] != 0.0:
+        raise InvalidArgument("the first breakpoint must be 0")
+    for a, b in zip(bps, bps[1:]):
+        if not a < b:
+            raise InvalidArgument("breakpoints must be strictly increasing")
+    return bps
+
+
 class Sieve:
     """Breakpoints plus the covers they start; covers[i] holds on
     [breakpoints[i], breakpoints[i+1]) and the last one onward."""
@@ -42,15 +57,8 @@ class Sieve:
 
     def __init__(self, base, breakpoints, covers):
         self.base = tuple(base)
-        bps = tuple(float(b) for b in breakpoints)
+        bps = _breakpoints(breakpoints)
         cvs = tuple(covers)
-        if not bps:
-            raise InvalidArgument("a sieve needs at least one breakpoint")
-        if bps[0] != 0.0:
-            raise InvalidArgument("the first breakpoint must be 0")
-        for a, b in zip(bps, bps[1:]):
-            if not a < b:
-                raise InvalidArgument("breakpoints must be strictly increasing")
         if len(bps) != len(cvs):
             raise InvalidArgument("breakpoints and covers must align")
         for c in cvs:
@@ -76,10 +84,11 @@ class Sieve:
 
         Each block's label tuple is made once and all are sorted once, so
         every cover is read off in canonical order and built as a trusted
-        FlagCover. Raises InvalidArgument, as the constructor does, when two
+        FlagCover. Raises InvalidArgument, as the constructor does, when the
+        breakpoints are not 0 and then strictly increasing, and when two
         neighbouring covers are equal: no block is born or dies between.
         """
-        bps = tuple(float(b) for b in breakpoints)
+        bps = _breakpoints(breakpoints)
         changed = [False] * (len(bps) + 1)
         rows = []
         for mask, birth, death in lifetimes:
@@ -166,15 +175,14 @@ def build_sieve(x: FiniteMetricSpace, spec: MethodSpec) -> Sieve:
 
     Candidate scales are 0 plus the distinct pairwise distances, ascending:
     the threshold graph, and so the cover, can only change at one of them.
+    No space holds a NaN distance (FiniteMetricSpace refuses one), so the
+    distances sort, and an infinite one is the last scale.
 
     sl is the dendrogram of a minimum spanning tree (Gower & Ross 1969):
     its blocks are the components of the tree's edges of weight at most
     the scale, so its breakpoints are 0 and the distinct edge weights, and
     it is built from the tree alone (_single_linkage_sieve), with no
     relation and no clique search.
-
-    A space holding a NaN distance raises InvalidArgument for every family,
-    naming the first such pair, since a NaN has no place among the scales.
 
     Every other threshold family outputs flag covers: the maximal cliques of
     their co-blocking relation, which only gains pairs as the scale grows
@@ -193,13 +201,6 @@ def build_sieve(x: FiniteMetricSpace, spec: MethodSpec) -> Sieve:
         raise InvalidArgument(
             "generated methods have no scale parameter to sweep; "
             "build a sieve from a threshold family"
-        )
-    n, flat = x.n, x._flat
-    if any(map(math.isnan, flat)):
-        at = next(i for i, d in enumerate(flat) if math.isnan(d))
-        a, b = x.labels[at // n], x.labels[at % n]
-        raise InvalidArgument(
-            f"the distance from {a!r} to {b!r} is NaN; a sieve needs ordered scales"
         )
     if spec.family == "ml":
         return _clique_sweep(x.labels, _threshold_batches(x))
@@ -222,7 +223,8 @@ def _single_linkage_sieve(x: FiniteMetricSpace) -> Sieve:
     one breakpoint per distinct weight; edges of weight 0 merge at
     breakpoint 0. Each merge ends the two merged blocks and starts their
     union, so a block born and merged again within one weight gets no
-    lifetime, as in _clique_sweep. x must hold no NaN (build_sieve checks).
+    lifetime, as in _clique_sweep. No space holds a NaN, so the weights
+    sort into ascending breakpoints.
     """
     n, flat = x.n, x._flat
     best = list(flat[:n])  # distance from the tree to each point outside it
@@ -412,32 +414,19 @@ def check_sieve_axioms(s: Sieve) -> SieveAxiomReport:
     """Report conditions (1)-(3) for a possibly hand-built profile.
 
     Refinement is covers.refines on each neighbouring pair. Right
-    continuity is structural in this representation, but the checker
-    still exercises evaluate() at and just above each breakpoint and
-    compares against the stored cover; above a breakpoint whose next one
-    is the adjacent float, no scale lies between to probe.
+    continuity holds by the representation: every Sieve, built by its
+    constructor or by build_sieve, has breakpoints that start at 0 and
+    increase strictly, and covers[i] holds on the half-open
+    [breakpoints[i], breakpoints[i+1]). So no scale is probed, and
+    ``right_continuity_violations`` is always empty.
     """
     refinement = []
     for i, (fine, coarse) in enumerate(zip(s.covers, s.covers[1:])):
         if not refines(fine, coarse):
             refinement.append((i, s.breakpoints[i + 1]))
-    continuity = []
-    for i, b in enumerate(s.breakpoints):
-        if s.evaluate(b) != s.covers[i]:
-            continuity.append(b)
-            continue
-        if i + 1 < len(s.breakpoints):
-            nxt = s.breakpoints[i + 1]
-            mid = b + (nxt - b) / 2.0
-            if not b < mid < nxt:  # adjacent floats: [b, nxt) holds only b
-                continue
-        else:
-            mid = b + max(1.0, abs(b))
-        if s.evaluate(mid) != s.covers[i]:
-            continuity.append(b)
     return SieveAxiomReport(
         refinement_violations=tuple(refinement),
-        right_continuity_violations=tuple(continuity),
+        right_continuity_violations=(),
         terminal_trivial=s.terminal_trivial(),
     )
 

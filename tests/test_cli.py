@@ -136,7 +136,7 @@ def test_sieve_profile(runner, tmp_path):
 
 def test_sieve_with_adjacent_float_breakpoints_exits_zero(runner, tmp_path):
     # the ml sieve of this cloud has breakpoints one float apart, where no
-    # scale lies between to probe right continuity
+    # scale lies between them; a probe there once made the check fail
     rows = [f"q{i:02d},{(0.37 * i) % 1!r},{(0.61 * i) % 1!r}" for i in range(20)]
     path = tmp_path / "cloud.csv"
     path.write_text("label,x0,x1\n" + "\n".join(rows) + "\n")

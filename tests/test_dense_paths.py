@@ -312,15 +312,27 @@ def test_validation_across_the_constant(planted):
     assert closed[0] == closed[1]
 
 
+_STRINGS = [["0", "1"], ["1", "0"]]
+_NANS = [[0.0, math.nan], [math.nan, 0.0]]
+
+
 @pytest.mark.parametrize(
     "matrix",
-    [[], [[0.0, 1.0]], [[0.0], [1.0]], [[0.0, 1.0], [1.0]], [["0", "1"], ["1", "0"]],
-     [[0.0, math.nan], [math.nan, 0.0]], [[0.0, math.inf], [math.inf, 0.0]], "ab"],
+    [[], [[0.0, 1.0]], [[0.0], [1.0]], [[0.0, 1.0], [1.0]], _STRINGS,
+     _NANS, [[0.0, math.inf], [math.inf, 0.0]], "ab"],
 )
 def test_malformed_inputs_fail_alike(matrix):
+    # numpy would parse the strings as numbers, and a NaN is no distance:
+    # validate_metric, metric_closure and the constructor refuse both
     labels = ["a", "b"]
-    for fn in (validate_metric, metric_closure, FiniteMetricSpace):
+    got = [
         assert_same(lambda: fn(labels, matrix))
+        for fn in (validate_metric, metric_closure, FiniteMetricSpace)
+    ]
+    if matrix is _STRINGS:
+        assert got == [("InvalidArgument", "distance matrix must be 2 rows of 2 finite numbers")] * 3
+    if matrix is _NANS:
+        assert got == [_NON_FINITE, _NON_FINITE, ("InvalidArgument", "the distance from 'a' to 'b' is NaN")]
 
 
 @pytest.mark.parametrize("matrix", [[[0, 1], [1]], [[0, "x"], [1, 0]]])
@@ -371,11 +383,10 @@ def test_threshold_masks(case, bounds):
 
 
 def test_threshold_masks_of_a_space_holding_nan():
-    x = FiniteMetricSpace(["a", "b", "c"], [[0, 1, math.nan], [1, 0, 2], [math.nan, 2, 0]])
-    x._sort_rows()
-    assert x._sorted_rows is None
-    for bound in (0.5, 1.0, 2.0, math.inf, math.inf):
-        assert x._adjacency(bound) == metric._adjacency_at_most(x._flat, 3, bound)
+    # a NaN sorts nowhere, so no space holds one and every space's rows sort
+    d = [[0, 1, math.nan], [1, 0, 2], [math.nan, 2, 0]]
+    got = both_paths(lambda: FiniteMetricSpace(["a", "b", "c"], d))
+    assert got == [("InvalidArgument", "the distance from 'a' to 'c' is NaN")] * 2
 
 
 @given(

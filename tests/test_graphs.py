@@ -33,6 +33,7 @@ from sievecluster import (
     write_edge_list,
 )
 from sievecluster import _bitops
+from sievecluster.errors import InvalidArgument
 from sievecluster.graphs import _el_partition, _vertex_blocks
 from sievecluster.rng import SplitMix64
 
@@ -164,6 +165,9 @@ def test_threshold_graph_inclusive_boundary(x3):
     assert g2.edge_count == 3
     g0 = threshold_graph(x3, 0.5)
     assert g0.edge_count == 0
+    for delta in (-1.0, math.nan):  # a NaN threshold used to give no edges
+        with pytest.raises(InvalidArgument, match="threshold must be nonnegative"):
+            threshold_graph(x3, delta)
 
 
 def test_space_from_graph_roundtrip():

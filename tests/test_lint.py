@@ -368,6 +368,36 @@ def test_no_dataclasses_import(path):
     assert imports_of(path.read_text(encoding="utf-8"), "dataclasses") == []
 
 
+def isnan_uses(source: str) -> list[int]:
+    """Lines that use ``math.isnan``: called, passed as a function, or
+    imported by name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "math.isnan":
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [node.lineno for alias in node.names if alias.name == "isnan"]
+    return sorted(found)
+
+
+def test_isnan_scan_catches_one():
+    source = (
+        "import math\nfrom math import inf, isnan\n"
+        "def f(x):\n    return math.isnan(x) or any(map(math.isnan, x))\n"
+        "def g(x):\n    return x != x or math.isinf(x) or np.isnan(x)\n"
+    )
+    assert isnan_uses(source) == [2, 4, 4]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_math_isnan_only_in_metric(path):
+    # a space refuses a NaN distance where it is built, so no module
+    # downstream of metric checks for one again; metric still does, so
+    # the rule is not stale
+    found = isnan_uses(path.read_text(encoding="utf-8"))
+    assert bool(found) == (path.name == "metric.py"), found
+
+
 def _is_call(node, func: str, *args: str) -> bool:
     """Whether node calls the function with this dotted name on exactly
     these arguments, as source text."""

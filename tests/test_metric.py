@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from sievecluster import (
     AsymmetricMatrix,
+    Cover,
     DuplicateLabel,
     FiniteMetricSpace,
+    Graph,
     MetricMap,
     NegativeDistance,
     NonzeroDiagonal,
+    Relation,
     TriangleViolation,
     metric_closure,
     path_space,
@@ -40,8 +44,16 @@ def test_equal_spaces_regardless_of_input_order():
 
 
 def test_duplicate_labels_rejected():
-    with pytest.raises(DuplicateLabel):
+    # one label rule for a space, a graph, a cover and a relation
+    with pytest.raises(DuplicateLabel, match="^label 'a' appears more than once$"):
         FiniteMetricSpace(["a", "a"], [[0, 1], [1, 0]])
+    for build in (
+        lambda: Graph(["b", "a", "a"]),
+        lambda: Cover(["b", "a", "a"], [["a", "b"]]),
+        lambda: Relation(["b", "a", "a"], []),
+    ):
+        with pytest.raises(DuplicateLabel, match="^label 'a' appears more than once$"):
+            build()
 
 
 def test_validate_rejects_asymmetry_beyond_tolerance():
@@ -204,6 +216,14 @@ def test_space_from_points_norms():
     assert space_from_points(pts, "chebyshev").distance("p0", "p1") == 4.0
     with pytest.raises(ValueError):
         space_from_points(pts, "cosine")
+    # a coordinate that is no finite number is refused before numpy forms
+    # inf - inf, which would leak a RuntimeWarning and NaN distances
+    for bad in (math.nan, math.inf, -math.inf):
+        for cloud in ([(0.0, 0.0), (bad, 1.0)], np.array([(0.0, 0.0), (bad, 1.0)])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidArgument, match="^point coordinates must be finite numbers$"):
+                    space_from_points(cloud)
 
 
 def _full_broadcast_distances(pts: np.ndarray, norm: str) -> np.ndarray:

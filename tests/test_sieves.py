@@ -398,6 +398,15 @@ def test_sieve_from_lifetimes_refuses_equal_neighbours():
     assert sieve == Sieve(base, [0.0, 1.0], [Cover(base, ["a", "b"]), Cover(base, ["ab"])])
     with pytest.raises(ValueError, match="breakpoints 1 and 2 are equal"):
         Sieve._from_lifetimes(base, [0.0, 1.0, 2.0], [(a, 0, 1), (b, 0, 1), (whole, 1, 3)])
+    # every sieve's breakpoints start at 0 and increase strictly, as the
+    # constructor requires: right continuity then holds by the representation
+    for bps, message in [
+        ([1.0, 2.0], "the first breakpoint must be 0"),
+        ([0.0, 0.0], "breakpoints must be strictly increasing"),
+        ([0.0, math.nan], "breakpoints must be strictly increasing"),
+    ]:
+        with pytest.raises(InvalidArgument, match=message):
+            Sieve._from_lifetimes(base, bps, [(a, 0, 1), (b, 0, 1), (whole, 1, 2)])
 
 
 @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=MethodSpec.label)
@@ -605,7 +614,7 @@ def test_clique_sweep_matches_a_full_clique_search_at_every_breakpoint(graph):
 
 def test_right_continuity_probe_skips_adjacent_float_breakpoints():
     # the ml sieve of this cloud has breakpoints one float apart, where no
-    # scale lies between to probe
+    # scale lies between them; right continuity holds by the representation
     pts = [((0.37 * i) % 1, (0.61 * i) % 1) for i in range(20)]
     x = space_from_points(pts, labels=[f"q{i:02d}" for i in range(20)])
     sieve = build_sieve(x, MethodSpec(family="ml"))
@@ -676,9 +685,9 @@ def test_single_linkage_sieve_matches_dense_sweep_on_tie_heavy_spaces(x):
 
 def test_single_linkage_sieve_refuses_a_nan_and_keeps_an_infinite_distance():
     nan, inf = math.nan, math.inf
-    x = FiniteMetricSpace(list("abc"), [[0.0, 1.0, nan], [1.0, 0.0, 2.0], [nan, 2.0, 0.0]])
-    with pytest.raises(ValueError, match="from 'a' to 'c' is NaN"):
-        build_sieve(x, MethodSpec("sl"))
+    d = [[0.0, 1.0, nan], [1.0, 0.0, 2.0], [nan, 2.0, 0.0]]
+    with pytest.raises(InvalidArgument, match="from 'a' to 'c' is NaN"):
+        build_sieve(FiniteMetricSpace(list("abc"), d), MethodSpec("sl"))
     y = FiniteMetricSpace(list("abc"), [[0.0, 1.0, inf], [1.0, 0.0, inf], [inf, inf, 0.0]])
     s = build_sieve(y, MethodSpec("sl"))
     assert s.breakpoints == (0.0, 1.0, inf)
@@ -694,13 +703,12 @@ def test_single_linkage_sieve_refuses_a_nan_and_keeps_an_infinite_distance():
     ids=lambda spec: spec.family,
 )
 def test_every_family_refuses_a_nan_distance(spec):
-    # a NaN has no place among the scales: every family names the pair
-    # rather than sort the NaN among them or drop the pair
+    # a NaN has no place among the scales: the space refuses it, naming the
+    # pair, before any family could sort the NaN among them or drop the pair
     d = [[abs(i - j) * 1.0 for j in range(4)] for i in range(4)]
     d[1][2] = d[2][1] = math.nan
-    x = FiniteMetricSpace(list("abcd"), d)
-    with pytest.raises(ValueError, match="from 'b' to 'c' is NaN; a sieve needs ordered scales"):
-        build_sieve(x, spec)
+    with pytest.raises(InvalidArgument, match="^the distance from 'b' to 'c' is NaN$"):
+        build_sieve(FiniteMetricSpace(list("abcd"), d), spec)
 
 
 def test_single_linkage_sieve_of_a_500_point_cloud_keeps_its_bytes():

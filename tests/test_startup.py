@@ -343,6 +343,8 @@ def test_name_tuples_are_defined_once():
     assert sievecluster.FAMILIES is sievecluster.functors.FAMILIES
     assert sievecluster.functors.FAMILIES is sievecluster._names.FAMILIES
     assert verify.CATEGORIES is sievecluster._names.CATEGORIES
+    assert sievecluster.fileio.POINT_NORMS is sievecluster._names.NORMS
+    assert tuple(sievecluster.metric._POINT_NORMS) == sievecluster._names.NORMS
 
 
 def test_traced_install_leaves_no_unwrapped_binding():
