@@ -76,8 +76,8 @@ class MethodSpec(_FrozenRecord):
         elif k is not None:
             raise InvalidArgument(f"family {family!r} takes no k")
         if family == "l":
-            if budget is not None and not budget >= 0:
-                raise InvalidArgument("budget K must be nonnegative")
+            if budget is not None and not budget > 0:
+                raise InvalidArgument(f"budget K must be positive, got {budget!r}")
         elif budget is not None:
             raise InvalidArgument(f"family {family!r} takes no budget")
         if family == "generated":
@@ -129,31 +129,39 @@ class MethodSpec(_FrozenRecord):
 
     @classmethod
     def from_dict(cls, data: dict) -> "MethodSpec":
-        def num(v, what):
-            if v == "inf":
+        """The method of a parsed JSON document, checked against the
+        ``method`` object of trial_report.schema.json: a wrong type raises
+        InvalidArgument naming the key, and the constructor checks the
+        values."""
+        if not isinstance(data, dict) or "family" not in data:
+            raise InvalidArgument("method JSON needs 'family'")
+
+        def number(key, inf=True):
+            v = data[key]
+            if inf and v == "inf":
                 return math.inf
             if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise InvalidArgument(f"{what} must be a number or 'inf'")
+                raise InvalidArgument(f"method {key!r} must be a number" + " or 'inf'" * inf)
             return v
 
-        k = data.get("k")
-        if k is not None:
-            k = num(k, "k")
-            if k != math.inf:
-                if k != int(k):
-                    raise InvalidArgument("k must be an integer or 'inf'")
-                k = int(k)
-        budget = data.get("K")
-        if budget is not None:
-            budget = float(num(budget, "K"))
-        tests = tuple(FiniteMetricSpace.from_dict(t) for t in data.get("test_spaces", []))
+        k = number("k") if "k" in data else None
+        if isinstance(k, float) and k != math.inf:
+            if not k.is_integer():
+                raise InvalidArgument("method 'k' must be an integer or 'inf'")
+            k = int(k)
+        tests = data.get("test_spaces", [])
+        if not isinstance(tests, list):
+            raise InvalidArgument("method 'test_spaces' must be a list of spaces")
+        clique_exception = data.get("clique_exception", False)
+        if not isinstance(clique_exception, bool):
+            raise InvalidArgument("method 'clique_exception' must be true or false")
         return cls(
             family=data["family"],
-            delta=data.get("delta"),
+            delta=number("delta", inf=False) if "delta" in data else None,
             k=k,
-            budget=budget,
-            test_spaces=tests,
-            clique_exception=bool(data.get("clique_exception", False)),
+            budget=float(number("K")) if "K" in data else None,
+            test_spaces=tuple(FiniteMetricSpace.from_dict(t) for t in tests),
+            clique_exception=clique_exception,
         )
 
 

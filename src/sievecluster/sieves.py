@@ -4,12 +4,16 @@ A sieve assigns to every scale t >= 0 a flag cover of a fixed base set,
 constant on half-open intervals [b_i, b_{i+1}) between breakpoints, such
 that (1) each cover is a refinement of every cover at a larger scale,
 (2) the assignment is right-continuous, and (3) the last cover is the
-one-block cover of the whole base. Condition (2) holds by the half-open
-representation: every Sieve, however it is built, has breakpoints that
-start at 0 and increase strictly, and a space holds no NaN distance, so
-its scales are ordered. An object satisfying (1) and (2) but not (3) is a
-persistent cover; construction accepts it and the axiom checker reports
-which conditions hold.
+one-block cover of the whole base. Condition (2) holds for every Sieve by
+the half-open representation: its breakpoints start at 0 and increase
+strictly, and a space holds no NaN distance, so its scales are ordered.
+Condition (1) holds for every sieve build_sieve returns, by construction:
+a block ends only when a block born at the same breakpoint absorbs it,
+and a relation that loses a pair raises MonotonicityViolation instead. So
+only (3) can fail for a built sieve, and Sieve.terminal_trivial decides
+it. An object satisfying (1) and (2) but not (3) is a persistent cover.
+The constructor and Sieve.from_dict accept any ordered profile; the axiom
+checker reports (1) and (3) for a hand-built or loaded one.
 
 For the threshold families the cover can only change when the edge set of
 the threshold graph changes, so the breakpoints of a built sieve are a
@@ -368,67 +372,53 @@ def _clique_sweep(base: tuple[str, ...], batches) -> Sieve:
 
 
 class SieveAxiomReport(_FrozenRecord):
-    """Which of the three profile conditions hold, with violation details."""
+    """Which of conditions (1) and (3) hold for a profile, with the
+    refinement violations as (index i, breakpoint i + 1) wherever cover i
+    fails to refine cover i + 1. Every Sieve satisfies (2), so the report
+    holds no field for it."""
 
-    __slots__ = ("refinement_violations", "right_continuity_violations", "terminal_trivial")
+    __slots__ = ("refinement_violations", "terminal_trivial")
 
     def __init__(
-        self,
-        refinement_violations: tuple[tuple[int, float], ...],
-        right_continuity_violations: tuple[float, ...],
-        terminal_trivial: bool,
+        self, refinement_violations: tuple[tuple[int, float], ...], terminal_trivial: bool
     ):
         self._set("refinement_violations", refinement_violations)
-        self._set("right_continuity_violations", right_continuity_violations)
         self._set("terminal_trivial", terminal_trivial)
 
     @property
     def is_persistent_cover(self) -> bool:
-        return not self.refinement_violations and not self.right_continuity_violations
+        return not self.refinement_violations
 
     @property
     def is_sieve(self) -> bool:
         return self.is_persistent_cover and self.terminal_trivial
 
     def summary(self) -> str:
-        parts = []
         if self.refinement_violations:
             idx = ", ".join(str(i) for i, _ in self.refinement_violations)
-            parts.append(f"refinement fails at breakpoint index {idx}")
+            refinement = f"refinement fails at breakpoint index {idx}"
         else:
-            parts.append("refinement chain holds")
-        if self.right_continuity_violations:
-            parts.append("right continuity fails")
-        else:
-            parts.append("right-continuous")
-        parts.append(
-            "terminal cover trivial" if self.terminal_trivial else "terminal cover non-trivial"
-        )
+            refinement = "refinement chain holds"
+        terminal = "trivial" if self.terminal_trivial else "non-trivial"
         verdict = "sieve" if self.is_sieve else (
             "persistent cover" if self.is_persistent_cover else "not a persistent cover"
         )
-        return f"{verdict}: " + "; ".join(parts)
+        return f"{verdict}: {refinement}; terminal cover {terminal}"
 
 
 def check_sieve_axioms(s: Sieve) -> SieveAxiomReport:
-    """Report conditions (1)-(3) for a possibly hand-built profile.
+    """Report conditions (1) and (3) for a hand-built or loaded profile.
 
-    Refinement is covers.refines on each neighbouring pair. Right
-    continuity holds by the representation: every Sieve, built by its
-    constructor or by build_sieve, has breakpoints that start at 0 and
-    increase strictly, and covers[i] holds on the half-open
-    [breakpoints[i], breakpoints[i+1]). So no scale is probed, and
-    ``right_continuity_violations`` is always empty.
+    Refinement is covers.refines on each neighbouring pair, which suffices
+    since refinement is transitive. A sieve from build_sieve refines by
+    construction, so for it the report only repeats s.terminal_trivial();
+    condition (2) holds for every Sieve by the representation.
     """
     refinement = []
     for i, (fine, coarse) in enumerate(zip(s.covers, s.covers[1:])):
         if not refines(fine, coarse):
             refinement.append((i, s.breakpoints[i + 1]))
-    return SieveAxiomReport(
-        refinement_violations=tuple(refinement),
-        right_continuity_violations=(),
-        terminal_trivial=s.terminal_trivial(),
-    )
+    return SieveAxiomReport(tuple(refinement), s.terminal_trivial())
 
 
 def sieve_consistent(f, sieve_x: Sieve, sieve_y: Sieve) -> bool:

@@ -294,13 +294,25 @@ def random_morphism(
     return y, f
 
 
-def _check_run(spec: MethodSpec, trials: int, check: str) -> None:
+def _check_run(spec: MethodSpec, trials: int, sizes: tuple[int, int], check: str) -> None:
     """A report carries its method and its trial count: JSON has no
-    infinite numbers, and no run makes fewer than zero trials."""
+    infinite numbers, and a run makes a whole number of trials, at least
+    zero. Each trial draws a space of lo to hi points, 1 <= lo <= hi."""
     if spec.delta is not None and not math.isfinite(spec.delta):
         raise InvalidArgument(f"{check} needs a finite delta, got {spec.delta!r}")
+    if isinstance(trials, bool) or not isinstance(trials, int):
+        raise InvalidArgument(f"{check} needs an integer number of trials, got {trials!r}")
     if trials < 0:
         raise InvalidArgument(f"{check} needs a nonnegative number of trials, got {trials!r}")
+    if not (
+        isinstance(sizes, (tuple, list))
+        and len(sizes) == 2
+        and all(isinstance(n, int) and not isinstance(n, bool) for n in sizes)
+        and 1 <= sizes[0] <= sizes[1]
+    ):
+        raise InvalidArgument(
+            f"{check} needs sizes (lo, hi) of integers with 1 <= lo <= hi, got {sizes!r}"
+        )
 
 
 def _pulls_back(rx: list[int], ry: list[int], image: list[int]) -> bool:
@@ -362,7 +374,7 @@ def check_functoriality(
     built only for a violation. Violation entries carry everything needed
     to replay the trial.
     """
-    _check_run(spec, trials, "functoriality check")
+    _check_run(spec, trials, sizes, "functoriality check")
     start = time.perf_counter()
     lo, hi = sizes
     violations: list[dict] = []
@@ -410,7 +422,7 @@ def check_sandwich(
     inside the method's, which lies inside the single linkage relation.
     For flag covers that is the two refinements; the covers are built only
     for a violation."""
-    _check_run(spec, trials, "sandwich check")
+    _check_run(spec, trials, sizes, "sandwich check")
     start = time.perf_counter()
     probe = clustering_parameter(spec)
     ml_spec = MethodSpec("ml", probe.delta_f)
@@ -603,6 +615,9 @@ def _search_counterexample(
 
 def verify_witness(witness: dict) -> bool:
     """Replay a violation witness from its serialized form alone."""
+    for key in ("method", "x", "y", "assignment", "fx", "fy"):
+        if not isinstance(witness, dict) or key not in witness:
+            raise InvalidArgument(f"witness JSON needs {key!r}")
     spec = MethodSpec.from_dict(witness["method"])
     x = FiniteMetricSpace.from_dict(witness["x"])
     y = FiniteMetricSpace.from_dict(witness["y"])

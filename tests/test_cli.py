@@ -163,15 +163,15 @@ def test_sieve_nontrivial_terminal_exits_one_but_emits(runner, tmp_path):
 
 
 def test_a_library_error_no_command_catches_exits_two(runner, tmp_path, monkeypatch):
-    # sieve checks the axioms after writing, outside any handler of its
-    # own: the one handler in main turns the error into exit 2
+    # sieve catches only a MonotonicityViolation from build_sieve: the one
+    # handler in main turns any other library error into exit 2
     import sievecluster.sieves
     from sievecluster import BaseMismatch
 
-    def boom(s):
+    def boom(x, spec):
         raise BaseMismatch("boom")
 
-    monkeypatch.setattr(sievecluster.sieves, "check_sieve_axioms", boom)
+    monkeypatch.setattr(sievecluster.sieves, "build_sieve", boom)
     out = tmp_path / "profile.json"
     result = runner.invoke(main, ["sieve", "--method", "sl", "-o", str(out), _x3(tmp_path)])
     assert (result.exit_code, result.output) == (2, "Error: boom\n")
@@ -651,6 +651,8 @@ def test_infinite_levels_and_a_lone_bk_flag_exit_zero(runner, tmp_path):
     [
         (["cluster", "--method", "l", "--k", "2", "--K", "abc", "--delta", "1", "C4"],
          "--K must be a positive real or 'inf', got 'abc'"),
+        (["verify", "functoriality", "--method", "l", "--k", "2", "--K", "0", "--delta", "0.3"],
+         "budget K must be positive, got 0.0"),
         (["export-dot", "--delta", "-1", "C4"], "--delta must be nonnegative"),
         (["verify", "functoriality", "--method", "ml", "--delta", "1", "--trials", "-1"],
          "--trials must be nonnegative"),
@@ -661,7 +663,7 @@ def test_infinite_levels_and_a_lone_bk_flag_exit_zero(runner, tmp_path):
         (["verify", "counterexample", "--method", "ml", "--delta", "1", "--budget", "0"],
          "--budget must be positive"),
     ],
-    ids=["K-abc", "delta-negative", "functoriality-trials", "sandwich-trials", "max-points",
+    ids=["K-abc", "K-zero", "delta-negative", "functoriality-trials", "sandwich-trials", "max-points",
          "budget"],
 )
 def test_out_of_range_options_exit_two(runner, tmp_path, args, message):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import time
 
 import pytest
@@ -31,6 +32,7 @@ from sievecluster import (
     space_from_points,
     vertex_linkage,
 )
+from sievecluster.errors import InvalidArgument
 from sievecluster.verify import brute_force_maximal_linked, iterative_flagify_oracle, random_metric
 
 from conftest import graph_space
@@ -206,6 +208,30 @@ def test_method_spec_roundtrip_and_labels():
     assert "inf" in str(spec.to_dict()["K"])
     spec = MethodSpec(family="vl", delta=0.5, k=math.inf)
     assert MethodSpec.from_dict(spec.to_dict()) == spec
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"family": "el", "k": 2, "delta": 1.0, "clique_exception": "false"},
+         "method 'clique_exception' must be true or false"),
+        ({"family": "ml", "delta": True}, "method 'delta' must be a number"),
+        ({"family": "ml", "delta": "0.5"}, "method 'delta' must be a number"),
+        ({"family": "ml", "delta": None}, "method 'delta' must be a number"),
+        ({"family": "vl", "delta": 1.0, "k": 2.5}, "method 'k' must be an integer or 'inf'"),
+        ({"family": "vl", "delta": 1.0, "k": "2"}, "method 'k' must be a number or 'inf'"),
+        ({"family": "l", "delta": 1.0, "k": 2, "K": [1]}, "method 'K' must be a number or 'inf'"),
+        ({"family": "generated", "test_spaces": {}},
+         "method 'test_spaces' must be a list of spaces"),
+        ({"k": 2}, "method JSON needs 'family'"),
+        (None, "method JSON needs 'family'"),
+    ],
+)
+def test_method_spec_from_dict_checks_its_document(doc, message):
+    # these once returned clique_exception=True or delta=True, or raised
+    # TypeError, KeyError or AttributeError
+    with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+        MethodSpec.from_dict(doc)
 
 
 def test_evaluate_method_dispatch(x3, bowtie, four_cycle):

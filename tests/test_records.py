@@ -17,7 +17,7 @@ FROZEN = [
     MethodSpec("el", delta=1, k=2, clique_exception=True),
     MethodSpec("generated", test_spaces=[path_space(1, 0.3)]),
     ProbeResult(0.5, True),
-    SieveAxiomReport(((1, 0.5),), (0.25,), False),
+    SieveAxiomReport(((1, 0.5),), False),
 ]
 
 # recorded when the records were dataclasses
@@ -31,15 +31,13 @@ REPRS = [
     "MethodSpec(family='generated', delta=None, k=None, budget=None, "
     "test_spaces=(FiniteMetricSpace(2 points, diameter 0.3),), clique_exception=False)",
     "ProbeResult(delta_f=0.5, boundary_merged=True)",
-    "SieveAxiomReport(refinement_violations=((1, 0.5),), right_continuity_violations=(0.25,), "
-    "terminal_trivial=False)",
+    "SieveAxiomReport(refinement_violations=((1, 0.5),), terminal_trivial=False)",
 ]
 
 FIELDS = {
     MethodSpec: ("family", "delta", "k", "budget", "test_spaces", "clique_exception"),
     ProbeResult: ("delta_f", "boundary_merged"),
-    SieveAxiomReport: ("refinement_violations", "right_continuity_violations",
-                       "terminal_trivial"),
+    SieveAxiomReport: ("refinement_violations", "terminal_trivial"),
 }
 
 
@@ -87,7 +85,7 @@ def test_frozen_records_refuse_assignment(record):
 
 
 def test_records_of_different_classes_differ():
-    assert ProbeResult(0.5, True) != SieveAxiomReport(0.5, True, None)
+    assert ProbeResult(0.5, True) != SieveAxiomReport(0.5, True)
     assert MethodSpec("ml", 0.3) != MethodSpec("ml", 0.4)
     assert MethodSpec("vl", 1.0, k=2) != MethodSpec("vl", 1.0, k=3)
 
@@ -99,9 +97,9 @@ def test_keyword_and_positional_construction_agree():
     )
     assert MethodSpec("sl") == MethodSpec("sl", None, None, None, (), False)
     assert ProbeResult(delta_f=1.0, boundary_merged=False) == ProbeResult(1.0, False)
-    assert SieveAxiomReport(
-        terminal_trivial=True, right_continuity_violations=(), refinement_violations=()
-    ) == SieveAxiomReport((), (), True)
+    assert SieveAxiomReport(terminal_trivial=True, refinement_violations=()) == SieveAxiomReport(
+        (), True
+    )
     assert _report(extra={"a": 1}) == TrialReport(
         check="functoriality", method={"family": "ml"}, category="met", trials=3,
         violations=[], seed=7, elapsed=0.125, extra={"a": 1},

@@ -1,6 +1,7 @@
 """Randomized harness: generators, category checks, witness search, oracles."""
 
 import math
+import re
 
 import pytest
 
@@ -203,6 +204,24 @@ def test_checks_refuse_a_negative_trial_count():
     assert check_functoriality(spec, 0).trials == check_sandwich(spec, 0).trials == 0
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"trials": 1.5}, "needs an integer number of trials, got 1.5"),
+        ({"sizes": (5, 3)}, "needs sizes (lo, hi) of integers with 1 <= lo <= hi, got (5, 3)"),
+        ({"sizes": (0, 0)}, "needs sizes (lo, hi) of integers with 1 <= lo <= hi, got (0, 0)"),
+        ({"sizes": (3,)}, "needs sizes (lo, hi) of integers with 1 <= lo <= hi, got (3,)"),
+    ],
+)
+def test_checks_refuse_bad_sizes_and_trials(kw, message):
+    # these once raised the generators' own errors or a TypeError
+    spec = MethodSpec(family="sl", delta=1.0)
+    kw = {"trials": 3, **kw}
+    for name, check in (("functoriality", check_functoriality), ("sandwich", check_sandwich)):
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(f'{name} check {message}')}$"):
+            check(spec, **kw)
+
+
 def test_counterexample_budget_exhaustion_returns_none():
     assert find_counterexample(MethodSpec(family="vl", delta=1.0, k=2), budget=3) is None
 
@@ -218,6 +237,12 @@ def test_verify_witness_rejects_tampering():
         "clusters": [[p] for p in witness["fx"]["base"]],
     }
     assert not verify_witness(tampered)
+    with pytest.raises(InvalidArgument, match="^method JSON needs 'family'$"):
+        verify_witness({**witness, "method": {"k": 2}})
+    with pytest.raises(InvalidArgument, match="^witness JSON needs 'method'$"):
+        verify_witness({})
+    with pytest.raises(InvalidArgument, match="^witness JSON needs 'fy'$"):
+        verify_witness({k: v for k, v in witness.items() if k != "fy"})
 
 
 def test_brute_force_maximal_linked_small_example():
@@ -274,6 +299,12 @@ def test_trial_report_matches_schema():
     )
     jsonschema.validate(report.to_dict(), schema)
     jsonschema.validate(report.to_dict(include_elapsed=True), schema)
+    # the schema's K is positive, and so is a method's: K = 0 once gave a
+    # report that the schema refuses
+    report = check_functoriality(MethodSpec("l", 0.3, k=2, budget=0.5), trials=3)
+    jsonschema.validate(report.to_dict(), schema)
+    with pytest.raises(InvalidArgument, match="^budget K must be positive, got 0.0$"):
+        MethodSpec("l", 0.3, k=2, budget=0.0)
 
 
 def test_reports_are_reproducible():
